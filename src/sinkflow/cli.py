@@ -8,7 +8,8 @@ Subcommands:
 
 The output root defaults to the SINKFLOW_OUT environment variable (falling
 back to the current directory); ``--seed`` overrides the config seed.  The
-exit code is nonzero iff any verdict in the run failed.
+exit code is nonzero iff any verdict in the run failed or the run has no
+verdicts.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .closed_form import ClosedFormFlow, FlowKind, evaluate
-from .experiments import ExperimentConfig, execute, verify_battery
+from .experiments import ExperimentConfig, execute, verify_battery, write_csv
 
 
 def _out_root(args) -> Path:
@@ -51,12 +52,11 @@ def _cmd_tabulate(args) -> int:
     out = _out_root(args)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"tabulate_{kind.value}.csv"
-    rows = ["t,value"]
+    rows = []
     for t in np.linspace(0.0, args.t_end, args.points):
         val = evaluate(flow, float(t))
-        scalar = val.variance if hasattr(val, "variance") else val
-        rows.append(f"{float(t):.17g},{scalar:.17g}")
-    path.write_text("\n".join(rows) + "\n")
+        rows.append({"t": float(t), "value": float(getattr(val, "variance", val))})
+    write_csv(rows, path)
     print(f"wrote {path}")
     return 0
 

@@ -4,8 +4,8 @@ Every numeric solver in this package is tested against the expressions
 here, never the other way around.  The module collects the Gaussian
 location/scale flows of the entropic iteration and its Fokker-Planck
 counterpart, the exact iterates of the discrete iteration on the Gaussian
-location problem, the mirror-flow examples with explicit solutions, the
-1-D mirror ODE examples, and the log-Sobolev helpers.
+location problem, the mirror-flow examples with explicit solutions, and the
+1-D mirror ODE examples.
 """
 
 from __future__ import annotations
@@ -170,13 +170,6 @@ def integrate_euclid_mirror(kind: FlowKind, t_end: float, dt: float, x0: float =
     for _ in range(steps):
         x = euclid_mirror_ode_step(kind, x, dt)
     return x
-
-
-def lsi_constant_quadratic(f_hess_min: float) -> float:
-    """Log-Sobolev constant from a uniform lower Hessian bound on f."""
-    if f_hess_min <= 0.0:
-        raise DomainError("the curvature criterion needs a positive Hessian floor")
-    return f_hess_min
 
 
 def kl_gaussian(p: GaussianMeasure, q: GaussianMeasure) -> float:

@@ -145,20 +145,6 @@ class GridDensity:
         m = self.mean()
         return self.grid.integrate((self.grid.nodes - m) ** 2 * self.values)
 
-    def to_csv(self, path) -> None:
-        rows = ["x,density"]
-        for x, d in zip(self.grid.nodes, self.values):
-            rows.append(f"{x:.17g},{d:.17g}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "GridDensity":
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        xs, vals = data[:, 0], data[:, 1]
-        grid = Grid(float(xs[0]), float(xs[-1]), len(xs))
-        return cls(grid, vals)
-
 
 @dataclass(frozen=True)
 class DensitySpec:

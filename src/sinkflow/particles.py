@@ -62,12 +62,6 @@ class ParticleEnsemble:
     def variance(self) -> float:
         return float(np.var(self.positions))
 
-    def to_csv(self, path) -> None:
-        rows = ["particle_id,x"]
-        rows += [f"{i},{x:.17g}" for i, x in enumerate(self.positions)]
-        with open(path, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
-
 
 @dataclass(frozen=True)
 class SdeCoefficients:
@@ -263,16 +257,6 @@ def ks_distance(e: ParticleEnsemble, d: GridDensity) -> float:
     upper = np.arange(1, n + 1) / n
     lower = np.arange(0, n) / n
     return float(max(np.max(np.abs(model - upper)), np.max(np.abs(model - lower))))
-
-
-def trajectory_summary_to_csv(records, path) -> None:
-    """Write per-time ensemble summaries as t,mean,variance,ks_distance rows."""
-    rows = ["t,mean,variance,ks_distance"]
-    for r in records:
-        rows.append(f"{r['t']:.17g},{r['mean']:.17g},{r['variance']:.17g},"
-                    f"{r['ks_distance']:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
 
 
 def generator_stationarity_residual(

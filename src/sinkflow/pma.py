@@ -489,16 +489,3 @@ def kl_decay_series(states: Sequence[PmaState], c_lsi: float | None = None) -> l
         rows.append({"t": s.t, "kl": kl, "bound": bound, "within": kl <= bound * 1.05 + 1e-12})
         prev_t, prev_env = s.t, env
     return rows
-
-
-def trajectory_to_csv(states: Sequence[PmaState], path) -> None:
-    rows = ["t,mean,variance,kl,a_min,b_max,continuity_residual"]
-    for i, s in enumerate(states):
-        resid = continuity_residual(states[i - 1], s) if i > 0 else 0.0
-        rows.append(
-            f"{s.t:.17g},{s.rho.mean():.17g},{s.rho.variance():.17g},"
-            f"{kl_divergence(s.rho, s.mu):.17g},{float(np.min(s.u.d2u)):.17g},"
-            f"{float(np.max(s.u.d2u)):.17g},{resid:.17g}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")

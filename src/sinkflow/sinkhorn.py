@@ -145,9 +145,6 @@ class EntropicCoupling:
     def y_marginal(self) -> np.ndarray:
         return np.exp(self.log_gamma).T @ self.x_grid.trapezoid_weights
 
-    def to_csv(self, path) -> None:
-        np.savetxt(path, np.exp(self.log_gamma), delimiter=",", fmt="%.17g")
-
 
 def coupling(state: SinkhornState) -> EntropicCoupling:
     """Joint density induced by the current potential pair.
@@ -257,16 +254,3 @@ def laplace_residual(
     if include_entropy_term:
         res -= 0.5 * eps * np.log(2.0 * np.pi * eps)
     return float(np.max(np.abs(res)))
-
-
-def state_to_csv(state: SinkhornState, x_path, y_path) -> None:
-    rows = ["x,u,rho"]
-    for x, a, r in zip(state.mu.grid.nodes, state.u, state.rho.values):
-        rows.append(f"{x:.17g},{a:.17g},{r:.17g}")
-    with open(x_path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
-    rows = ["y,v"]
-    for y, b in zip(state.nu.grid.nodes, state.v):
-        rows.append(f"{y:.17g},{b:.17g}")
-    with open(y_path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")

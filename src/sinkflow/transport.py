@@ -158,13 +158,6 @@ class ConvexPotential:
         out = np.interp(x_arr, self.grid.nodes, self.du)
         return float(out) if out.ndim == 0 else out
 
-    def to_csv(self, path) -> None:
-        rows = ["x,u,du,d2u"]
-        for x, a, b, c in zip(self.grid.nodes, self.u, self.du, self.d2u):
-            rows.append(f"{x:.17g},{a:.17g},{b:.17g},{c:.17g}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
-
 
 def _strictify(values: np.ndarray, min_gap: float) -> np.ndarray:
     """Break float-saturation ties in the extreme tails of a quantile

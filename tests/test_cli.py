@@ -1,10 +1,17 @@
 import json
 
+import numpy as np
 import pytest
 
 from sinkflow.cli import main
 from sinkflow.errors import DomainError, EmptyTable
-from sinkflow.experiments import ExperimentConfig, execute, floor_steps, run_experiment
+from sinkflow.experiments import (
+    ExperimentConfig,
+    Problem,
+    execute,
+    floor_steps,
+    run_experiment,
+)
 from sinkflow.svgplot import emit_svg
 
 
@@ -36,6 +43,37 @@ class TestConfig:
     def test_horizon_positive(self):
         with pytest.raises(DomainError):
             ExperimentConfig.from_dict({"experiment": "pma_run", "numerics": {"T": 0.0}})
+
+    @pytest.mark.parametrize("raw", [
+        {"problem": {"thetaa": 0.5}},
+        {"numerics": {"dtt": 1e-3}},
+        {"numerics": {"tolerances": {}}},
+        {"output": {"directory": "."}},
+        {"numerics": {"dt": -1.0}},
+        {"numerics": {"dt": 0.0}},
+        {"numerics": {"eps": 0.0}},
+        {"numerics": {"eps_list": [0.2, 0.1, 0.0]}},
+        {"numerics": {"L": -8.0}},
+        {"numerics": {"particles": 0}},
+    ], ids=["unknown-problem-key", "unknown-numerics-key", "removed-tolerances",
+            "removed-directory", "negative-dt", "zero-dt", "zero-eps", "zero-in-eps-list",
+            "negative-L", "no-particles"])
+    def test_bad_config_rejected(self, raw):
+        with pytest.raises(DomainError):
+            ExperimentConfig.from_dict({"experiment": "pma_run", **raw})
+
+    @pytest.mark.parametrize("experiment,numerics", [
+        ("sinkhorn_run", {"eps": 0.5}),
+        ("markov_chain_run", {"eps": 0.5}),
+        ("eps_limit", {"eps_list": [0.5, 0.1]}),
+        ("pma_run", {"T": 0.5, "dt": 1.0}),
+    ])
+    def test_run_without_a_step_rejected(self, experiment, numerics):
+        # floor(T/eps) iterations or round(T/dt) time steps come out zero
+        cfg = ExperimentConfig.from_dict({"experiment": experiment,
+                                          "numerics": {**QUICK_NUMERICS, **numerics}})
+        with pytest.raises(DomainError):
+            run_experiment(cfg)
 
     def test_hash_stable_under_key_order(self):
         a = ExperimentConfig.from_dict(
@@ -120,6 +158,45 @@ class TestExecute:
         _, manifest = execute(cfg, tmp_path)
         snaps = [f for f in manifest["files"] if "density_t" in f]
         assert snaps and all((tmp_path / s).exists() for s in snaps)
+        # the first snapshot is the start density, read back exactly
+        first = tmp_path / sorted(snaps)[0]
+        assert first.read_text().splitlines()[0] == "x,density"
+        data = np.loadtxt(first, delimiter=",", skiprows=1)
+        state = Problem.from_config(cfg).flow_state(cfg.grid())
+        np.testing.assert_array_equal(data[:, 0], state.grid.nodes)
+        np.testing.assert_array_equal(data[:, 1], state.rho.values)
+
+    def test_no_verdicts_is_not_a_pass(self, tmp_path):
+        # T < 0.5 leaves pma_run without a checkpoint
+        raw = {"experiment": "pma_run", "numerics": {"n": 128, "T": 0.3}}
+        report = run_experiment(ExperimentConfig.from_dict(raw))
+        assert report.verdicts == [] and not report.passed()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--output", str(tmp_path), "run", str(cfg_path)]) == 1
+
+
+MOMENTS_BOTH = ["mean(t=0.5)", "variance(t=0.5)", "mean(t=1.0)", "variance(t=1.0)"]
+VARIANCES = ["variance(t=0.5)", "variance(t=1.0)"]
+KL_BOUND = "kl <= 1.05 * bound along the run"
+
+
+@pytest.mark.parametrize("experiment,kind,checks", [
+    ("pma_run", "gaussian_location", MOMENTS_BOTH),
+    ("pma_run", "gaussian_scale", VARIANCES),
+    ("pma_run", "mirror_entropy", VARIANCES),
+    ("pma_run", "mirror_potential_energy", VARIANCES),
+    ("fokker_planck_run", "gaussian_location", MOMENTS_BOTH),
+    ("fokker_planck_run", "gaussian_scale", VARIANCES),
+    ("kl_decay", "gaussian_location", [KL_BOUND, "bound saturation at t_end"]),
+    ("kl_decay", "gaussian_scale", [KL_BOUND]),
+])
+def test_runner_verdicts_per_problem_kind(experiment, kind, checks):
+    cfg = ExperimentConfig.from_dict({"experiment": experiment, "problem": {"kind": kind},
+                                      "numerics": {"n": 128, "T": 1.0}})
+    report = run_experiment(cfg)
+    assert [v["check"] for v in report.verdicts] == checks
+    assert report.passed()
 
 
 class TestCliCommands:

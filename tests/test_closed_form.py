@@ -11,7 +11,6 @@ from sinkflow.closed_form import (
     evaluate,
     integrate_euclid_mirror,
     kl_gaussian,
-    lsi_constant_quadratic,
     scale_variance_entropic,
     scale_variance_fokker_planck,
     sinkhorn_location_iterates,
@@ -128,18 +127,6 @@ class TestEuclidMirrorOde:
     def test_non_ode_kind_rejected(self):
         with pytest.raises(DomainError):
             euclid_mirror_ode_step(FlowKind.SINKHORN_LOCATION, 1.0, 1e-4)
-
-
-class TestLsi:
-    def test_standard_normal(self):
-        assert lsi_constant_quadratic(1.0) == 1.0
-
-    def test_stronger_curvature(self):
-        assert lsi_constant_quadratic(2.0) == 2.0
-
-    def test_flat_rejected(self):
-        with pytest.raises(DomainError):
-            lsi_constant_quadratic(0.0)
 
 
 class TestSinkhornLocationIterates:

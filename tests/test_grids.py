@@ -236,11 +236,3 @@ def test_density_invariants_enforced(grid):
         GridDensity(grid, vals)
     with pytest.raises(NonPositiveError):
         GridDensity(grid, np.full(grid.n, 1.0))  # mass 16, not 1
-
-
-def test_csv_round_trip(tmp_path, std_normal):
-    path = tmp_path / "density.csv"
-    std_normal.to_csv(path)
-    assert path.read_text().splitlines()[0] == "x,density"
-    back = GridDensity.from_csv(path)
-    np.testing.assert_array_equal(back.values, std_normal.values)

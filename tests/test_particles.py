@@ -249,20 +249,3 @@ class TestGeneratorResidual:
             u = ConvexPotential.quadratic(g)
             vals.append(generator_stationarity_residual(u, STD_SPEC, self.BUMP))
         assert 3.0 < vals[0] / vals[1] < 5.0
-
-
-def test_ensemble_csv(tmp_path):
-    ens = ParticleEnsemble(np.array([0.1, -0.2]), 0.0, seed=1)
-    path = tmp_path / "ens.csv"
-    ens.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "particle_id,x" and len(lines) == 3
-
-
-def test_trajectory_summary_csv(tmp_path):
-    from sinkflow.particles import trajectory_summary_to_csv
-
-    records = [{"t": 0.1, "mean": 0.2, "variance": 1.0, "ks_distance": 0.003}]
-    path = tmp_path / "summary.csv"
-    trajectory_summary_to_csv(records, path)
-    assert path.read_text().splitlines()[0] == "t,mean,variance,ks_distance"

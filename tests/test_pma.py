@@ -24,7 +24,6 @@ from sinkflow.pma import (
     run_flow,
     second_order_lot_gap,
     step,
-    trajectory_to_csv,
     velocity,
     velocity_mirror_chart,
 )
@@ -315,10 +314,3 @@ class TestMirrorFlows:
         s = states[-1]
         keep = GRID.interior_slice()
         assert np.max(np.abs(s.u.du - GRID.nodes / (1.0 + s.t))[keep]) < 2e-3
-
-
-def test_trajectory_csv(tmp_path, location_run):
-    path = tmp_path / "run.csv"
-    trajectory_to_csv(location_run[::200], path)
-    header = path.read_text().splitlines()[0]
-    assert header == "t,mean,variance,kl,a_min,b_max,continuity_residual"

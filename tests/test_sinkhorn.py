@@ -15,7 +15,6 @@ from sinkflow.sinkhorn import (
     product_coupling,
     run_to_tolerance,
     s_step,
-    state_to_csv,
     u_operator,
     v_operator,
 )
@@ -286,18 +285,3 @@ class TestLaplaceResidual:
                for e in eps_list]
         slope = np.polyfit(np.log(eps_list), np.log(res), 1)[0]
         assert slope < 1.0
-
-
-def test_state_csv(tmp_path):
-    st = initial_state(quad_u0(), MU, NU, NU, 0.1)
-    state_to_csv(st, tmp_path / "x.csv", tmp_path / "y.csv")
-    assert (tmp_path / "x.csv").read_text().splitlines()[0] == "x,u,rho"
-    assert (tmp_path / "y.csv").read_text().splitlines()[0] == "y,v"
-
-
-def test_coupling_csv(tmp_path):
-    st = initial_state(quad_u0(), MU, NU, NU, 0.5)
-    cp = coupling(st)
-    cp.to_csv(tmp_path / "gamma.csv")
-    data = np.loadtxt(tmp_path / "gamma.csv", delimiter=",")
-    assert data.shape == (GRID.n, GRID.n)

@@ -295,13 +295,6 @@ def test_convexity_floor_enforced():
         ConvexPotential(GRID, vals, GRID.nodes, d2)
 
 
-def test_potential_csv(tmp_path):
-    u = ConvexPotential.quadratic(GRID)
-    path = tmp_path / "potential.csv"
-    u.to_csv(path)
-    assert path.read_text().splitlines()[0] == "x,u,du,d2u"
-
-
 def test_derivative_consistency_of_from_values():
     u = ConvexPotential.from_values(GRID, np.cosh(GRID.nodes / 2.0))
     # O(h^2) agreement between stored du and central differences of u
