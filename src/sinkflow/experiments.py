@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -84,6 +85,15 @@ def _steps(span: float, dt: float) -> int:
     return steps
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _section(raw: dict, name: str, defaults: dict, optional=()) -> dict:
     given = raw.get(name, {})
     unknown = sorted(set(given) - set(defaults) - set(optional))
@@ -107,6 +117,20 @@ class ExperimentConfig:
         problem = _section(raw, "problem", _PROBLEM_DEFAULTS, _PROBLEM_OPTIONAL)
         numerics = _section(raw, "numerics", _NUMERIC_DEFAULTS)
         output = _section(raw, "output", _OUTPUT_DEFAULTS)
+        if "flow_kind" in problem and problem["flow_kind"] not in {k.value for k in FlowKind}:
+            raise DomainError(f"unknown flow_kind {problem['flow_kind']!r}")
+        for key in ("n", "particles", "seed"):
+            if not _is_integer(numerics[key]):
+                raise DomainError(f"{key} must be an integer, got {numerics[key]!r}")
+        eps_list = numerics["eps_list"]
+        if not isinstance(eps_list, (list, tuple)):
+            raise DomainError(f"eps_list must be a list, got {eps_list!r}")
+        reals = [(key, numerics[key]) for key in ("L", "T", "dt", "eps")]
+        reals += [("eps_list entries", e) for e in eps_list]
+        reals += [(key, problem[key]) for key in ("theta", "eta", "param") if key in problem]
+        for key, value in reals:
+            if not _is_real(value):
+                raise DomainError(f"{key} must be a finite real number, got {value!r}")
         n = numerics["n"]
         if not (64 <= n <= 2048 and (n & (n - 1)) == 0):
             raise DomainError("n must be a power of two between 64 and 2048")
@@ -115,7 +139,6 @@ class ExperimentConfig:
                 raise DomainError(f"{key} must be positive")
         if numerics["particles"] < 1:
             raise DomainError("particles must be at least 1")
-        eps_list = list(numerics["eps_list"])
         if any(e <= 0 for e in eps_list):
             raise DomainError("eps_list entries must be positive")
         if any(b >= a for a, b in zip(eps_list, eps_list[1:])):

@@ -20,7 +20,7 @@ from .errors import DomainError, ParticleEscape
 from .grids import (DensitySpec, Grid, GridDensity, _readonly, cdf_values, grad_central,
                     second_central)
 from .pma import PmaState, inverse_gradient_map
-from .sinkhorn import SinkhornState
+from .sinkhorn import SinkhornState, _kernel_draw, _log_kernel
 from .transport import ConvexPotential
 
 ESCAPE_MARGIN = 1.0
@@ -166,30 +166,6 @@ def mirror_langevin_step(
     return _euler_maruyama(e, u.grid, dt, drift, diffusion, zero_noise)
 
 
-def _sample_conditional_rows(
-    log_core: np.ndarray, nodes: np.ndarray, uniforms: np.ndarray
-) -> np.ndarray:
-    """Inverse-CDF sample per row of a batch of grid conditionals.
-
-    Rows are unnormalized log-density samples at the nodes; the CDF is the
-    trapezoid cumulative, inverted linearly inside the selected cell so the
-    draws are spread continuously instead of sitting on the nodes.
-    """
-    stable = log_core - log_core.max(axis=1, keepdims=True)
-    dens = np.exp(stable)
-    h = nodes[1] - nodes[0]
-    cell_mass = 0.5 * h * (dens[:, 1:] + dens[:, :-1])
-    cdf = np.concatenate([np.zeros((dens.shape[0], 1)), np.cumsum(cell_mass, axis=1)], axis=1)
-    cdf /= cdf[:, -1:]
-    targets = uniforms[:, None]
-    idx = np.sum(cdf < targets, axis=1) - 1
-    idx = np.clip(idx, 0, len(nodes) - 2)
-    lo = np.take_along_axis(cdf, idx[:, None], axis=1)[:, 0]
-    hi = np.take_along_axis(cdf, (idx + 1)[:, None], axis=1)[:, 0]
-    frac = np.where(hi > lo, (uniforms - lo) / np.maximum(hi - lo, 1e-300), 0.5)
-    return nodes[idx] + np.clip(frac, 0.0, 1.0) * h
-
-
 def markov_chain_step(
     e: ParticleEnsemble, sk: SinkhornState, chunk: int = 8192
 ) -> ParticleEnsemble:
@@ -198,32 +174,27 @@ def markov_chain_step(
     Each particle first draws an intermediate dual coordinate from the
     previous coupling's conditional given its position, then a new position
     from the current coupling's conditional given that coordinate; both
-    draws invert the couplings' discrete conditionals.  At step zero the
-    initial coupling is the product of the start density with the target,
-    so the intermediate coordinate is an unconditional target sample.
+    draws invert the couplings' discrete conditionals, each row on its band
+    of the log-kernel layer in :mod:`sinkhorn`, at most ``chunk`` rows at a
+    time.  At step zero the initial coupling is the product of the start
+    density with the target, so the intermediate coordinate is an
+    unconditional target sample.
     """
     if sk.k != e.step_count:
         raise DomainError(
             f"iterate index {sk.k} does not match ensemble step count {e.step_count}"
         )
-    xs = sk.mu.grid.nodes
-    ys = sk.nu.grid.nodes
     p = e.positions
-    out = np.empty_like(p)
     u1 = uniform_block(e.seed, e.step_count, p.size, substream=0)
     u2 = uniform_block(e.seed, e.step_count, p.size, substream=1)
-    for start in range(0, p.size, chunk):
-        sl = slice(start, min(start + chunk, p.size))
-        x_blk = p[sl]
-        if sk.u_prev is None:
-            # product initial coupling: dual coordinate independent of x
-            y_blk = np.interp(u1[sl], cdf_values(sk.nu), ys)
-        else:
-            log_cond = (np.outer(x_blk, ys) - sk.v_prev[None, :]) / sk.eps \
-                + sk.nu.log_values[None, :]
-            y_blk = _sample_conditional_rows(log_cond, ys, u1[sl])
-        log_cond = (np.outer(y_blk, xs) - sk.u[None, :]) / sk.eps + sk.mu.log_values[None, :]
-        out[sl] = _sample_conditional_rows(log_cond, xs, u2[sl])
+    if sk.u_prev is None:
+        # product initial coupling: dual coordinate independent of x
+        y = np.interp(u1, cdf_values(sk.nu), sk.nu.grid.nodes)
+    else:
+        previous = _log_kernel(sk.nu.grid, sk.nu.log_values - sk.v_prev / sk.eps, sk.eps)
+        y, _ = _kernel_draw(previous, p, u1, chunk)
+    current = _log_kernel(sk.mu.grid, sk.mu.log_values - sk.u / sk.eps, sk.eps)
+    out, _ = _kernel_draw(current, y, u2, chunk)
     _check_domain(out, sk.mu.grid)
     return replace(e, positions=out, t=e.t + sk.eps, step_count=e.step_count + 1)
 

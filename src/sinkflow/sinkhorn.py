@@ -11,6 +11,12 @@ than approximately:
 
 Potentials are gauge-fixed by subtracting the midpoint value after each
 step; all derived quantities are invariant to that additive constant.
+
+Both operators, and the Markov-chain sampler in :mod:`sinkflow.particles`,
+evaluate their kernels through one log-kernel layer (``_log_kernel``): when
+the log-weights are concave, each kernel row is evaluated only on a band
+around its maximum, with a full-width pass for any row whose band edges
+are not negligible.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import logsumexp
 
 from .errors import DomainError, MaxIterExceeded, NumericOverflow
@@ -26,6 +33,14 @@ from .grids import Grid, GridDensity, _readonly
 from .transport import ConvexPotential, legendre_transform
 
 NORMALIZATION_TOL = 1e-8
+# A kernel row is evaluated only where it lies within this many log-units of
+# its maximum; each dropped entry is below e^-40 of the largest, so a row of
+# n <= 2048 entries loses less than 1e-14 of its mass.
+BAND_LOG_UNITS = 40.0
+# entries per evaluated block: small enough to stay in the per-core cache
+_BLOCK_ENTRIES = 1 << 16
+# second differences of a concave log-weight vector, relative to its size
+_CONCAVITY_TOL = 1e-12
 
 
 def _log_weights(grid: Grid) -> np.ndarray:
@@ -39,31 +54,154 @@ def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
+class _LogKernel(NamedTuple):
+    """Rows r_i(j) = p_i z_j / eps + a_j over the uniform nodes z of a grid.
+
+    ``width`` is the number of columns each row is evaluated on.  When ``a``
+    is concave every row is, its maximum moves right as p grows (x*y is
+    supermodular), and ``slopes`` = -diff(a) is nondecreasing, so
+    ``searchsorted`` on it finds each row's peak column; otherwise
+    ``slopes`` is None and every row runs at full width.
+    """
+
+    nodes: np.ndarray
+    spacing: float
+    a: np.ndarray
+    scale: float
+    slopes: np.ndarray | None
+    width: int
+
+
+def _log_kernel(grid: Grid, a: np.ndarray, eps: float) -> _LogKernel:
+    """Kernel with log-weights ``a`` on ``grid``, and the band its rows need.
+
+    The band is as wide as the row peaking at a's own maximum needs to fall
+    BAND_LOG_UNITS below that maximum on both sides, bounded from the
+    slopes alone, so it holds for every row with the same curvature.
+    """
+    n = a.size
+    slopes = -np.diff(a)
+    if np.any(np.diff(slopes) < -_CONCAVITY_TOL * max(1.0, float(np.max(np.abs(a))))):
+        return _LogKernel(grid.nodes, grid.spacing, a, 1.0 / eps, None, n)
+    j = int(np.argmax(a))
+    right = slopes[j:] - slopes[j] if j < n - 1 else slopes[:0]
+    left = slopes[j - 1] - slopes[:j][::-1] if j > 0 else slopes[:0]
+    half = max(_columns_to_fall(right), _columns_to_fall(left))
+    return _LogKernel(grid.nodes, grid.spacing, a, 1.0 / eps, slopes, min(n, 2 * half + 1))
+
+
+def _columns_to_fall(rise: np.ndarray) -> int:
+    """Columns until the running sum of slope increments reaches BAND_LOG_UNITS."""
+    fall = np.cumsum(rise)
+    return int(np.searchsorted(fall, BAND_LOG_UNITS)) + 1
+
+
+def _kernel_rows(kernel: _LogKernel, p: np.ndarray, reduce, max_rows: int | None = None):
+    """Apply ``reduce`` to exp(r_i - max r_i) for every output point p_i.
+
+    Each row is first evaluated on its band of ``kernel.width`` columns
+    around its peak; a row whose band edges are not BAND_LOG_UNITS below
+    its maximum is evaluated again at full width, the same code with the
+    band set to all columns.  ``reduce(dens, peak, lo, rows)`` receives a
+    block of rows (indices ``rows`` into p) whose columns start at ``lo``
+    and returns one value per row.  Returns the values and a mask of the
+    rows that kept their band.
+    """
+    n = kernel.a.size
+    pe = np.asarray(p, dtype=float) * kernel.scale
+    out = np.empty(pe.size)
+    rows = np.arange(pe.size)
+    banded = np.zeros(pe.size, dtype=bool)
+    if kernel.width < n:
+        peak = np.searchsorted(kernel.slopes, pe * kernel.spacing)
+        lo = np.clip(peak - kernel.width // 2, 0, n - kernel.width)
+        banded = _evaluate_rows(kernel, pe, lo, kernel.width, rows, reduce, out, max_rows)
+        rows = np.flatnonzero(~banded)
+    if rows.size:
+        _evaluate_rows(kernel, pe, np.zeros(pe.size, dtype=np.intp), n, rows, reduce, out,
+                       max_rows)
+    return out, banded
+
+
+def _evaluate_rows(kernel, pe, lo, width, rows, reduce, out, max_rows) -> np.ndarray:
+    """Evaluate ``rows`` on columns lo + [0, width) block by block, in place.
+
+    Returns, per output point, whether nothing outside its columns can
+    come within BAND_LOG_UNITS of its maximum (True for rows not visited).
+    """
+    n = kernel.a.size
+    node_windows = sliding_window_view(kernel.nodes, width)
+    weight_windows = sliding_window_view(kernel.a, width)
+    kept = np.ones(pe.size, dtype=bool)
+    block = max(1, _BLOCK_ENTRIES // width)
+    if max_rows is not None:
+        block = min(block, max_rows)
+    for start in range(0, rows.size, block):
+        ids = rows[start:start + block]
+        first = lo[ids]
+        buf = node_windows[first]
+        buf *= pe[ids, None]
+        buf += weight_windows[first]
+        peak = buf.max(axis=1)
+        buf -= peak[:, None]
+        kept[ids] = ~(((first > 0) & (buf[:, 0] > -BAND_LOG_UNITS))
+                      | ((first + width < n) & (buf[:, -1] > -BAND_LOG_UNITS)))
+        np.exp(buf, out=buf)
+        out[ids] = reduce(buf, peak, first, ids)
+    return kept
+
+
+def _kernel_lse(kernel: _LogKernel, p: np.ndarray):
+    """Row log-sum-exp: log sum_j exp(r_i(j)) at every output point."""
+    return _kernel_rows(kernel, p, lambda dens, peak, lo, rows: peak + np.log(dens.sum(axis=1)))
+
+
+def _kernel_draw(kernel: _LogKernel, p: np.ndarray, uniforms: np.ndarray,
+                 max_rows: int | None = None):
+    """One draw per row from the density exp(r_i) on the nodes.
+
+    The CDF is the trapezoid cumulative, inverted linearly inside the cell
+    that uniform i selects, so draws spread continuously between nodes.
+    """
+    nodes, h = kernel.nodes, kernel.spacing
+
+    def reduce(dens, _peak, lo, rows):
+        cdf = dens[:, 1:] + dens[:, :-1]
+        cdf *= 0.5 * h
+        np.cumsum(cdf, axis=1, out=cdf)
+        cdf /= cdf[:, -1:]
+        u = uniforms[rows]
+        idx = np.minimum(np.count_nonzero(cdf < u[:, None], axis=1), cdf.shape[1] - 1)
+        at = np.arange(idx.size)
+        hi = cdf[at, idx]
+        below = np.where(idx > 0, cdf[at, idx - 1], 0.0)
+        frac = np.where(hi > below, (u - below) / np.maximum(hi - below, 1e-300), 0.5)
+        return nodes[lo + idx] + np.clip(frac, 0.0, 1.0) * h
+
+    return _kernel_rows(kernel, p, reduce, max_rows)
+
+
+def _smooth(potential, marginal: GridDensity, eps: float, out_grid: Grid | None) -> np.ndarray:
+    if eps <= 0:
+        raise DomainError("eps must be positive")
+    potential = _check_finite(potential, "potential")
+    a = marginal.log_values + _log_weights(marginal.grid) - potential / eps
+    values, _ = _kernel_lse(_log_kernel(marginal.grid, a, eps), (out_grid or marginal.grid).nodes)
+    return eps * values
+
+
 def v_operator(u, mu: GridDensity, eps: float, y_grid: Grid | None = None) -> np.ndarray:
     """Log-domain smoothing of a potential against the first marginal.
 
     Returns eps * log integral of exp((x*y - u(x))/eps) d mu(x) at each node
     of ``y_grid`` (default: the marginal's own grid).
     """
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    u = _check_finite(u, "potential")
-    ys = (y_grid or mu.grid).nodes
-    xs = mu.grid.nodes
-    # rows: y nodes; columns: x quadrature nodes
-    core = (np.outer(ys, xs) - u[None, :]) / eps + (mu.log_values + _log_weights(mu.grid))[None, :]
-    return eps * logsumexp(core, axis=1)
+    return _smooth(u, mu, eps, y_grid)
 
 
 def u_operator(v, nu: GridDensity, eps: float, x_grid: Grid | None = None) -> np.ndarray:
     """Mirror image of :func:`v_operator` against the second marginal."""
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    v = _check_finite(v, "potential")
-    xs = (x_grid or nu.grid).nodes
-    ys = nu.grid.nodes
-    core = (np.outer(xs, ys) - v[None, :]) / eps + (nu.log_values + _log_weights(nu.grid))[None, :]
-    return eps * logsumexp(core, axis=1)
+    return _smooth(v, nu, eps, x_grid)
 
 
 @dataclass(frozen=True)

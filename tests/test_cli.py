@@ -55,9 +55,21 @@ class TestConfig:
         {"numerics": {"eps_list": [0.2, 0.1, 0.0]}},
         {"numerics": {"L": -8.0}},
         {"numerics": {"particles": 0}},
+        {"problem": {"flow_kind": "nope"}},
+        {"numerics": {"n": "128"}},
+        {"numerics": {"particles": 2.5}},
+        {"numerics": {"seed": True}},
+        {"numerics": {"T": "1"}},
+        {"numerics": {"eps": float("nan")}},
+        {"numerics": {"eps_list": [0.2, "0.1"]}},
+        {"numerics": {"eps_list": 0.1}},
+        {"problem": {"theta": "0.5"}},
+        {"problem": {"param": True}},
     ], ids=["unknown-problem-key", "unknown-numerics-key", "removed-tolerances",
             "removed-directory", "negative-dt", "zero-dt", "zero-eps", "zero-in-eps-list",
-            "negative-L", "no-particles"])
+            "negative-L", "no-particles", "unknown-flow-kind", "string-n",
+            "fractional-particles", "bool-seed", "string-T", "nan-eps",
+            "string-in-eps-list", "eps-list-not-a-list", "string-theta", "bool-param"])
     def test_bad_config_rejected(self, raw):
         with pytest.raises(DomainError):
             ExperimentConfig.from_dict({"experiment": "pma_run", **raw})

@@ -19,7 +19,7 @@ from sinkflow.particles import (
     uniform_block,
 )
 from sinkflow.pma import gaussian_location_state, make_flow_state, step
-from sinkflow.sinkhorn import initial_state, s_step
+from sinkflow.sinkhorn import _kernel_draw, _log_kernel, initial_state, s_step
 from sinkflow.transport import ConvexPotential
 
 GRID = Grid(-8.0, 8.0, 512)
@@ -173,7 +173,56 @@ class TestMirrorLangevin:
         assert np.array_equal(a.positions, b.positions)
 
 
+def _sample_conditional_rows(log_core, nodes, uniforms):
+    """Dense inverse-CDF sample per row of a batch of grid conditionals.
+
+    The reference for the banded sampler: rows are unnormalized log-density
+    samples at the nodes; the CDF is the trapezoid cumulative over the whole
+    row, inverted linearly inside the selected cell.
+    """
+    stable = log_core - log_core.max(axis=1, keepdims=True)
+    dens = np.exp(stable)
+    h = nodes[1] - nodes[0]
+    cell_mass = 0.5 * h * (dens[:, 1:] + dens[:, :-1])
+    cdf = np.concatenate([np.zeros((dens.shape[0], 1)), np.cumsum(cell_mass, axis=1)], axis=1)
+    cdf /= cdf[:, -1:]
+    targets = uniforms[:, None]
+    idx = np.sum(cdf < targets, axis=1) - 1
+    idx = np.clip(idx, 0, len(nodes) - 2)
+    lo = np.take_along_axis(cdf, idx[:, None], axis=1)[:, 0]
+    hi = np.take_along_axis(cdf, (idx + 1)[:, None], axis=1)[:, 0]
+    frac = np.where(hi > lo, (uniforms - lo) / np.maximum(hi - lo, 1e-300), 0.5)
+    return nodes[idx] + np.clip(frac, 0.0, 1.0) * h
+
+
+def dense_chain_positions(e, sk):
+    """One chain step on full-width conditional tables (after step zero)."""
+    xs, ys = sk.mu.grid.nodes, sk.nu.grid.nodes
+    u1 = uniform_block(e.seed, e.step_count, e.positions.size, substream=0)
+    u2 = uniform_block(e.seed, e.step_count, e.positions.size, substream=1)
+    log_cond = (np.outer(e.positions, ys) - sk.v_prev[None, :]) / sk.eps \
+        + sk.nu.log_values[None, :]
+    y = _sample_conditional_rows(log_cond, ys, u1)
+    log_cond = (np.outer(y, xs) - sk.u[None, :]) / sk.eps + sk.mu.log_values[None, :]
+    return _sample_conditional_rows(log_cond, xs, u2)
+
+
 class TestMarkovChain:
+    @pytest.mark.parametrize("eps", [0.5, 0.1, 0.05])
+    def test_banded_draws_match_dense_reference(self, eps):
+        nu = discretize(DensitySpec.gaussian(0.5, 1.0), GRID)
+        sk = s_step(initial_state(0.5 * GRID.nodes**2, STD, nu, nu, eps))
+        ens = ParticleEnsemble.from_density(sk.rho, 20000, seed=13)
+        ens = ParticleEnsemble(ens.positions, 0.0, seed=13, step_count=1)
+        moved = markov_chain_step(ens, sk)
+        assert np.max(np.abs(moved.positions - dense_chain_positions(ens, sk))) <= 1e-12
+        # both conditional kernels keep the band on every row at these points
+        u = uniform_block(13, 1, ens.positions.size)
+        for marg, pot in ((nu, sk.v_prev), (STD, sk.u)):
+            kernel = _log_kernel(GRID, marg.log_values - pot / eps, eps)
+            assert kernel.width < GRID.n
+            assert _kernel_draw(kernel, ens.positions, u)[1].all()
+
     def test_marginals_match_iterates(self):
         mu = STD
         nu = discretize(DensitySpec.gaussian(0.5, 1.0), GRID)

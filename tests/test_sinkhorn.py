@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from sinkflow.closed_form import sinkhorn_location_iterates
 from sinkflow.errors import DomainError, MaxIterExceeded
 from sinkflow.grids import DensitySpec, Grid, discretize, kl_divergence
 from sinkflow.sinkhorn import (
+    _kernel_lse,
+    _log_kernel,
     coupling,
     eot_cost,
     initial_state,
@@ -44,6 +47,65 @@ def random_smooth_potentials(count, seed):
             vals += rng.uniform(-0.3, 0.3) * np.sin(k * xs / 4 + rng.uniform(0, 6.28))
         out.append(vals)
     return out
+
+
+def dense_operator(potential, marginal, eps, out_grid=None):
+    """The operators' dense formula: the reference for the log-kernel layer."""
+    ys = (out_grid or marginal.grid).nodes
+    xs = marginal.grid.nodes
+    core = (np.outer(ys, xs) - potential[None, :]) / eps \
+        + (marginal.log_values + np.log(marginal.grid.trapezoid_weights))[None, :]
+    return eps * logsumexp(core, axis=1)
+
+
+def kernel_of(potential, marginal, eps):
+    """The log-kernel both operators evaluate for this potential."""
+    a = marginal.log_values + np.log(marginal.grid.trapezoid_weights) - potential / eps
+    return _log_kernel(marginal.grid, a, eps)
+
+
+class TestLogKernelLayer:
+    @pytest.mark.parametrize("n", [256, 2048])
+    @pytest.mark.parametrize("eps", [0.5, 0.1, 0.05, 0.01])
+    def test_operators_match_dense_formula(self, n, eps):
+        grid = Grid(-8.0, 8.0, n)
+        mu = discretize(MU_SPEC, grid)
+        nu = discretize(DensitySpec.gaussian(0.5, 1.0), grid)
+        u = 0.5 * grid.nodes**2
+        v = v_operator(u, mu, eps)
+        assert np.max(np.abs(v - dense_operator(u, mu, eps))) <= 1e-12
+        assert np.max(np.abs(u_operator(v, nu, eps) - dense_operator(v, nu, eps))) <= 1e-12
+        # log-concave marginals and convex potentials: every row keeps its band
+        for pot, marg in ((u, mu), (v, nu)):
+            kernel = kernel_of(pot, marg, eps)
+            assert kernel.width < n
+            assert _kernel_lse(kernel, grid.nodes)[1].all()
+
+    @pytest.mark.parametrize("eps", [0.5, 0.1, 0.05, 0.01])
+    def test_off_grid_output_points(self, eps):
+        # laplace_residual's output grid: a window inside the marginal's grid
+        u = quad_u0()
+        ygrid = Grid(-2.0, 2.0, GRID.n)
+        got = v_operator(u, MU, eps, ygrid)
+        assert np.max(np.abs(got - dense_operator(u, MU, eps, ygrid))) <= 1e-12
+        assert _kernel_lse(kernel_of(u, MU, eps), ygrid.nodes)[1].all()
+
+    def test_non_convex_potential_runs_at_full_width(self):
+        u = random_smooth_potentials(1, seed=3)[0] + 0.5 * np.sin(3.0 * GRID.nodes)
+        kernel = kernel_of(u, MU, 0.1)
+        assert kernel.slopes is None and kernel.width == GRID.n
+        assert not _kernel_lse(kernel, GRID.nodes)[1].any()
+        for op, marg in ((v_operator, MU), (u_operator, NU)):
+            assert np.max(np.abs(op(u, marg, 0.1) - dense_operator(u, marg, 0.1))) <= 1e-12
+
+    def test_rows_failing_the_band_edge_check(self):
+        # convex, but flattening in the tails: rows peaking there need more
+        # columns than the row through the log-weights' own maximum
+        u = 4.0 * np.log(np.cosh(GRID.nodes))
+        banded = _kernel_lse(kernel_of(u, MU, 0.1), GRID.nodes)[1]
+        assert 0 < banded.sum() < GRID.n
+        for op, marg in ((v_operator, MU), (u_operator, NU)):
+            assert np.max(np.abs(op(u, marg, 0.1) - dense_operator(u, marg, 0.1))) <= 1e-12
 
 
 class TestOperators:
@@ -90,15 +152,18 @@ class TestOperators:
             assert gap_out <= gap_in * (1 + 1e-9) + 1e-12
 
     def test_row_partition_independence(self):
-        # evaluating the operator on row subsets must reproduce the full
-        # evaluation exactly (each output node is an independent reduction)
+        # each output point is its own reduction over its own band: the two
+        # halves of the nodes, and the nodes in reverse order, evaluated as
+        # separate row sets must reproduce the full evaluation exactly
         u = quad_u0()
         full = v_operator(u, MU, 0.1)
+        kernel = kernel_of(u, MU, 0.1)
         halves = np.concatenate([
-            v_operator(u, MU, 0.1, y_grid=None)[:GRID.n // 2],
-            v_operator(u, MU, 0.1)[GRID.n // 2:],
+            0.1 * _kernel_lse(kernel, GRID.nodes[:GRID.n // 2])[0],
+            0.1 * _kernel_lse(kernel, GRID.nodes[GRID.n // 2:])[0],
         ])
         assert np.array_equal(full, halves)
+        assert np.array_equal(full, 0.1 * _kernel_lse(kernel, GRID.nodes[::-1])[0][::-1])
 
     def test_non_finite_potential_rejected(self):
         from sinkflow.errors import NumericOverflow
