@@ -49,6 +49,5 @@ from .transport import (  # noqa: F401
     brenier_map_1d,
     legendre_transform,
     lot_distance,
-    mirror_coordinate,
     w2_distance,
 )

@@ -199,27 +199,6 @@ def markov_chain_step(
     return replace(e, positions=out, t=e.t + sk.eps, step_count=e.step_count + 1)
 
 
-def empirical_density(e: ParticleEnsemble, grid: Grid, bandwidth: float) -> GridDensity:
-    """Binned Gaussian kernel estimate, renormalized on the grid.
-
-    A uniform background with mass 1e-12 is mixed in so the result is a
-    valid strictly positive density even far from every particle.
-    """
-    if bandwidth <= 0:
-        raise DomainError("bandwidth must be positive")
-    h = grid.spacing
-    edges = np.concatenate([grid.nodes - 0.5 * h, [grid.upper + 0.5 * h]])
-    counts, _ = np.histogram(e.positions, bins=edges)
-    base = counts.astype(float) / (e.positions.size * h)
-    radius = max(1, int(math.ceil(6.0 * bandwidth / h)))
-    offsets = np.arange(-radius, radius + 1) * h
-    kernel = np.exp(-0.5 * (offsets / bandwidth) ** 2)
-    kernel /= kernel.sum()
-    smooth = np.convolve(base, kernel, mode="same")
-    background = 1e-12 / (grid.upper - grid.lower)
-    return GridDensity.from_unnormalized(grid, smooth + background)
-
-
 def ks_distance(e: ParticleEnsemble, d: GridDensity) -> float:
     """Kolmogorov-Smirnov distance of the ensemble against a grid density."""
     xs = np.sort(e.positions)

@@ -242,11 +242,6 @@ def legendre_transform(
     return ConvexPotential(target_grid, w, dw, d2w, floor=out_floor)
 
 
-def mirror_coordinate(u: ConvexPotential, x: float) -> float:
-    """Image of x under the gradient map of u (the dual chart)."""
-    return u.gradient_at(x)
-
-
 def bregman_divergence(u: ConvexPotential, w: ConvexPotential, x: float, y: float) -> float:
     """u(x) + w(y) - x*y for a conjugate pair (u, w); nonnegative, zero at
     the matched point x = w'(y)."""

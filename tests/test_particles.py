@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from sinkflow.errors import DomainError, ParticleEscape
-from sinkflow.grids import DensitySpec, Grid, discretize, kl_divergence, sample
+from sinkflow.grids import DensitySpec, Grid, discretize
 from sinkflow.particles import (
     ParticleEnsemble,
     dual_sde_step,
-    empirical_density,
     generator_stationarity_residual,
     ks_distance,
     markov_chain_step,
@@ -261,22 +260,6 @@ class TestMarkovChain:
         ens = ParticleEnsemble(np.zeros(10), 0.0, seed=1, step_count=3)
         with pytest.raises(DomainError):
             markov_chain_step(ens, sk)
-
-
-class TestEmpiricalDensity:
-    def test_large_sample_kl(self):
-        xs = sample(STD, 10**6, seed=2)
-        kde = empirical_density(ParticleEnsemble(xs, 0.0, seed=2), GRID, 0.1)
-        assert kl_divergence(kde, STD) <= 5e-3
-
-    def test_single_particle_bump(self):
-        kde = empirical_density(ParticleEnsemble(np.array([1.3]), 0.0, seed=0), GRID, 0.1)
-        assert abs(GRID.nodes[np.argmax(kde.values)] - 1.3) <= 2 * GRID.spacing
-
-    def test_mass_normalized(self):
-        xs = sample(STD, 1000, seed=4)
-        kde = empirical_density(ParticleEnsemble(xs, 0.0, seed=4), GRID, 0.2)
-        assert abs(GRID.integrate(kde.values) - 1.0) < 1e-8
 
 
 class TestGeneratorResidual:

@@ -15,7 +15,6 @@ from sinkflow.transport import (
     legendre_transform,
     log_det_hessian_gradient_residual,
     lot_distance,
-    mirror_coordinate,
     w2_distance,
 )
 
@@ -183,24 +182,24 @@ class TestLegendre:
 class TestMirrorCoordinate:
     def test_quadratic(self):
         u = ConvexPotential.quadratic(GRID)
-        assert mirror_coordinate(u, 0.7) == pytest.approx(0.7, abs=1e-9)
+        assert u.gradient_at(0.7) == pytest.approx(0.7, abs=1e-9)
 
     def test_quartic(self):
         g = Grid(0.1, 2.0, 512)
         u = ConvexPotential.from_callable(g, lambda x: x**4, lambda x: 4 * x**3,
                                           lambda x: 12 * x**2)
-        assert mirror_coordinate(u, 1.0) == pytest.approx(4.0, abs=1e-4)
+        assert u.gradient_at(1.0) == pytest.approx(4.0, abs=1e-4)
 
     def test_inverse_potential(self):
         g = Grid(0.2, 5.0, 512)
         u = ConvexPotential.from_callable(g, lambda x: 1.0 / x, lambda x: -1.0 / x**2,
                                           lambda x: 2.0 / x**3, floor=1e-2)
-        assert mirror_coordinate(u, 1.0) == pytest.approx(-1.0, abs=1e-3)
+        assert u.gradient_at(1.0) == pytest.approx(-1.0, abs=1e-3)
 
     def test_outside_grid(self):
         u = ConvexPotential.quadratic(GRID)
         with pytest.raises(DomainError):
-            mirror_coordinate(u, 9.0)
+            u.gradient_at(9.0)
 
 
 class TestBregman:
