@@ -7,9 +7,11 @@ Subcommands:
 * ``verify``            - run the standard acceptance battery
 
 The output root defaults to the SINKFLOW_OUT environment variable (falling
-back to the current directory); ``--seed`` overrides the config seed.  The
-exit code is nonzero iff any verdict in the run failed or the run has no
-verdicts.
+back to the current directory); ``--seed`` overrides the config seed.  Exit
+codes: 0 when every verdict passed, 1 when a verdict failed or the run has
+no verdicts, 2 when the run could not be made (a bad config or argument
+raises a :class:`SinkflowError`, reported as one ``sinkflow: error:``
+line on stderr).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .closed_form import ClosedFormFlow, FlowKind, evaluate
+from .errors import SinkflowError
 from .experiments import ExperimentConfig, execute, verify_battery, write_csv
 
 
@@ -98,7 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SinkflowError as exc:
+        print(f"sinkflow: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

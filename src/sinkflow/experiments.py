@@ -34,6 +34,7 @@ from .pma import (
     EntropyFunctional,
     PmaState,
     PotentialEnergyFunctional,
+    _state_at,
     kl_decay_series,
     make_flow_state,
     metric_derivative_lot,
@@ -264,7 +265,10 @@ def run_pma(config: ExperimentConfig) -> Report:
     problem = Problem.from_config(config)
     state = problem.flow_state(config.grid())
     steps = _steps(num["T"], num["dt"])
-    states = run_flow(state, num["dt"], steps, keep_every=max(1, steps // 200))
+    # thin the stored states to about 200, keeping the checkpoints' states
+    half = round(0.5 / num["dt"])
+    keep = max(k for k in range(1, max(1, steps // 200) + 1) if half % k == 0)
+    states = run_flow(state, num["dt"], steps, keep_every=keep)
     rows = [
         {"t": s.t, "mean": s.rho.mean(), "variance": s.rho.variance(),
          "kl": kl_divergence(s.rho, s.mu)}
@@ -279,8 +283,8 @@ def run_pma(config: ExperimentConfig) -> Report:
     verdicts = []
     for t in (0.5, 1.0):
         if t <= num["T"] + 1e-9:
-            s = min(states, key=lambda st: abs(st.t - t))
-            verdicts += _moment_verdicts(t, s.rho, evaluate(problem.oracle, s.t), 0.02)
+            verdicts += _moment_verdicts(t, _state_at(states, t).rho,
+                                         evaluate(problem.oracle, t), 0.02)
     return Report(config.experiment, config.hash(), rows, verdicts, artifacts)
 
 

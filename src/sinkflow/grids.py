@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
@@ -74,6 +74,51 @@ class Grid:
         """
         skip = int(round(0.5 * (1.0 - fraction) * self.n))
         return slice(skip, self.n - skip)
+
+
+class GridLocation(NamedTuple):
+    """Cell of each point on a uniform grid: the index of its left node and
+    the point's offset from that node, for the points clamped to the grid."""
+
+    grid: Grid
+    index: np.ndarray
+    offset: np.ndarray
+
+
+def locate(grid: Grid, x: np.ndarray) -> GridLocation:
+    """Locate an array of points on the grid by arithmetic, without a search.
+
+    Points outside the grid are clamped to its end nodes, so :func:`lerp`
+    extends node arrays by their end values as ``np.interp`` does.
+    """
+    nodes = grid.nodes
+    clamped = np.clip(x, nodes[0], nodes[-1])
+    if np.isnan(clamped).any():
+        raise DomainError("cannot locate NaN on the grid")
+    t = clamped - grid.lower
+    t /= grid.spacing
+    index = t.astype(np.intp)
+    np.minimum(index, grid.n - 1, out=index)
+    np.subtract(clamped, nodes.take(index, out=t), out=clamped)
+    return GridLocation(grid, index, clamped)
+
+
+def lerp(at: GridLocation, values: np.ndarray) -> np.ndarray:
+    """Linear interpolation of node samples at located points.
+
+    The arithmetic is ``np.interp``'s, slope times offset plus left value,
+    so the two agree exactly wherever they pick the same cell; they can
+    differ only for points within roundoff of a node, and there only at
+    roundoff.  The slope past the last node is zero, which makes the clamp
+    at both ends exact.
+    """
+    v = np.asarray(values, dtype=float)
+    slopes = np.zeros_like(v)
+    slopes[:-1] = np.diff(v) / np.diff(at.grid.nodes)
+    out = slopes.take(at.index)
+    out *= at.offset
+    out += v.take(at.index)
+    return out
 
 
 def grad_central(values: np.ndarray, spacing: float) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, ParticleEscape
 from .grids import (DensitySpec, Grid, GridDensity, _readonly, cdf_values, grad_central,
-                    second_central)
+                    lerp, locate, second_central)
 from .pma import PmaState, inverse_gradient_map
 from .sinkhorn import SinkhornState, _kernel_draw, _log_kernel
 from .transport import ConvexPotential
@@ -63,14 +63,6 @@ class ParticleEnsemble:
         return float(np.var(self.positions))
 
 
-@dataclass(frozen=True)
-class SdeCoefficients:
-    """Drift and diffusion callables of a scalar SDE dX = b dt + sigma dB."""
-
-    drift: Callable[[float, np.ndarray], np.ndarray]
-    diffusion: Callable[[float, np.ndarray], np.ndarray]
-
-
 def _check_domain(x: np.ndarray, grid: Grid) -> None:
     if np.any(x < grid.lower - ESCAPE_MARGIN) or np.any(x > grid.upper + ESCAPE_MARGIN):
         raise ParticleEscape("particle left the extended grid domain")
@@ -91,29 +83,23 @@ def _euler_maruyama(e: ParticleEnsemble, grid: Grid, dt: float,
     return replace(e, positions=x_new, t=e.t + dt, step_count=e.step_count + 1)
 
 
-def sinkhorn_sde_coefficients(state: PmaState) -> SdeCoefficients:
-    """Coefficients read from a flow state.
+def sinkhorn_sde_coefficients(state: PmaState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drift and diffusion at points ``x``, read from a flow state.
 
     Drift: -f'(x)/u''(x) - g'(u'(x)) + h'(x)/u''(x); diffusion sqrt(2/u'').
     The middle term carries no inverse-Hessian factor: it is the gradient in
     the mirror coordinate itself, and exactly this combination reproduces
     the flow's continuity equation through the change-of-measure identity.
+    The points are located on the grid once and u', u'' and h' are all read
+    at that location.
     """
     grid = state.grid
-    xs = grid.nodes
-    h_prime = grad_central(np.asarray(state.h), grid.spacing)
-
-    def drift(_t, x):
-        du = np.interp(x, xs, state.u.du)
-        d2u = np.interp(x, xs, state.u.d2u)
-        hp = np.interp(x, xs, h_prime)
-        return (-state.mu_spec.grad(x) + hp) / d2u - state.nu_spec.grad(du)
-
-    def diffusion(_t, x):
-        d2u = np.interp(x, xs, state.u.d2u)
-        return np.sqrt(2.0 / d2u)
-
-    return SdeCoefficients(drift, diffusion)
+    at = locate(grid, x)
+    du = lerp(at, state.u.du)
+    d2u = lerp(at, state.u.d2u)
+    hp = lerp(at, grad_central(np.asarray(state.h), grid.spacing))
+    drift = (-state.mu_spec.grad(x) + hp) / d2u - state.nu_spec.grad(du)
+    return drift, np.sqrt(2.0 / d2u)
 
 
 def sinkhorn_sde_step(
@@ -122,9 +108,8 @@ def sinkhorn_sde_step(
     """One Euler-Maruyama step of the mirrored diffusion along a flow state."""
     if abs(pma.t - e.t) > 1e-9 + 1e-6 * max(1.0, abs(e.t)):
         raise DomainError(f"flow state time {pma.t} does not match ensemble time {e.t}")
-    coeff = sinkhorn_sde_coefficients(pma)
-    x = e.positions
-    return _euler_maruyama(e, pma.grid, dt, coeff.drift(e.t, x), coeff.diffusion(e.t, x), zero_noise)
+    drift, diffusion = sinkhorn_sde_coefficients(pma, e.positions)
+    return _euler_maruyama(e, pma.grid, dt, drift, diffusion, zero_noise)
 
 
 def dual_sde_step(
@@ -134,15 +119,13 @@ def dual_sde_step(
 
     Drift -h'(w'(y)), diffusion sqrt(2 u''(w'(y))) with w the conjugate
     potential; with the mirror frozen this process leaves the target
-    marginal invariant.
+    marginal invariant.  The pulled-back points w'(y) are located on the
+    grid once for both coefficients.
     """
     grid = pma.grid
-    xs = grid.nodes
-    h_prime = grad_central(np.asarray(pma.h), grid.spacing)
-    y = e.positions
-    x_back = inverse_gradient_map(pma.u, y)
-    drift = -np.interp(x_back, xs, h_prime)
-    diffusion = np.sqrt(2.0 * np.interp(x_back, xs, pma.u.d2u))
+    at = locate(grid, inverse_gradient_map(pma.u, e.positions))
+    drift = -lerp(at, grad_central(np.asarray(pma.h), grid.spacing))
+    diffusion = np.sqrt(2.0 * lerp(at, pma.u.d2u))
     return _euler_maruyama(e, grid, dt, drift, diffusion, zero_noise)
 
 
@@ -158,11 +141,9 @@ def mirror_langevin_step(
     With a unit-curvature quadratic mirror this is exactly the classical
     Langevin update for exp(-g).
     """
-    x = e.positions
-    du = np.interp(x, u.grid.nodes, u.du)
-    d2u = np.interp(x, u.grid.nodes, u.d2u)
-    drift = -target_spec.grad(du)
-    diffusion = np.sqrt(2.0 / d2u)
+    at = locate(u.grid, e.positions)
+    drift = -target_spec.grad(lerp(at, u.du))
+    diffusion = np.sqrt(2.0 / lerp(at, u.d2u))
     return _euler_maruyama(e, u.grid, dt, drift, diffusion, zero_noise)
 
 

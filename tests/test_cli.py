@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import sinkflow.experiments as experiments
 from sinkflow.cli import main
 from sinkflow.errors import DomainError, EmptyTable
 from sinkflow.experiments import (
@@ -200,6 +201,32 @@ class TestExecute:
         assert main(["--output", str(tmp_path), "run", str(cfg_path)]) == 1
 
 
+class TestPmaCheckpoints:
+    RAW = {"experiment": "pma_run", "numerics": {"n": 128, "T": 1.0}}
+
+    def test_missing_checkpoint_state_raises(self, monkeypatch):
+        # a verdict named t=0.5 must be judged on the t=0.5 state or not at all
+        real = experiments.run_flow
+
+        def without_half(*args, **kwargs):
+            return [s for s in real(*args, **kwargs) if abs(s.t - 0.5) > 1e-6]
+
+        monkeypatch.setattr(experiments, "run_flow", without_half)
+        with pytest.raises(DomainError):
+            run_experiment(ExperimentConfig.from_dict(self.RAW))
+
+    def test_verdicts_read_the_checkpoint_states(self):
+        # T = 1.5 thins the stored states; the checkpoints must survive it
+        raw = {**self.RAW, "numerics": {"n": 128, "T": 1.5}}
+        report = run_experiment(ExperimentConfig.from_dict(raw))
+        assert [v["check"] for v in report.verdicts] == MOMENTS_BOTH
+        by_t = {round(r["t"], 9): r for r in report.rows}
+        for v in report.verdicts:
+            name, t = v["check"].rstrip(")").split("(t=")
+            assert v["value"] == by_t[float(t)][name]
+        assert report.passed()
+
+
 MOMENTS_BOTH = ["mean(t=0.5)", "variance(t=0.5)", "mean(t=1.0)", "variance(t=1.0)"]
 VARIANCES = ["variance(t=0.5)", "variance(t=1.0)"]
 KL_BOUND = "kl <= 1.05 * bound along the run"
@@ -246,6 +273,17 @@ class TestCliCommands:
         a = list((tmp_path / "a").glob("*_manifest.json"))[0]
         b = list((tmp_path / "b").glob("*_manifest.json"))[0]
         assert json.loads(a.read_text())["config_hash"] != json.loads(b.read_text())["config_hash"]
+
+    @pytest.mark.parametrize("command", [["run", "CFG"], ["verify", "--profile", "quick"]])
+    def test_bad_seed_exits_2_with_one_error_line(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "laplace_estimate"}))
+        argv = [str(cfg_path) if a == "CFG" else a for a in command]
+        code = main(["--output", str(tmp_path), "--seed", "-3", *argv])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sinkflow: error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_tabulate(self, tmp_path):
         code = main(["--output", str(tmp_path), "tabulate", "mirror_entropy",

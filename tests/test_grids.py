@@ -19,6 +19,8 @@ from sinkflow.grids import (
     cdf_values,
     discretize,
     kl_divergence,
+    lerp,
+    locate,
     pushforward_monotone,
     quantile,
     sample,
@@ -212,6 +214,51 @@ class TestSample:
         xs = sample(d, 100_000, seed=3)
         se = math.sqrt(2.0 / 100_000) / 12.0
         assert abs(xs.var() - 1.0 / 12.0) < 3 * se + 1e-4
+
+
+class TestLocate:
+    GRIDS = (Grid(-8.0, 8.0, 512), Grid(-2.3, 1.7, 37), Grid(0.0, 1.0, 16))
+
+    @staticmethod
+    def _points(g):
+        rng = np.random.default_rng(11)
+        inside = rng.uniform(g.lower, g.upper, 5000)
+        beyond = np.array([g.lower - 3.0, g.lower - 1e-12, g.upper + 1e-12, g.upper + 3.0,
+                           -np.inf, np.inf])
+        return np.concatenate([inside, g.nodes, [g.lower, g.upper], beyond])
+
+    @pytest.mark.parametrize("g", GRIDS, ids=lambda g: f"n{g.n}")
+    def test_matches_np_interp(self, g):
+        xs = self._points(g)
+        rng = np.random.default_rng(3)
+        at = locate(g, xs)
+        for values in (rng.normal(size=g.n), 1e6 * np.exp(g.nodes), np.cos(3.0 * g.nodes)):
+            want = np.interp(xs, g.nodes, values)
+            assert np.max(np.abs(lerp(at, values) - want)) <= 1e-13 * np.max(np.abs(values))
+
+    @pytest.mark.parametrize("g", GRIDS, ids=lambda g: f"n{g.n}")
+    def test_clamps_to_end_values_exactly(self, g):
+        values = np.random.default_rng(5).normal(size=g.n)
+        below = np.array([g.lower, g.lower - 1e-9, g.lower - 5.0, -np.inf])
+        above = np.array([g.upper, g.upper + 1e-9, g.upper + 5.0, np.inf])
+        assert np.all(lerp(locate(g, below), values) == values[0])
+        assert np.all(lerp(locate(g, above), values) == values[-1])
+
+    def test_same_arithmetic_as_np_interp(self, grid):
+        # away from the nodes both pick the same cell, so they agree exactly
+        xs = np.random.default_rng(13).uniform(grid.lower - 1.0, grid.upper + 1.0, 20000)
+        values = np.random.default_rng(17).normal(size=grid.n)
+        assert np.array_equal(lerp(locate(grid, xs), values), np.interp(xs, grid.nodes, values))
+
+    def test_location_in_range(self, grid):
+        at = locate(grid, self._points(grid))
+        assert at.index.min() >= 0 and at.index.max() <= grid.n - 1
+        assert np.all(at.offset >= -1e-12 * grid.spacing)
+        assert np.all(at.offset <= grid.spacing * (1.0 + 1e-12))
+
+    def test_nan_rejected(self, grid):
+        with pytest.raises(DomainError):
+            locate(grid, np.array([0.0, np.nan]))
 
 
 class TestSecondMoment:

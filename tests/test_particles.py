@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sinkflow.errors import DomainError, ParticleEscape
-from sinkflow.grids import DensitySpec, Grid, discretize
+from sinkflow.grids import DensitySpec, Grid, discretize, grad_central
 from sinkflow.particles import (
     ParticleEnsemble,
     dual_sde_step,
@@ -17,7 +17,8 @@ from sinkflow.particles import (
     sinkhorn_sde_step,
     uniform_block,
 )
-from sinkflow.pma import gaussian_location_state, make_flow_state, step
+from sinkflow.pma import (gaussian_location_state, gaussian_scale_state, inverse_gradient_map,
+                          make_flow_state, step)
 from sinkflow.sinkhorn import _kernel_draw, _log_kernel, initial_state, s_step
 from sinkflow.transport import ConvexPotential
 
@@ -57,19 +58,19 @@ class TestPrimalSde:
         g = Grid(0.0, 1.0, 64)
         spec = DensitySpec.uniform(0.0, 1.0)
         state = make_flow_state(g, spec, spec, ConvexPotential.quadratic(g))
-        coeff = sinkhorn_sde_coefficients(state)
         xs = np.linspace(0.1, 0.9, 50)
-        assert np.max(np.abs(coeff.drift(0.0, xs))) < 1e-9
+        drift, _ = sinkhorn_sde_coefficients(state, xs)
+        assert np.max(np.abs(drift)) < 1e-9
         e0 = ParticleEnsemble(xs, 0.0, seed=2)
         e1 = sinkhorn_sde_step(e0, state, 1e-3, zero_noise=True)
         assert np.array_equal(e1.positions, xs)
 
     def test_diffusion_matches_inverse_hessian(self):
         state = gaussian_location_state(GRID, 0.5)
-        coeff = sinkhorn_sde_coefficients(state)
         xs = np.linspace(-3, 3, 17)
+        _, diffusion = sinkhorn_sde_coefficients(state, xs)
         d2u = np.interp(xs, GRID.nodes, state.u.d2u)
-        assert np.max(np.abs(coeff.diffusion(0.0, xs) ** 2 - 2.0 / d2u)) < 1e-6
+        assert np.max(np.abs(diffusion ** 2 - 2.0 / d2u)) < 1e-6
 
     def test_marginal_moments_track_flow(self):
         # short run; the acceptance suite exercises the full-scale version
@@ -97,6 +98,77 @@ class TestPrimalSde:
         ens = ParticleEnsemble(np.array([8.5]), 0.0, seed=1)
         with pytest.raises(ParticleEscape):
             sinkhorn_sde_step(ens, state, 5.0, zero_noise=True)
+
+
+def _interp_sde_step(e, state, dt):
+    """The primal step as written before the shared grid locate: one
+    ``np.interp`` per coefficient lookup, u'' looked up twice."""
+    xs, x = state.grid.nodes, e.positions
+    h_prime = grad_central(np.asarray(state.h), state.grid.spacing)
+    du = np.interp(x, xs, state.u.du)
+    d2u = np.interp(x, xs, state.u.d2u)
+    hp = np.interp(x, xs, h_prime)
+    drift = (-state.mu_spec.grad(x) + hp) / d2u - state.nu_spec.grad(du)
+    diffusion = np.sqrt(2.0 / np.interp(x, xs, state.u.d2u))
+    z = noise_block(e.seed, e.step_count, x.size)
+    return x + dt * drift + math.sqrt(dt) * diffusion * z
+
+
+def _interp_dual_step(e, state, dt):
+    """The dual step as written before the shared grid locate."""
+    xs, y = state.grid.nodes, e.positions
+    h_prime = grad_central(np.asarray(state.h), state.grid.spacing)
+    x_back = inverse_gradient_map(state.u, y)
+    drift = -np.interp(x_back, xs, h_prime)
+    diffusion = np.sqrt(2.0 * np.interp(x_back, xs, state.u.d2u))
+    z = noise_block(e.seed, e.step_count, y.size)
+    return y + dt * drift + math.sqrt(dt) * diffusion * z
+
+
+@pytest.fixture(scope="module")
+def evolved():
+    """Flow states five steps in, on a quadratic and a non-quadratic mirror."""
+    cosh_mirror = ConvexPotential.from_callable(
+        GRID,
+        lambda x: 0.5 * x**2 + 0.4 * np.cosh(x / 2.0),
+        lambda x: x + 0.2 * np.sinh(x / 2.0),
+        lambda x: 1.0 + 0.1 * np.cosh(x / 2.0))
+    starts = {"location": gaussian_location_state(GRID, 0.5),
+              "scale": gaussian_scale_state(GRID, 0.5),
+              "cosh mirror": make_flow_state(GRID, STD_SPEC, DensitySpec.gaussian(0.3, 0.8),
+                                             cosh_mirror)}
+    out = {}
+    for name, state in starts.items():
+        for _ in range(5):
+            state = step(state, 1e-3)
+        out[name] = state
+    return out
+
+
+class TestSharedLocate:
+    """The steps read every coefficient from one grid locate; they must
+    agree with the per-coefficient ``np.interp`` formulas to roundoff, with
+    the noise on and particles at and beyond the grid ends."""
+
+    @staticmethod
+    def _ensemble(density, state, seed):
+        inner = ParticleEnsemble.from_density(density, 10_000, seed=seed).positions
+        edges = np.array([GRID.lower - 0.5, GRID.lower, GRID.upper, GRID.upper + 0.5])
+        return ParticleEnsemble(np.concatenate([inner, edges]), state.t, seed=seed, step_count=3)
+
+    @pytest.mark.parametrize("name", ["location", "scale", "cosh mirror"])
+    def test_primal_step_matches_interp_reference(self, evolved, name):
+        state = evolved[name]
+        e = self._ensemble(state.rho, state, seed=21)
+        got = sinkhorn_sde_step(e, state, 1e-3).positions
+        assert np.max(np.abs(got - _interp_sde_step(e, state, 1e-3))) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["location", "scale", "cosh mirror"])
+    def test_dual_step_matches_interp_reference(self, evolved, name):
+        state = evolved[name]
+        e = self._ensemble(state.nu, state, seed=22)
+        got = dual_sde_step(e, state, 1e-3).positions
+        assert np.max(np.abs(got - _interp_dual_step(e, state, 1e-3))) <= 1e-12
 
 
 class TestDualSde:
