@@ -98,7 +98,6 @@ def locate(grid: Grid, x: np.ndarray) -> GridLocation:
     t = clamped - grid.lower
     t /= grid.spacing
     index = t.astype(np.intp)
-    np.minimum(index, grid.n - 1, out=index)
     np.subtract(clamped, nodes.take(index, out=t), out=clamped)
     return GridLocation(grid, index, clamped)
 
