@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .closed_form import ClosedFormFlow, FlowKind, evaluate
-from .errors import SinkflowError
+from .errors import DomainError, SinkflowError
 from .experiments import ExperimentConfig, execute, verify_battery, write_csv
 
 
@@ -35,12 +36,22 @@ def _out_root(args) -> Path:
     return Path(os.environ.get("SINKFLOW_OUT", "."))
 
 
+def _read_config(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DomainError(f"cannot read config {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise DomainError(f"config {path} is not valid JSON: {exc}") from exc
+
+
 def _cmd_run(args) -> int:
-    with open(args.config) as fh:
-        raw = json.load(fh)
-    if args.seed is not None:
-        raw.setdefault("numerics", {})["seed"] = args.seed
+    raw = _read_config(args.config)
     config = ExperimentConfig.from_dict(raw)
+    if args.seed is not None:
+        config = ExperimentConfig.from_dict(
+            {**raw, "numerics": {**config.numerics, "seed": args.seed}})
     report, manifest = execute(config, _out_root(args))
     for v in report.verdicts:
         status = "pass" if v["pass"] else "FAIL"
@@ -50,6 +61,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_tabulate(args) -> int:
+    if args.points < 1:
+        raise DomainError(f"--points must be at least 1, got {args.points}")
+    if not math.isfinite(args.t_end):
+        raise DomainError(f"--t-end must be finite, got {args.t_end}")
     kind = FlowKind(args.kind)
     flow = ClosedFormFlow(kind, args.param)
     out = _out_root(args)

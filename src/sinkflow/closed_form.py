@@ -4,8 +4,8 @@ Every numeric solver in this package is tested against the expressions
 here, never the other way around.  The module collects the Gaussian
 location/scale flows of the entropic iteration and its Fokker-Planck
 counterpart, the exact iterates of the discrete iteration on the Gaussian
-location problem, the mirror-flow examples with explicit solutions, and the
-1-D mirror ODE examples.
+location and scale problems, the mirror-flow examples with explicit
+solutions, and the 1-D mirror ODE examples.
 """
 
 from __future__ import annotations
@@ -49,6 +49,8 @@ class ClosedFormFlow:
     param: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.param):
+            raise DomainError(f"flow parameter must be finite, got {self.param!r}")
         if self.kind in (FlowKind.SINKHORN_SCALE, FlowKind.FOKKER_PLANCK_SCALE):
             if not 0.0 < self.param < 1.0:
                 raise DomainError("scale flows need eta in (0, 1)")
@@ -125,6 +127,34 @@ def sinkhorn_location_iterates(theta: float, eps: float, steps: int) -> list[Gau
         precision = 1.0 + (a - a_next) / eps
         out.append(GaussianMeasure((b_next - b) / (eps * precision), 1.0 / precision))
         a, b = a_next, b_next
+    return out
+
+
+def sinkhorn_scale_iterates(eta: float, eps: float, steps: int) -> list[GaussianMeasure]:
+    """Exact iterate marginals of the two-step iteration on the scale problem.
+
+    With mu = N(0, 1), nu = N(0, eta^2) and u_0 = x^2/2, every potential
+    stays an even quadratic, u_k = a x^2/2, and one step maps a to
+
+        alpha = 1/(a + eps),  a' = 1/(alpha + eps/eta^2);
+
+    rho_{k+1} = exp((u_{k+1} - u_k)/eps) mu is centred with precision
+    P = 1 + (a - a')/eps.  Entry k of the result is rho_k; entry 0 is the
+    start density nu, as in the grid iteration.
+    """
+    if not 0.0 < eta < 1.0:
+        raise DomainError("eta must lie in (0, 1)")
+    if eps <= 0.0:
+        raise DomainError("eps must be positive")
+    if steps < 0:
+        raise DomainError("steps must be non-negative")
+    a = 1.0
+    out = [GaussianMeasure(0.0, eta * eta)]
+    for _ in range(steps):
+        alpha = 1.0 / (a + eps)
+        a_next = 1.0 / (alpha + eps / (eta * eta))
+        out.append(GaussianMeasure(0.0, 1.0 / (1.0 + (a - a_next) / eps)))
+        a = a_next
     return out
 
 

@@ -97,6 +97,8 @@ def _is_real(value) -> bool:
 
 def _section(raw: dict, name: str, defaults: dict, optional=()) -> dict:
     given = raw.get(name, {})
+    if not isinstance(given, dict):
+        raise DomainError(f"config section {name!r} must be a JSON object, got {given!r}")
     unknown = sorted(set(given) - set(defaults) - set(optional))
     if unknown:
         raise DomainError(f"unknown {name} keys {unknown}")
@@ -112,13 +114,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise DomainError(f"a config must be a JSON object, got {raw!r}")
         exp = raw.get("experiment")
         if exp not in EXPERIMENTS:
             raise DomainError(f"unknown experiment {exp!r}")
         problem = _section(raw, "problem", _PROBLEM_DEFAULTS, _PROBLEM_OPTIONAL)
         numerics = _section(raw, "numerics", _NUMERIC_DEFAULTS)
         output = _section(raw, "output", _OUTPUT_DEFAULTS)
-        if "flow_kind" in problem and problem["flow_kind"] not in {k.value for k in FlowKind}:
+        if "flow_kind" in problem and problem["flow_kind"] not in [k.value for k in FlowKind]:
             raise DomainError(f"unknown flow_kind {problem['flow_kind']!r}")
         for key in ("n", "particles", "seed"):
             if not _is_integer(numerics[key]):

@@ -120,13 +120,22 @@ def lerp(at: GridLocation, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def grad_central(values: np.ndarray, spacing: float) -> np.ndarray:
-    """First derivative, O(h^2): central interior, one-sided 3-point ends."""
+def grad_central(values: np.ndarray, spacing: float, out: np.ndarray | None = None) -> np.ndarray:
+    """First derivative, O(h^2): central interior, one-sided 3-point ends.
+
+    ``out``, when given, receives the result and is returned; it must not
+    share memory with ``values``.
+    """
     v = np.asarray(values, dtype=float)
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * spacing)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * spacing)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * spacing)
+    if out is None:
+        out = np.empty_like(v)
+    width = 2.0 * spacing
+    np.subtract(v[2:], v[:-2], out=out[1:-1])
+    out[1:-1] /= width
+    v0, v1, v2 = v[:3].tolist()
+    out[0] = (-3.0 * v0 + 4.0 * v1 - v2) / width
+    w2, w1, w0 = v[-3:].tolist()
+    out[-1] = (3.0 * w0 - 4.0 * w1 + w2) / width
     return out
 
 
@@ -138,14 +147,25 @@ def grad_central4(values: np.ndarray, spacing: float) -> np.ndarray:
     return out
 
 
-def second_central(values: np.ndarray, spacing: float) -> np.ndarray:
-    """Second derivative, O(h^2): central interior, one-sided 4-point ends."""
+def second_central(values: np.ndarray, spacing: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Second derivative, O(h^2): central interior, one-sided 4-point ends.
+
+    ``out``, when given, receives the result and is returned; it must not
+    share memory with ``values``.
+    """
     v = np.asarray(values, dtype=float)
+    if out is None:
+        out = np.empty_like(v)
     h2 = spacing * spacing
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
-    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
-    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
+    mid = out[1:-1]
+    np.multiply(v[1:-1], 2.0, out=mid)
+    np.subtract(v[2:], mid, out=mid)
+    mid += v[:-2]
+    mid /= h2
+    v0, v1, v2, v3 = v[:4].tolist()
+    out[0] = (2.0 * v0 - 5.0 * v1 + 4.0 * v2 - v3) / h2
+    w3, w2, w1, w0 = v[-4:].tolist()
+    out[-1] = (2.0 * w0 - 5.0 * w1 + 4.0 * w2 - w3) / h2
     return out
 
 

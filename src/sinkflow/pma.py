@@ -39,14 +39,23 @@ PUSHFORWARD_TOL = 5e-3       # sup-norm drift allowed in the transport constrain
 DEFAULT_B_CAP = 1e6
 
 
+# A functional gives its first variation at the nodes xs as ``variation(xs, h)``,
+# with h = -log rho, and, split for the stepper, as ``potential(xs)``, the part
+# that does not depend on h, minus h when ``entropic`` is true.
+
+
 @dataclass(frozen=True)
 class RelativeEntropyFunctional:
     """First variation of KL(rho || exp(-f)): f - h up to a constant."""
 
     mu_spec: DensitySpec
+    entropic = True
+
+    def potential(self, xs: np.ndarray) -> np.ndarray:
+        return self.mu_spec.f(xs)
 
     def variation(self, xs: np.ndarray, h: np.ndarray) -> np.ndarray:
-        return self.mu_spec.f(xs) - h
+        return self.potential(xs) - h
 
     def variation_gradient(self, xs: np.ndarray, h: np.ndarray, spacing: float) -> np.ndarray:
         return self.mu_spec.grad(xs) - grad_central(h, spacing)
@@ -56,8 +65,13 @@ class RelativeEntropyFunctional:
 class EntropyFunctional:
     """First variation of the negative differential entropy: log rho + 1."""
 
+    entropic = True
+
+    def potential(self, xs):
+        return np.full_like(xs, 1.0)
+
     def variation(self, xs, h):
-        return -h + 1.0
+        return self.potential(xs) - h
 
     def variation_gradient(self, xs, h, spacing):
         return -grad_central(h, spacing)
@@ -67,8 +81,13 @@ class EntropyFunctional:
 class PotentialEnergyFunctional:
     """First variation of the quadratic potential energy: x^2 / 2."""
 
-    def variation(self, xs, h):
+    entropic = False
+
+    def potential(self, xs):
         return 0.5 * xs**2
+
+    def variation(self, xs, h):
+        return self.potential(xs)
 
     def variation_gradient(self, xs, h, spacing):
         return np.asarray(xs, dtype=float)
@@ -192,9 +211,10 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
     h_sp = grid.spacing
     xs = grid.nodes
 
+    functional = state.functional
     u_vals = state.u.u.copy()
     h_cur = np.asarray(state.h)
-    sup_rhs_prev = float(np.max(np.abs(state.functional.variation(xs, h_cur))))
+    sup_rhs_prev = float(np.max(np.abs(functional.variation(xs, h_cur))))
 
     a_min_now = float(np.min(state.u.d2u))
     dt_stable = CFL_FACTOR * h_sp * h_sp * a_min_now
@@ -203,30 +223,42 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
     n_sub = max(1, math.ceil(dt / dt_stable))
     dt_sub = dt / n_sub
 
-    du = state.u.du.copy()
-    d2u = state.u.d2u.copy()
+    # the substeps update u_vals, du and d2u in place; the buffers are new
+    # each step because the returned ConvexPotential makes them read-only
+    potential = functional.potential(xs)
+    entropic = functional.entropic
+    nu_f = state.nu_spec.f
+    a_floor = state.a_floor
+    du = np.empty_like(u_vals)
+    d2u = np.empty_like(u_vals)
+    rhs = np.empty_like(u_vals)
     proj_mag = 0.0
     for _ in range(n_sub):
-        rhs = state.functional.variation(xs, h_cur)
-        u_vals = u_vals + dt_sub * rhs
-        du = grad_central(u_vals, h_sp)
-        d2u = second_central(u_vals, h_sp)
-        low = float(np.min(d2u))
-        if low < state.a_floor:
-            proj_mag = max(proj_mag, state.a_floor - low)
-            d2u = np.maximum(d2u, state.a_floor)
+        if entropic:
+            np.subtract(potential, h_cur, out=rhs)
+        else:
+            rhs[:] = potential
+        rhs *= dt_sub
+        u_vals += rhs
+        grad_central(u_vals, h_sp, out=du)
+        second_central(u_vals, h_sp, out=d2u)
+        low = d2u.min()
+        if low < a_floor:
+            proj_mag = max(proj_mag, float(a_floor - low))
+            np.maximum(d2u, a_floor, out=d2u)
             # rebuild gradient and value by double cumulative integration
             # anchored at the midpoint so the clamp stays a local repair
             mid = grid.n // 2
             du_new = np.concatenate(([0.0], np.cumsum(0.5 * h_sp * (d2u[1:] + d2u[:-1]))))
-            du = du_new - du_new[mid] + du[mid]
+            du[:] = du_new - du_new[mid] + du[mid]
             u_new = np.concatenate(([0.0], np.cumsum(0.5 * h_sp * (du[1:] + du[:-1]))))
-            u_vals = u_new - u_new[mid] + u_vals[mid]
-        if float(np.max(d2u)) > state.b_cap:
+            u_vals[:] = u_new - u_new[mid] + u_vals[mid]
+        if d2u.max() > state.b_cap:
             raise ConvexityLost("Hessian samples exceeded the configured cap")
-        h_cur = state.nu_spec.f(du) - np.log(d2u)
+        h_cur = nu_f(du)
+        h_cur -= np.log(d2u)
 
-    sup_rhs_new = float(np.max(np.abs(state.functional.variation(xs, h_cur))))
+    sup_rhs_new = float(np.max(np.abs(functional.variation(xs, h_cur))))
     if sup_rhs_new > 10.0 * sup_rhs_prev + 1e-8:
         raise StabilityError(
             f"flow derivative grew from {sup_rhs_prev!r} to {sup_rhs_new!r} in one step"
@@ -312,16 +344,23 @@ def fokker_planck_step(rho: GridDensity, mu: GridDensity, dt: float) -> GridDens
     vals = rho.values.copy()
     log_mu = mu.log_values
     mass_before = grid.integrate(vals)
+    v = np.empty_like(vals)             # velocity, then nodal flux
+    face = np.empty(grid.n - 1)         # flux through the faces between nodes
+    net = np.empty_like(vals)           # log-density gap, then net inflow
     for _ in range(n_sub):
-        v = grad_central(log_mu - np.log(vals), h_sp)
-        nodal_flux = vals * v
-        face_flux = 0.5 * (nodal_flux[:-1] + nodal_flux[1:])
-        net = np.empty_like(vals)
-        net[0] = -face_flux[0]
-        net[1:-1] = face_flux[:-1] - face_flux[1:]
-        net[-1] = face_flux[-1]
-        vals = vals + dt_sub * net / w
-        if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
+        np.log(vals, out=net)
+        np.subtract(log_mu, net, out=net)
+        grad_central(net, h_sp, out=v)
+        v *= vals
+        np.add(v[:-1], v[1:], out=face)
+        face *= 0.5
+        net[0] = -face[0]
+        np.subtract(face[:-1], face[1:], out=net[1:-1])
+        net[-1] = face[-1]
+        net *= dt_sub
+        net /= w
+        vals += net
+        if not (0.0 < vals.min() and vals.max() < np.inf):
             raise StabilityError("Fokker-Planck update lost positivity")
     mass_after = grid.integrate(vals)
     if abs(mass_after - mass_before) > 1e-7:

@@ -26,6 +26,11 @@ class TestConfig:
         assert cfg.numerics["seed"] == 7
         assert cfg.problem["kind"] == "gaussian_location"
 
+    @pytest.mark.parametrize("raw", [[], "pma_run", None])
+    def test_config_not_an_object_rejected(self, raw):
+        with pytest.raises(DomainError):
+            ExperimentConfig.from_dict(raw)
+
     def test_unknown_experiment(self):
         with pytest.raises(DomainError):
             ExperimentConfig.from_dict({"experiment": "nope"})
@@ -67,12 +72,14 @@ class TestConfig:
         {"problem": {"theta": "0.5"}},
         {"problem": {"param": True}},
         {"numerics": {"seed": -3}},
+        {"numerics": [["n", 128]]},
+        {"problem": {"flow_kind": []}},
     ], ids=["unknown-problem-key", "unknown-numerics-key", "removed-tolerances",
             "removed-directory", "negative-dt", "zero-dt", "zero-eps", "zero-in-eps-list",
             "negative-L", "no-particles", "unknown-flow-kind", "string-n",
             "fractional-particles", "bool-seed", "string-T", "nan-eps",
             "string-in-eps-list", "eps-list-not-a-list", "string-theta", "bool-param",
-            "negative-seed"])
+            "negative-seed", "numerics-not-an-object", "list-flow-kind"])
     def test_bad_config_rejected(self, raw):
         with pytest.raises(DomainError):
             ExperimentConfig.from_dict({"experiment": "pma_run", **raw})
@@ -284,6 +291,29 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("sinkflow: error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("content", [None, '{"experiment": "pma_r', "[]"],
+                             ids=["missing-file", "truncated-json", "not-an-object"])
+    def test_unreadable_config_exits_2_with_one_error_line(self, tmp_path, capsys, content):
+        cfg_path = tmp_path / "cfg.json"
+        if content is not None:
+            cfg_path.write_text(content)
+        code = main(["--output", str(tmp_path), "run", str(cfg_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sinkflow: error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == ([] if content is None else [cfg_path])
+
+    @pytest.mark.parametrize("args", [["--points", "0"], ["--points", "-4"],
+                                      ["--param", "nan"], ["--param", "inf"],
+                                      ["--t-end", "nan"]],
+                             ids=["zero-points", "negative-points", "nan-param", "inf-param",
+                                  "nan-t-end"])
+    def test_tabulate_bad_argument_exits_2(self, tmp_path, capsys, args):
+        code = main(["--output", str(tmp_path), "tabulate", "sinkhorn_location", *args])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("sinkflow: error: ")
+        assert not (tmp_path / "tabulate_sinkhorn_location.csv").exists()
 
     def test_tabulate(self, tmp_path):
         code = main(["--output", str(tmp_path), "tabulate", "mirror_entropy",

@@ -14,6 +14,7 @@ from sinkflow.closed_form import (
     scale_variance_entropic,
     scale_variance_fokker_planck,
     sinkhorn_location_iterates,
+    sinkhorn_scale_iterates,
     w2_gaussian,
 )
 from sinkflow.errors import DomainError
@@ -55,6 +56,13 @@ class TestEvaluate:
             ClosedFormFlow(FlowKind.SINKHORN_SCALE, 1.5)
         with pytest.raises(DomainError):
             ClosedFormFlow(FlowKind.SINKHORN_LOCATION, 0.0)
+
+    @pytest.mark.parametrize("kind", list(FlowKind))
+    @pytest.mark.parametrize("param", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected(self, kind, param):
+        # nan == 0.0 is false, so the location check alone let NaN through
+        with pytest.raises(DomainError):
+            ClosedFormFlow(kind, param)
 
 
 class TestScaleVariances:
@@ -154,6 +162,47 @@ class TestSinkhornLocationIterates:
             sinkhorn_location_iterates(0.5, 0.0, 3)
         with pytest.raises(DomainError):
             sinkhorn_location_iterates(0.5, 0.1, -1)
+
+
+class TestScaleIterates:
+    def test_start_is_the_target(self):
+        it = sinkhorn_scale_iterates(0.5, 0.1, 10)
+        assert len(it) == 11
+        assert it[0] == GaussianMeasure(0.0, 0.25)
+        assert all(m.mean == 0.0 for m in it)
+
+    def test_first_step_by_hand(self):
+        # a = 1: alpha = 1/(1+eps), a' = 1/(alpha + eps/eta^2),
+        # variance 1/P with P = 1 + (1 - a')/eps
+        eps, eta = 0.2, 0.5
+        a1 = 1.0 / (1.0 / (1.0 + eps) + eps / (eta * eta))
+        rho1 = sinkhorn_scale_iterates(eta, eps, 1)[1]
+        assert rho1.variance == pytest.approx(eps / (eps + 1.0 - a1), rel=1e-14)
+
+    def test_unit_eta_limit_is_the_location_recursion(self):
+        # with eta -> 1 both recursions run the same curvature sequence, and
+        # the location iterates' variances do not depend on theta
+        scale = sinkhorn_scale_iterates(1.0 - 1e-12, 0.1, 30)
+        location = sinkhorn_location_iterates(0.5, 0.1, 30)
+        for s, loc in zip(scale[1:], location[1:]):
+            assert s.variance == pytest.approx(loc.variance, abs=1e-10)
+
+    def test_variance_rises_to_the_first_marginal(self):
+        variances = [m.variance for m in sinkhorn_scale_iterates(0.5, 0.1, 2000)]
+        assert all(b > a for a, b in zip(variances[:40], variances[1:41]))
+        assert variances[-1] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.05, 0.02])
+    def test_tracks_the_entropic_scale_flow(self, eps):
+        # the iterate k approximates the flow at t = k eps, to O(eps)
+        k = int(round(1.0 / eps))
+        got = sinkhorn_scale_iterates(0.5, eps, k)[-1].variance
+        assert abs(got - scale_variance_entropic(0.5, 1.0)) <= 0.1 * eps
+
+    def test_rejects_bad_arguments(self):
+        for args in ((0.5, 0.0, 3), (0.5, 0.1, -1), (1.0, 0.1, 3), (0.0, 0.1, 3)):
+            with pytest.raises(DomainError):
+                sinkhorn_scale_iterates(*args)
 
 
 class TestGaussianHelpers:

@@ -18,12 +18,14 @@ from sinkflow.grids import (
     GridDensity,
     cdf_values,
     discretize,
+    grad_central,
     kl_divergence,
     lerp,
     locate,
     pushforward_monotone,
     quantile,
     sample,
+    second_central,
     second_moment,
 )
 
@@ -259,6 +261,43 @@ class TestLocate:
     def test_nan_rejected(self, grid):
         with pytest.raises(DomainError):
             locate(grid, np.array([0.0, np.nan]))
+
+
+def grad_central_expression(v, spacing):
+    # the stencil written as whole-array expressions, the form it had before
+    # it took an ``out`` buffer
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * spacing)
+    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * spacing)
+    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * spacing)
+    return out
+
+
+def second_central_expression(v, spacing):
+    h2 = spacing * spacing
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
+    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
+    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
+    return out
+
+
+class TestCentralStencils:
+    @pytest.mark.parametrize("stencil,expression", [
+        (grad_central, grad_central_expression),
+        (second_central, second_central_expression),
+    ])
+    @pytest.mark.parametrize("n", [16, 257, 2048])
+    def test_out_buffer_is_bit_identical(self, stencil, expression, n):
+        rng = np.random.default_rng(n)
+        spacing = 16.0 / (n - 1)
+        for scale in (1e-3, 1.0, 1e6):
+            v = scale * rng.standard_normal(n) + np.linspace(-3.0, 5.0, n) ** 2
+            fresh = stencil(v, spacing)
+            out = np.full(n, np.nan)
+            assert stencil(v, spacing, out=out) is out
+            assert np.array_equal(out, fresh)
+            assert np.array_equal(fresh, expression(v, spacing))
 
 
 class TestSecondMoment:

@@ -1,16 +1,30 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sinkflow.closed_form import scale_variance_entropic, scale_variance_fokker_planck
-from sinkflow.errors import ConvexityLost, DomainError
-from sinkflow.grids import DensitySpec, Grid, discretize, kl_divergence
+from sinkflow.errors import ConvexityLost, DomainError, StabilityError
+from sinkflow.grids import (
+    DensitySpec,
+    Grid,
+    GridDensity,
+    discretize,
+    grad_central,
+    kl_divergence,
+    pushforward_values_linear,
+    second_central,
+)
 from sinkflow.pma import (
+    CFL_FACTOR,
+    FP_CFL_FACTOR,
+    PUSHFORWARD_TOL,
     EntropyFunctional,
     PotentialEnergyFunctional,
     continuity_residual,
     dual_pma_residual,
+    fokker_planck_step,
     fokker_planck_velocity,
     fp_continuity_residual,
     gauge_consistency_residual,
@@ -31,6 +45,22 @@ from sinkflow.transport import ConvexPotential
 
 GRID = Grid(-8.0, 8.0, 512)
 MU_SPEC = DensitySpec.gaussian(0.0, 1.0)
+
+
+class Flattener:
+    """A deliberately concavifying functional: it drives u'' through the
+    convexity floor, so the stepper has to clamp and rebuild."""
+
+    entropic = False
+
+    def potential(self, xs):
+        return -2.0 * 0.5 * xs**2
+
+    def variation(self, xs, h):
+        return -2.0 * 0.5 * xs**2
+
+    def variation_gradient(self, xs, h, spacing):
+        return -2.0 * xs
 
 
 @pytest.fixture(scope="module")
@@ -115,15 +145,7 @@ class TestStep:
             step(state, 1e-3)
 
     def test_convexity_projection_repairs_floor(self):
-        # a deliberately concavifying functional drives u'' through the
-        # floor; the projection must clamp, rebuild, and log its magnitude
-        class Flattener:
-            def variation(self, xs, h):
-                return -2.0 * 0.5 * xs**2
-
-            def variation_gradient(self, xs, h, spacing):
-                return -2.0 * xs
-
+        # the projection must clamp, rebuild, and log its magnitude
         state = make_flow_state(GRID, MU_SPEC, MU_SPEC,
                                 ConvexPotential.quadratic(GRID),
                                 functional=Flattener(), a_floor=0.9)
@@ -314,3 +336,153 @@ class TestMirrorFlows:
         s = states[-1]
         keep = GRID.interior_slice()
         assert np.max(np.abs(s.u.du - GRID.nodes / (1.0 + s.t))[keep]) < 2e-3
+
+
+def reference_step(state, dt, max_substep=None):
+    """The flow step written with a new array for every intermediate, as it
+    was before the substeps ran in place."""
+    grid = state.grid
+    h_sp = grid.spacing
+    xs = grid.nodes
+    u_vals = state.u.u.copy()
+    h_cur = np.asarray(state.h)
+    sup_rhs_prev = float(np.max(np.abs(state.functional.variation(xs, h_cur))))
+    dt_stable = CFL_FACTOR * h_sp * h_sp * float(np.min(state.u.d2u))
+    if max_substep is not None:
+        dt_stable = min(dt_stable, max_substep)
+    n_sub = max(1, math.ceil(dt / dt_stable))
+    dt_sub = dt / n_sub
+    du = state.u.du.copy()
+    d2u = state.u.d2u.copy()
+    proj_mag = 0.0
+    for _ in range(n_sub):
+        rhs = state.functional.variation(xs, h_cur)
+        u_vals = u_vals + dt_sub * rhs
+        du = grad_central(u_vals, h_sp)
+        d2u = second_central(u_vals, h_sp)
+        low = float(np.min(d2u))
+        if low < state.a_floor:
+            proj_mag = max(proj_mag, state.a_floor - low)
+            d2u = np.maximum(d2u, state.a_floor)
+            mid = grid.n // 2
+            du_new = np.concatenate(([0.0], np.cumsum(0.5 * h_sp * (d2u[1:] + d2u[:-1]))))
+            du = du_new - du_new[mid] + du[mid]
+            u_new = np.concatenate(([0.0], np.cumsum(0.5 * h_sp * (du[1:] + du[:-1]))))
+            u_vals = u_new - u_new[mid] + u_vals[mid]
+        if float(np.max(d2u)) > state.b_cap:
+            raise ConvexityLost("Hessian samples exceeded the configured cap")
+        h_cur = state.nu_spec.f(du) - np.log(d2u)
+    sup_rhs_new = float(np.max(np.abs(state.functional.variation(xs, h_cur))))
+    if sup_rhs_new > 10.0 * sup_rhs_prev + 1e-8:
+        raise StabilityError("flow derivative grew in one step")
+    u_next = ConvexPotential(grid, u_vals, du, d2u, floor=state.a_floor)
+    raw = np.exp(-h_cur)
+    mass = grid.integrate(raw)
+    rho_next = GridDensity(grid, raw / mass)
+    pushed = pushforward_values_linear(rho_next, du)
+    pushed /= grid.integrate(pushed)
+    if float(np.max(np.abs(pushed - state.nu.values))) > PUSHFORWARD_TOL:
+        raise StabilityError("transport constraint drifted")
+    t_next = state.t + dt
+    return replace(
+        state, t=t_next, u=u_next, h=h_cur, rho=rho_next,
+        bounds=state.bounds.merged(float(np.min(d2u)), float(np.max(d2u)), t_next),
+        rho_mass_error=abs(mass - 1.0), projection_magnitude=proj_mag,
+    )
+
+
+def reference_fokker_planck_step(rho, mu, dt):
+    """The Fokker-Planck step with a new array for every intermediate."""
+    grid = rho.grid
+    h_sp = grid.spacing
+    w = grid.trapezoid_weights
+    n_sub = max(1, math.ceil(dt / (FP_CFL_FACTOR * h_sp * h_sp)))
+    dt_sub = dt / n_sub
+    vals = rho.values.copy()
+    log_mu = mu.log_values
+    for _ in range(n_sub):
+        v = grad_central(log_mu - np.log(vals), h_sp)
+        nodal_flux = vals * v
+        face_flux = 0.5 * (nodal_flux[:-1] + nodal_flux[1:])
+        net = np.empty_like(vals)
+        net[0] = -face_flux[0]
+        net[1:-1] = face_flux[:-1] - face_flux[1:]
+        net[-1] = face_flux[-1]
+        vals = vals + dt_sub * net / w
+        if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
+            raise StabilityError("Fokker-Planck update lost positivity")
+    return GridDensity(grid, vals / grid.integrate(vals))
+
+
+def assert_same_flow_state(got, want):
+    for name in ("u", "du", "d2u"):
+        assert np.array_equal(getattr(got.u, name), getattr(want.u, name)), name
+    assert np.array_equal(got.h, want.h)
+    assert np.array_equal(got.rho.values, want.rho.values)
+    assert got.projection_magnitude == want.projection_magnitude
+    assert got.rho_mass_error == want.rho_mass_error
+    assert got.bounds == want.bounds
+    assert got.t == want.t
+
+
+def flattener_state():
+    return make_flow_state(GRID, MU_SPEC, MU_SPEC, ConvexPotential.quadratic(GRID),
+                           functional=Flattener(), a_floor=0.9)
+
+
+class TestInPlaceSubsteps:
+    """The in-place substeps reproduce the allocating loops bit for bit."""
+
+    @staticmethod
+    def check_steps(state, dt, steps, max_substep=None):
+        got = want = state
+        for _ in range(steps):
+            got = step(got, dt, max_substep=max_substep)
+            want = reference_step(want, dt, max_substep=max_substep)
+            assert_same_flow_state(got, want)
+        return got
+
+    @pytest.mark.parametrize("n", [256, 2048])
+    def test_location(self, n):
+        self.check_steps(gaussian_location_state(Grid(-8.0, 8.0, n), 0.5), 1e-3, 4)
+
+    @pytest.mark.parametrize("n", [256, 2048])
+    def test_scale(self, n):
+        self.check_steps(gaussian_scale_state(Grid(-8.0, 8.0, n), 0.5), 1e-3, 4)
+
+    @pytest.mark.parametrize("functional", [EntropyFunctional(), PotentialEnergyFunctional()])
+    def test_mirror_functionals(self, functional):
+        state = make_flow_state(GRID, MU_SPEC, MU_SPEC, ConvexPotential.quadratic(GRID),
+                                functional=functional)
+        self.check_steps(state, 1e-3, 6)
+
+    def test_clamp_branch(self):
+        last = self.check_steps(flattener_state(), 0.05, 2)
+        assert last.projection_magnitude > 0.0
+
+    def test_max_substep(self):
+        self.check_steps(gaussian_location_state(GRID, 0.5), 1e-3, 4, max_substep=6.25e-5)
+
+    @pytest.mark.parametrize("n", [512, 2048])
+    def test_fokker_planck(self, n):
+        grid = Grid(-8.0, 8.0, n)
+        mu = discretize(MU_SPEC, grid)
+        got = want = discretize(DensitySpec.gaussian(0.0, 0.25), grid)
+        for _ in range(4):
+            got = fokker_planck_step(got, mu, 1e-3)
+            want = reference_fokker_planck_step(want, mu, 1e-3)
+            assert np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, np.inf, 1e-300],
+                             ids=["nan", "zero", "inf", "dip"])
+    def test_fokker_planck_rejects_a_bad_value(self, bad):
+        # a dip to 1e-300 is a valid density whose first substep drives the
+        # neighbours negative, so the substep's own check has to catch it
+        mu = discretize(MU_SPEC, GRID)
+        rho = discretize(DensitySpec.gaussian(0.5, 1.0), GRID)
+        vals = rho.values.copy()
+        vals[GRID.n // 3] = bad
+        # past the density's own checks, as a corrupted state would arrive
+        object.__setattr__(rho, "values", vals)
+        with np.errstate(all="ignore"), pytest.raises(StabilityError):
+            fokker_planck_step(rho, mu, 1e-3)

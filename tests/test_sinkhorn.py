@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from sinkflow.closed_form import sinkhorn_location_iterates
+from sinkflow.closed_form import sinkhorn_location_iterates, sinkhorn_scale_iterates
 from sinkflow.errors import DomainError, MaxIterExceeded
 from sinkflow.grids import DensitySpec, Grid, discretize, kl_divergence
 from sinkflow.sinkhorn import (
@@ -320,6 +320,23 @@ def test_iterates_match_exact_gaussian_recursion(eps):
         if k:
             st = s_step(st)
         assert abs(st.rho.mean() - ref.mean) <= 1e-10
+        assert abs(st.rho.variance() - ref.variance) <= 1e-10
+    assert st.k == steps
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.05])
+def test_scale_iterates_match_exact_gaussian_recursion(eps):
+    # on the scale problem the potentials stay even quadratics, so every
+    # iterate's variance is known exactly; check the first 1/eps
+    steps = int(round(1.0 / eps))
+    eta = 0.5
+    nu = discretize(DensitySpec.gaussian(0.0, eta * eta), GRID)
+    exact = sinkhorn_scale_iterates(eta, eps, steps)
+    st = initial_state(quad_u0(), MU, nu, nu, eps)
+    for k, ref in enumerate(exact):
+        if k:
+            st = s_step(st)
+        assert abs(st.rho.mean()) <= 1e-10
         assert abs(st.rho.variance() - ref.variance) <= 1e-10
     assert st.k == steps
 
