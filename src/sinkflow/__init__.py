@@ -2,7 +2,7 @@
 
 Subpackages:
 
-* :mod:`sinkflow.grids` - grid densities, CDF/quantile machinery, sampling
+* :mod:`sinkflow.grids` - grid densities, CDF/quantile machinery
 * :mod:`sinkflow.transport` - monotone maps, conjugates, transport distances
 * :mod:`sinkflow.sinkhorn` - log-domain scaling operators and iterates
 * :mod:`sinkflow.pma` - the parabolic flow stepper and its diagnostics
@@ -18,7 +18,6 @@ from .errors import (  # noqa: F401
     DomainError,
     EmptyTable,
     GridMismatch,
-    MaxIterExceeded,
     NonMonotoneMap,
     NonPositiveError,
     NumericOverflow,
@@ -38,8 +37,6 @@ from .grids import (  # noqa: F401
     kl_divergence,
     pushforward_monotone,
     quantile,
-    sample,
-    second_moment,
 )
 from .transport import (  # noqa: F401
     ConvexPotential,

@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``run <config.json>`` - execute one experiment described by a JSON config
-* ``tabulate <kind>``   - emit a t,value CSV for a closed-form flow
+* ``tabulate <kind>``   - emit a CSV of a closed-form flow: t,mean,variance
+  for the measure-valued kinds, t,value for the Euclidean ODE kinds
 * ``verify``            - run the standard acceptance battery
 
 The output root defaults to the SINKFLOW_OUT environment variable (falling
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .closed_form import ClosedFormFlow, FlowKind, evaluate
+from .closed_form import ClosedFormFlow, FlowKind, tabulate
 from .errors import DomainError, SinkflowError
 from .experiments import ExperimentConfig, execute, verify_battery, write_csv
 
@@ -66,14 +67,10 @@ def _cmd_tabulate(args) -> int:
     if not math.isfinite(args.t_end):
         raise DomainError(f"--t-end must be finite, got {args.t_end}")
     kind = FlowKind(args.kind)
-    flow = ClosedFormFlow(kind, args.param)
+    rows = tabulate(ClosedFormFlow(kind, args.param), np.linspace(0.0, args.t_end, args.points))
     out = _out_root(args)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"tabulate_{kind.value}.csv"
-    rows = []
-    for t in np.linspace(0.0, args.t_end, args.points):
-        val = evaluate(flow, float(t))
-        rows.append({"t": float(t), "value": float(getattr(val, "variance", val))})
     write_csv(rows, path)
     print(f"wrote {path}")
     return 0

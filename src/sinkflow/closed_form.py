@@ -30,16 +30,6 @@ class FlowKind(Enum):
     EUCLID_INVERSE = "euclid_inverse"
 
 
-_MEASURE_KINDS = {
-    FlowKind.SINKHORN_LOCATION,
-    FlowKind.SINKHORN_SCALE,
-    FlowKind.FOKKER_PLANCK_LOCATION,
-    FlowKind.FOKKER_PLANCK_SCALE,
-    FlowKind.MIRROR_ENTROPY,
-    FlowKind.MIRROR_POTENTIAL_ENERGY,
-}
-
-
 @dataclass(frozen=True)
 class ClosedFormFlow:
     """A reference flow plus its parameter (theta for location kinds,
@@ -98,6 +88,19 @@ def evaluate(flow: ClosedFormFlow, t: float):
     if k is FlowKind.EUCLID_INVERSE:
         return (1.0 + 1.5 * t) ** (-1.0 / 3.0)
     raise DomainError(f"unknown flow kind {k!r}")
+
+
+def tabulate(flow: ClosedFormFlow, ts) -> list[dict]:
+    """Rows of a flow at the times ``ts``: t, mean and variance for the
+    measure-valued kinds, t and value for the Euclidean ODE kinds."""
+    rows = []
+    for t in map(float, ts):
+        val = evaluate(flow, t)
+        if isinstance(val, GaussianMeasure):
+            rows.append({"t": t, "mean": val.mean, "variance": val.variance})
+        else:
+            rows.append({"t": t, "value": val})
+    return rows
 
 
 def sinkhorn_location_iterates(theta: float, eps: float, steps: int) -> list[GaussianMeasure]:
@@ -200,12 +203,6 @@ def integrate_euclid_mirror(kind: FlowKind, t_end: float, dt: float, x0: float =
     for _ in range(steps):
         x = euclid_mirror_ode_step(kind, x, dt)
     return x
-
-
-def kl_gaussian(p: GaussianMeasure, q: GaussianMeasure) -> float:
-    """KL(p || q) for 1-D Gaussians, exact."""
-    r = p.variance / q.variance
-    return 0.5 * (r - 1.0 - math.log(r) + (p.mean - q.mean) ** 2 / q.variance)
 
 
 def w2_gaussian(p: GaussianMeasure, q: GaussianMeasure) -> float:

@@ -42,17 +42,6 @@ class StabilityError(SinkflowError):
     """A time stepper produced an unstable or inconsistent update."""
 
 
-class MaxIterExceeded(SinkflowError):
-    """An iteration hit its step budget before converging.
-
-    Carries the last state reached as ``.state``.
-    """
-
-    def __init__(self, message, state=None):
-        super().__init__(message)
-        self.state = state
-
-
 class ParticleEscape(SinkflowError):
     """A simulated particle left the extended grid domain."""
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .closed_form import ClosedFormFlow, FlowKind, deficit_ratio, evaluate
+from .closed_form import ClosedFormFlow, FlowKind, deficit_ratio, evaluate, tabulate
 from .errors import DomainError
 from .grids import DensitySpec, Grid, GridDensity, discretize, kl_divergence
 from .particles import (
@@ -506,15 +506,7 @@ def run_markov_chain(config: ExperimentConfig) -> Report:
 def run_gaussian_closed_form(config: ExperimentConfig) -> Report:
     kind = FlowKind(config.problem.get("flow_kind", "sinkhorn_location"))
     param = config.problem.get("param", config.problem["theta"])
-    flow = ClosedFormFlow(kind, param)
-    ts = np.linspace(0.0, config.numerics["T"], 51)
-    rows = []
-    for t in ts:
-        val = evaluate(flow, float(t))
-        if hasattr(val, "variance"):
-            rows.append({"t": float(t), "mean": val.mean, "variance": val.variance})
-        else:
-            rows.append({"t": float(t), "value": val})
+    rows = tabulate(ClosedFormFlow(kind, param), np.linspace(0.0, config.numerics["T"], 51))
     verdicts = []
     if kind in (FlowKind.SINKHORN_SCALE, FlowKind.FOKKER_PLANCK_SCALE):
         for t in (1.0, 2.0):
@@ -596,10 +588,8 @@ def execute(config: ExperimentConfig, outdir: str | Path) -> tuple[Report, dict]
         ]
         numeric_rows = [r for r in numeric_rows if len(r) >= 2]
         if numeric_rows:
-            width = min(len(r) for r in numeric_rows)
             svg_path = out / f"{stem}.svg"
-            emit_svg([r[:width] for r in numeric_rows],
-                     {"x": 0, "ys": [1], "title": stem}, svg_path)
+            emit_svg(numeric_rows, stem, svg_path)
             files.append(svg_path)
     manifest = {
         "config": config.as_dict(),
@@ -620,8 +610,11 @@ def verify_battery(outdir: str | Path, profile: str = "full", seed: int | None =
     """Run the standard acceptance battery and aggregate the manifests.
 
     ``profile='quick'`` shrinks grids and particle counts for smoke checks;
-    the full profile matches the documented acceptance settings.
+    ``'full'`` matches the documented acceptance settings.  Any other
+    profile raises :class:`DomainError` before anything runs.
     """
+    if profile not in ("quick", "full"):
+        raise DomainError(f"profile must be 'quick' or 'full', got {profile!r}")
     quick = profile == "quick"
     n = 256 if quick else 512
     particles = 20000 if quick else 100000

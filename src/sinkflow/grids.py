@@ -26,6 +26,7 @@ from .errors import (
 
 MASS_TOL = 1e-10          # normalized densities must integrate to 1 within this
 TRUNCATION_TOL = 1e-8     # admissible mass outside the truncated domain
+INTERIOR_FRACTION = 0.8   # central share of a range that diagnostics judge
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -66,13 +67,13 @@ class Grid:
         """Trapezoid quadrature of node samples."""
         return float(np.trapezoid(values, dx=self.spacing))
 
-    def interior_slice(self, fraction: float = 0.8) -> slice:
-        """Index slice keeping the central ``fraction`` of nodes.
+    def interior_slice(self) -> slice:
+        """Index slice keeping the central INTERIOR_FRACTION of nodes.
 
-        Diagnostics exclude the truncation boundary layer; the default
-        drops the outer 10% of nodes on each side.
+        Diagnostics exclude the truncation boundary layer: the slice drops
+        the outer 10% of nodes on each side.
         """
-        skip = int(round(0.5 * (1.0 - fraction) * self.n))
+        skip = int(round(0.5 * (1.0 - INTERIOR_FRACTION) * self.n))
         return slice(skip, self.n - skip)
 
 
@@ -325,18 +326,6 @@ def kl_divergence(p: GridDensity, q: GridDensity) -> float:
     return p.grid.integrate(p.values * (p.log_values - q.log_values))
 
 
-def second_moment(d: GridDensity) -> float:
-    return d.grid.integrate(d.grid.nodes**2 * d.values)
-
-
-def sample(d: GridDensity, count: int, seed: int) -> np.ndarray:
-    """Inverse-CDF sampling, deterministic for a fixed seed."""
-    if count < 1:
-        raise DomainError("count must be at least 1")
-    rng = np.random.default_rng(seed)
-    return np.interp(rng.random(count), cdf_values(d), d.grid.nodes)
-
-
 def _check_map_values(grid: Grid, map_values) -> np.ndarray:
     t = np.asarray(map_values, dtype=float)
     if t.shape != (grid.n,):
@@ -423,17 +412,16 @@ def pushforward_monotone(
     return GridDensity.from_unnormalized(target, np.exp(out))
 
 
-def pushforward_values_linear(d: GridDensity, map_values, target_grid: Grid | None = None):
+def pushforward_values_linear(d: GridDensity, map_values):
     """Cheap O(h^2) pushforward values used by per-step runtime monitors.
 
     Same change-of-variables construction as :func:`pushforward_monotone`
     but with linear interpolation and no normalization; returns raw node
-    values on the target grid.
+    values on the source grid.
     """
     t = np.asarray(map_values, dtype=float)
-    target = target_grid if target_grid is not None else d.grid
     xs = d.grid.nodes
     t_prime = grad_central(t, d.grid.spacing)
     log_push = d.log_values - np.log(np.maximum(t_prime, 1e-300))
-    x_hat = np.interp(target.nodes, t, xs)
+    x_hat = np.interp(xs, t, xs)
     return np.exp(np.interp(x_hat, xs, log_push))

@@ -1,6 +1,5 @@
-"""Particle simulators for the flow: the mirrored SDE and its dual, the
-frozen-mirror Langevin special case, and the Markov chain embedded in the
-entropic iteration.
+"""Particle simulators for the flow: the mirrored SDE and its dual, and the
+Markov chain embedded in the entropic iteration.
 
 Noise policy: every simulator draws its step-k noise as one block derived
 from (master seed, step index, substream), and particle i always consumes
@@ -129,37 +128,16 @@ def dual_sde_step(
     return _euler_maruyama(e, grid, dt, drift, diffusion, zero_noise)
 
 
-def mirror_langevin_step(
-    e: ParticleEnsemble,
-    u: ConvexPotential,
-    target_spec: DensitySpec,
-    dt: float,
-    zero_noise: bool = False,
-) -> ParticleEnsemble:
-    """Frozen-mirror Langevin update: drift -g'(u'(x)), diffusion sqrt(2/u'').
-
-    With a unit-curvature quadratic mirror this is exactly the classical
-    Langevin update for exp(-g).
-    """
-    at = locate(u.grid, e.positions)
-    drift = -target_spec.grad(lerp(at, u.du))
-    diffusion = np.sqrt(2.0 / lerp(at, u.d2u))
-    return _euler_maruyama(e, u.grid, dt, drift, diffusion, zero_noise)
-
-
-def markov_chain_step(
-    e: ParticleEnsemble, sk: SinkhornState, chunk: int = 8192
-) -> ParticleEnsemble:
+def markov_chain_step(e: ParticleEnsemble, sk: SinkhornState) -> ParticleEnsemble:
     """One step of the Markov chain embedded in the entropic iteration.
 
     Each particle first draws an intermediate dual coordinate from the
     previous coupling's conditional given its position, then a new position
     from the current coupling's conditional given that coordinate; both
     draws invert the couplings' discrete conditionals, each row on its band
-    of the log-kernel layer in :mod:`sinkhorn`, at most ``chunk`` rows at a
-    time.  At step zero the initial coupling is the product of the start
-    density with the target, so the intermediate coordinate is an
-    unconditional target sample.
+    of the log-kernel layer in :mod:`sinkhorn`.  At step zero the initial
+    coupling is the product of the start density with the target, so the
+    intermediate coordinate is an unconditional target sample.
     """
     if sk.k != e.step_count:
         raise DomainError(
@@ -173,9 +151,9 @@ def markov_chain_step(
         y = np.interp(u1, cdf_values(sk.nu), sk.nu.grid.nodes)
     else:
         previous = _log_kernel(sk.nu.grid, sk.nu.log_values - sk.v_prev / sk.eps, sk.eps)
-        y, _ = _kernel_draw(previous, p, u1, chunk)
+        y, _ = _kernel_draw(previous, p, u1)
     current = _log_kernel(sk.mu.grid, sk.mu.log_values - sk.u / sk.eps, sk.eps)
-    out, _ = _kernel_draw(current, y, u2, chunk)
+    out, _ = _kernel_draw(current, y, u2)
     _check_domain(out, sk.mu.grid)
     return replace(e, positions=out, t=e.t + sk.eps, step_count=e.step_count + 1)
 

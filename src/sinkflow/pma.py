@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ConvexityLost, DomainError, StabilityError
 from .grids import (
+    INTERIOR_FRACTION,
     DensitySpec,
     Grid,
     GridDensity,
@@ -377,10 +378,11 @@ def run_fokker_planck(rho0: GridDensity, mu: GridDensity, dt: float, steps: int)
     return out
 
 
-def _dual_target_grid(prev: PmaState, next_state: PmaState, fraction: float = 0.8) -> Grid:
+def _dual_target_grid(prev: PmaState, next_state: PmaState) -> Grid:
+    """The central INTERIOR_FRACTION of the gradient range both states share."""
     lo = max(prev.u.du[0], next_state.u.du[0])
     hi = min(prev.u.du[-1], next_state.u.du[-1])
-    pad = 0.5 * (1.0 - fraction) * (hi - lo)
+    pad = 0.5 * (1.0 - INTERIOR_FRACTION) * (hi - lo)
     return Grid(lo + pad, hi - pad, prev.grid.n)
 
 
@@ -502,18 +504,17 @@ def second_order_lot_gap(states: Sequence[PmaState], t: float, delta: float) -> 
     return gap, base
 
 
-def kl_decay_series(states: Sequence[PmaState], c_lsi: float | None = None) -> list[dict]:
+def kl_decay_series(states: Sequence[PmaState]) -> list[dict]:
     """Relative-entropy decay along a run against its mirror-adjusted bound.
 
     The bound is KL_0 * exp(-2 c H(t)) with H accumulated by trapezoid from
-    the observed envelope inf_x 1/u'' of each state; c defaults to the
-    curvature floor of the first marginal on the grid.
+    the observed envelope inf_x 1/u'' of each state; c is the curvature
+    floor of the first marginal on the grid.
     """
     first = states[0]
-    if c_lsi is None:
-        c_lsi = float(np.min(first.mu_spec.hess(first.grid.nodes)))
-        if c_lsi <= 0:
-            raise DomainError("cannot infer a log-Sobolev constant from flat curvature")
+    c_lsi = float(np.min(first.mu_spec.hess(first.grid.nodes)))
+    if c_lsi <= 0:
+        raise DomainError("cannot infer a log-Sobolev constant from flat curvature")
     kl0 = kl_divergence(first.rho, first.mu)
     rows = []
     h_accum = 0.0

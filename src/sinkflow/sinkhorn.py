@@ -28,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import logsumexp
 
-from .errors import DomainError, MaxIterExceeded, NumericOverflow
+from .errors import DomainError, NumericOverflow
 from .grids import Grid, GridDensity, _readonly
 from .transport import ConvexPotential, legendre_transform
 
@@ -96,7 +96,7 @@ def _columns_to_fall(rise: np.ndarray) -> int:
     return int(np.searchsorted(fall, BAND_LOG_UNITS)) + 1
 
 
-def _kernel_rows(kernel: _LogKernel, p: np.ndarray, reduce, max_rows: int | None = None):
+def _kernel_rows(kernel: _LogKernel, p: np.ndarray, reduce):
     """Apply ``reduce`` to exp(r_i - max r_i) for every output point p_i.
 
     Each row is first evaluated on its band of ``kernel.width`` columns
@@ -115,15 +115,14 @@ def _kernel_rows(kernel: _LogKernel, p: np.ndarray, reduce, max_rows: int | None
     if kernel.width < n:
         peak = np.searchsorted(kernel.slopes, pe * kernel.spacing)
         lo = np.clip(peak - kernel.width // 2, 0, n - kernel.width)
-        banded = _evaluate_rows(kernel, pe, lo, kernel.width, rows, reduce, out, max_rows)
+        banded = _evaluate_rows(kernel, pe, lo, kernel.width, rows, reduce, out)
         rows = np.flatnonzero(~banded)
     if rows.size:
-        _evaluate_rows(kernel, pe, np.zeros(pe.size, dtype=np.intp), n, rows, reduce, out,
-                       max_rows)
+        _evaluate_rows(kernel, pe, np.zeros(pe.size, dtype=np.intp), n, rows, reduce, out)
     return out, banded
 
 
-def _evaluate_rows(kernel, pe, lo, width, rows, reduce, out, max_rows) -> np.ndarray:
+def _evaluate_rows(kernel, pe, lo, width, rows, reduce, out) -> np.ndarray:
     """Evaluate ``rows`` on columns lo + [0, width) block by block, in place.
 
     Returns, per output point, whether nothing outside its columns can
@@ -134,8 +133,6 @@ def _evaluate_rows(kernel, pe, lo, width, rows, reduce, out, max_rows) -> np.nda
     weight_windows = sliding_window_view(kernel.a, width)
     kept = np.ones(pe.size, dtype=bool)
     block = max(1, _BLOCK_ENTRIES // width)
-    if max_rows is not None:
-        block = min(block, max_rows)
     for start in range(0, rows.size, block):
         ids = rows[start:start + block]
         first = lo[ids]
@@ -156,8 +153,7 @@ def _kernel_lse(kernel: _LogKernel, p: np.ndarray):
     return _kernel_rows(kernel, p, lambda dens, peak, lo, rows: peak + np.log(dens.sum(axis=1)))
 
 
-def _kernel_draw(kernel: _LogKernel, p: np.ndarray, uniforms: np.ndarray,
-                 max_rows: int | None = None):
+def _kernel_draw(kernel: _LogKernel, p: np.ndarray, uniforms: np.ndarray):
     """One draw per row from the density exp(r_i) on the nodes.
 
     The CDF is the trapezoid cumulative, inverted linearly inside the cell
@@ -178,7 +174,7 @@ def _kernel_draw(kernel: _LogKernel, p: np.ndarray, uniforms: np.ndarray,
         frac = np.where(hi > below, (u - below) / np.maximum(hi - below, 1e-300), 0.5)
         return nodes[lo + idx] + np.clip(frac, 0.0, 1.0) * h
 
-    return _kernel_rows(kernel, p, reduce, max_rows)
+    return _kernel_rows(kernel, p, reduce)
 
 
 def _smooth(potential, marginal: GridDensity, eps: float, out_grid: Grid | None) -> np.ndarray:
@@ -296,51 +292,6 @@ def coupling(state: SinkhornState) -> EntropicCoupling:
     return EntropicCoupling(state.mu.grid, state.nu.grid, lg)
 
 
-def product_coupling(mu: GridDensity, nu: GridDensity) -> EntropicCoupling:
-    lg = mu.log_values[:, None] + nu.log_values[None, :]
-    return EntropicCoupling(mu.grid, nu.grid, lg)
-
-
-def eot_cost(pi: EntropicCoupling, mu: GridDensity, nu: GridDensity, eps: float) -> float:
-    """Quadratic transport cost plus eps times KL against the product."""
-    xs, ys = pi.x_grid.nodes, pi.y_grid.nodes
-    w = np.outer(pi.x_grid.trapezoid_weights, pi.y_grid.trapezoid_weights)
-    gamma = np.exp(pi.log_gamma)
-    sq = 0.5 * (xs[:, None] - ys[None, :]) ** 2
-    kl_term = pi.log_gamma - mu.log_values[:, None] - nu.log_values[None, :]
-    return float(np.sum(w * gamma * (sq + eps * kl_term)))
-
-
-class ToleranceResult(NamedTuple):
-    state: SinkhornState
-    iterations: int
-
-
-def run_to_tolerance(state: SinkhornState, tol: float, max_iter: int) -> ToleranceResult:
-    """Iterate until the gauge-free potential increment is below tol * eps.
-
-    Each pass probes one two-step update; if its increment (with the mean
-    shift removed) is already small the pre-step state is returned, so a
-    fixed point reports zero iterations used.
-    """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    used = 0
-    current = state
-    while True:
-        if used >= max_iter:
-            raise MaxIterExceeded(
-                f"no convergence within {max_iter} iterations", state=current
-            )
-        probe = s_step(current)
-        delta = probe.u - current.u
-        delta = delta - np.mean(delta)
-        if float(np.max(np.abs(delta))) < tol * current.eps:
-            return ToleranceResult(current, used)
-        current = probe
-        used += 1
-
-
 def ipfp_marginal_view(
     u0, mu: GridDensity, nu: GridDensity, eps: float, steps: int
 ) -> GridDensity:
@@ -371,21 +322,19 @@ def laplace_residual(
     mu: GridDensity,
     mu_spec,
     eps: float,
-    y_lo: float = -2.0,
-    y_hi: float = 2.0,
     include_entropy_term: bool = True,
 ) -> float:
     """Sup residual of the small-eps expansion of :func:`v_operator`.
 
     For a smooth convex potential the operator equals the convex conjugate
     plus (eps/2) log(2 pi eps) - eps f(w'(y)) + (eps/2) log w''(y) up to
-    O(eps^2); the residual is evaluated on a compact window well inside the
-    gradient range, where the expansion's position-dependent term does not
+    O(eps^2); the residual is evaluated on the window [-2, 2], well inside
+    the gradient range, where the expansion's position-dependent term does not
     drown the eps-entropy constant that the ablation switch removes.
     """
     if not isinstance(u, ConvexPotential):
         raise DomainError("laplace_residual needs a ConvexPotential")
-    ygrid = Grid(y_lo, y_hi, u.grid.n)
+    ygrid = Grid(-2.0, 2.0, u.grid.n)
     w = legendre_transform(u, ygrid)
     v_vals = v_operator(u.u, mu, eps, ygrid)
     res = v_vals - w.u + eps * mu_spec.f(w.du) - 0.5 * eps * np.log(w.d2u)

@@ -1,4 +1,4 @@
-"""Minimal deterministic SVG line/scatter plots.
+"""Minimal deterministic SVG line plot.
 
 Hand-rolled on purpose: a fixed viewBox and fixed decimal formatting make
 the output byte-stable for identical input, which the reproducibility
@@ -14,7 +14,7 @@ from .errors import EmptyTable
 
 WIDTH, HEIGHT = 640, 480
 MARGIN = 56
-PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+COLOR = "#1f77b4"
 
 
 def _fmt(x: float) -> str:
@@ -37,41 +37,19 @@ def _ticks_linear(lo: float, hi: float) -> list[float]:
     return out
 
 
-def _ticks_decades(lo: float, hi: float) -> list[float]:
-    out = []
-    k = math.floor(math.log10(lo))
-    while 10.0**k <= hi * (1 + 1e-12):
-        if 10.0**k >= lo * (1 - 1e-12):
-            out.append(10.0**k)
-        k += 1
-    return out or [lo, hi]
+def emit_svg(table: Sequence[Sequence[float]], title: str, path) -> None:
+    """Plot column 1 of ``table`` against column 0 as a titled polyline SVG;
+    further columns are ignored.
 
-
-def emit_svg(
-    table: Sequence[Sequence[float]],
-    axes_spec: dict,
-    path,
-) -> None:
-    """Render columns of ``table`` as polylines into an SVG file.
-
-    ``axes_spec`` keys: ``x`` (column index for x), ``ys`` (column indices
-    of the series), ``loglog`` (bool), ``title``, ``xlabel``, ``ylabel``.
     Raises :class:`EmptyTable` on an empty table.
     """
     rows = [list(map(float, r)) for r in table]
     if not rows:
         raise EmptyTable("cannot plot an empty table")
-    xi = axes_spec.get("x", 0)
-    yis = axes_spec.get("ys", [1])
-    loglog = bool(axes_spec.get("loglog", False))
-
-    def tx(v):
-        return math.log10(v) if loglog else v
-
-    xs = [tx(r[xi]) for r in rows]
-    ys_all = [tx(r[j]) for r in rows for j in yis]
+    xs = [r[0] for r in rows]
+    ys = [r[1] for r in rows]
     x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys_all), max(ys_all)
+    y_lo, y_hi = min(ys), max(ys)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -87,59 +65,36 @@ def emit_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
-    if loglog:
-        xticks = [math.log10(v) for v in _ticks_decades(10**x_lo, 10**x_hi)]
-        yticks = [math.log10(v) for v in _ticks_decades(10**y_lo, 10**y_hi)]
-    else:
-        xticks = _ticks_linear(x_lo, x_hi)
-        yticks = _ticks_linear(y_lo, y_hi)
-    for t in xticks:
+    for t in _ticks_linear(x_lo, x_hi):
         parts.append(
             f'<line x1="{_fmt(px(t))}" y1="{MARGIN}" x2="{_fmt(px(t))}" '
             f'y2="{HEIGHT - MARGIN}" stroke="#dddddd"/>'
         )
-        label = f"{10**t:.3g}" if loglog else f"{t:.3g}"
         parts.append(
             f'<text x="{_fmt(px(t))}" y="{HEIGHT - MARGIN + 16}" font-size="10" '
-            f'text-anchor="middle">{label}</text>'
+            f'text-anchor="middle">{t:.3g}</text>'
         )
-    for t in yticks:
+    for t in _ticks_linear(y_lo, y_hi):
         parts.append(
             f'<line x1="{MARGIN}" y1="{_fmt(py(t))}" x2="{WIDTH - MARGIN}" '
             f'y2="{_fmt(py(t))}" stroke="#dddddd"/>'
         )
-        label = f"{10**t:.3g}" if loglog else f"{t:.3g}"
         parts.append(
             f'<text x="{MARGIN - 6}" y="{_fmt(py(t) + 3)}" font-size="10" '
-            f'text-anchor="end">{label}</text>'
+            f'text-anchor="end">{t:.3g}</text>'
         )
     parts.append(
         f'<rect x="{MARGIN}" y="{MARGIN}" width="{WIDTH - 2 * MARGIN}" '
         f'height="{HEIGHT - 2 * MARGIN}" fill="none" stroke="black"/>'
     )
-    for c, j in enumerate(yis):
-        pts = " ".join(f"{_fmt(px(tx(r[xi])))},{_fmt(py(tx(r[j])))}" for r in rows)
-        color = PALETTE[c % len(PALETTE)]
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        for r in rows:
-            parts.append(
-                f'<circle cx="{_fmt(px(tx(r[xi])))}" cy="{_fmt(py(tx(r[j])))}" '
-                f'r="2.5" fill="{color}"/>'
-            )
-    for key, x, y, anchor in (
-        ("title", WIDTH / 2, MARGIN / 2, "middle"),
-        ("xlabel", WIDTH / 2, HEIGHT - 10, "middle"),
-    ):
-        if axes_spec.get(key):
-            parts.append(
-                f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="12" '
-                f'text-anchor="{anchor}">{axes_spec[key]}</text>'
-            )
-    if axes_spec.get("ylabel"):
-        parts.append(
-            f'<text x="14" y="{HEIGHT / 2:.3f}" font-size="12" text-anchor="middle" '
-            f'transform="rotate(-90 14 {HEIGHT / 2:.3f})">{axes_spec["ylabel"]}</text>'
-        )
+    pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(xs, ys))
+    parts.append(f'<polyline points="{pts}" fill="none" stroke="{COLOR}" stroke-width="1.5"/>')
+    for x, y in zip(xs, ys):
+        parts.append(f'<circle cx="{_fmt(px(x))}" cy="{_fmt(py(y))}" r="2.5" fill="{COLOR}"/>')
+    parts.append(
+        f'<text x="{_fmt(WIDTH / 2)}" y="{_fmt(MARGIN / 2)}" font-size="12" '
+        f'text-anchor="middle">{title}</text>'
+    )
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

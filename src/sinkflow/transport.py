@@ -2,7 +2,7 @@
 
 Everything here reduces to quantile/CDF composition (exact in one
 dimension) plus convex-duality machinery for the potentials: Legendre
-transforms, mirror coordinates, Bregman divergences, and the
+transforms, Bregman divergences, and the
 log-det-Hessian tensor identity used by the flow diagnostics.
 """
 
@@ -19,7 +19,6 @@ from .grids import (
     cdf_values,
     grad_central,
     quantile,
-    second_central,
     _readonly,
 )
 
@@ -107,26 +106,14 @@ class ConvexPotential:
                    np.asarray(d2u(xs), float), floor)
 
     @classmethod
-    def from_values(cls, grid: Grid, u_values, floor: float = DEFAULT_CONVEXITY_FLOOR):
-        """Build from node samples of u alone, differentiating numerically."""
-        u_arr = np.asarray(u_values, dtype=float)
-        return cls(grid, u_arr, grad_central(u_arr, grid.spacing),
-                   second_central(u_arr, grid.spacing), floor)
-
-    @classmethod
-    def quadratic(cls, grid: Grid, curvature: float = 1.0, slope: float = 0.0,
+    def quadratic(cls, grid: Grid, curvature: float = 1.0,
                   floor: float = DEFAULT_CONVEXITY_FLOOR):
         xs = grid.nodes
-        return cls(grid, 0.5 * curvature * xs**2 + slope * xs,
-                   curvature * xs + slope,
+        return cls(grid, 0.5 * curvature * xs**2, curvature * xs,
                    np.full(grid.n, float(curvature)), floor)
 
     def gradient_range(self) -> tuple[float, float]:
         return float(self.du[0]), float(self.du[-1])
-
-    def derivative_consistency(self) -> float:
-        """Sup gap between stored du and central differences of u (O(h^2))."""
-        return float(np.max(np.abs(grad_central(self.u, self.grid.spacing) - self.du)))
 
     def _bracket(self, x):
         """Hermite evaluation data for points inside the grid."""
@@ -200,9 +187,7 @@ def lot_distance(ref: GridDensity, a: GridDensity, b: GridDensity) -> float:
     return float(np.sqrt(ref.grid.integrate(diff**2 * ref.values)))
 
 
-def legendre_transform(
-    u: ConvexPotential, target_grid: Grid, floor: float | None = None
-) -> ConvexPotential:
+def legendre_transform(u: ConvexPotential, target_grid: Grid) -> ConvexPotential:
     """Convex conjugate of u sampled on a grid of slope values.
 
     For each target node y the maximizer of x*y - u(x) solves u'(x) = y; it
@@ -238,8 +223,8 @@ def legendre_transform(
     d2w = 1.0 / np.interp(x_hat, xs, u.d2u)
     if np.any(np.diff(dw) <= 0.0):
         dw = _strictify(dw, 1e-12 * u.grid.spacing)
-    out_floor = floor if floor is not None else min(u.floor, float(np.min(d2w)) * 0.5)
-    return ConvexPotential(target_grid, w, dw, d2w, floor=out_floor)
+    floor = min(u.floor, float(np.min(d2w)) * 0.5)
+    return ConvexPotential(target_grid, w, dw, d2w, floor=floor)
 
 
 def bregman_divergence(u: ConvexPotential, w: ConvexPotential, x: float, y: float) -> float:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -125,28 +126,21 @@ def test_floor_steps_float_guard():
 class TestSvg:
     def test_two_point_polyline(self, tmp_path):
         path = tmp_path / "plot.svg"
-        emit_svg([[0.0, 1.0], [1.0, 2.0]], {"x": 0, "ys": [1]}, path)
+        emit_svg([[0.0, 1.0], [1.0, 2.0]], "", path)
         text = path.read_text()
         assert text.count("<polyline") == 1
         assert "0.000,1.000" not in text  # data coordinates are mapped to pixels
 
-    def test_loglog_decades(self, tmp_path):
-        path = tmp_path / "log.svg"
-        emit_svg([[0.01, 1e-4], [0.1, 1e-2], [1.0, 1.0]],
-                 {"x": 0, "ys": [1], "loglog": True}, path)
-        text = path.read_text()
-        assert text.count("0.01") >= 1 and text.count("0.1") >= 1
-
     def test_byte_stability(self, tmp_path):
         rows = [[0.1, 0.5], [0.2, 0.7], [0.3, 0.65]]
         p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-        emit_svg(rows, {"x": 0, "ys": [1], "title": "t"}, p1)
-        emit_svg(rows, {"x": 0, "ys": [1], "title": "t"}, p2)
+        emit_svg(rows, "t", p1)
+        emit_svg(rows, "t", p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_empty_table(self, tmp_path):
         with pytest.raises(EmptyTable):
-            emit_svg([], {}, tmp_path / "empty.svg")
+            emit_svg([], "", tmp_path / "empty.svg")
 
 
 class TestExecute:
@@ -320,8 +314,33 @@ class TestCliCommands:
                      "--t-end", "1.0", "--points", "11"])
         assert code == 0
         rows = (tmp_path / "tabulate_mirror_entropy.csv").read_text().splitlines()
-        assert rows[0] == "t,value"
-        assert float(rows[-1].split(",")[1]) == pytest.approx(4.0)
+        assert rows[0] == "t,mean,variance"
+        assert float(rows[-1].split(",")[2]) == pytest.approx(4.0)
+
+    def test_tabulate_location_mean(self, tmp_path):
+        # the location flows move the mean, theta e^{-t}, at unit variance
+        code = main(["--output", str(tmp_path), "tabulate", "sinkhorn_location",
+                     "--param", "0.5", "--points", "11"])
+        assert code == 0
+        path = tmp_path / "tabulate_sinkhorn_location.csv"
+        assert path.read_text().splitlines()[0] == "t,mean,variance"
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert data.shape == (11, 3)
+        np.testing.assert_allclose(data[:, 1], 0.5 * np.exp(-data[:, 0]), rtol=1e-15)
+        assert np.all(data[:, 2] == 1.0)
+
+    def test_tabulate_ode_kind_keeps_value_column(self, tmp_path):
+        assert main(["--output", str(tmp_path), "tabulate", "euclid_quadratic",
+                     "--points", "3"]) == 0
+        rows = (tmp_path / "tabulate_euclid_quadratic.csv").read_text().splitlines()
+        assert rows == ["t,value", "0,1", f"1,{math.exp(-1.0):.17g}", f"2,{math.exp(-2.0):.17g}"]
+
+    @pytest.mark.parametrize("profile", ["Quick", "", "fast"])
+    def test_verify_rejects_unknown_profile(self, tmp_path, profile):
+        out = tmp_path / "out"
+        with pytest.raises(DomainError):
+            experiments.verify_battery(out, profile=profile)
+        assert not out.exists()
 
     def test_output_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SINKFLOW_OUT", str(tmp_path))

@@ -24,10 +24,9 @@ from sinkflow.grids import (
     locate,
     pushforward_monotone,
     quantile,
-    sample,
     second_central,
-    second_moment,
 )
+from sinkflow.particles import ParticleEnsemble
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +199,11 @@ class TestPushforward:
             pushforward_monotone(std_normal, 2.0 * grid.nodes)  # image [-16,16] onto [-8,8]
 
 
+def sample(d, count, seed):
+    """Inverse-CDF draws through the particle simulators' sampler."""
+    return ParticleEnsemble.from_density(d, count, seed).positions
+
+
 class TestSample:
     def test_clt_mean(self, std_normal):
         xs = sample(std_normal, 100_000, seed=7)
@@ -298,6 +302,11 @@ class TestCentralStencils:
             assert stencil(v, spacing, out=out) is out
             assert np.array_equal(out, fresh)
             assert np.array_equal(fresh, expression(v, spacing))
+
+
+def second_moment(d):
+    """E[x^2] from the density's own mean and variance quadratures."""
+    return d.variance() + d.mean() ** 2
 
 
 class TestSecondMoment:

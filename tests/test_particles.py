@@ -11,7 +11,6 @@ from sinkflow.particles import (
     generator_stationarity_residual,
     ks_distance,
     markov_chain_step,
-    mirror_langevin_step,
     noise_block,
     sinkhorn_sde_coefficients,
     sinkhorn_sde_step,
@@ -207,40 +206,40 @@ class TestDualSde:
 
 
 class TestMirrorLangevin:
+    """The dual step with the mirror frozen is the mirror Langevin diffusion
+    dY = -h'(X) dt + sqrt(2 u''(X)) dB, X = w'(Y), whose X-law exp(-h) and
+    hence Y-law, the target, it leaves invariant."""
+
     def test_reduces_to_classical_langevin(self):
-        u = ConvexPotential.quadratic(GRID)
+        # identity mirror: X = Y and h = g, the classical Langevin step for exp(-g)
+        state = make_flow_state(GRID, STD_SPEC, STD_SPEC, ConvexPotential.quadratic(GRID))
         e0 = ParticleEnsemble.from_density(STD, 1000, seed=3)
-        stepped = mirror_langevin_step(e0, u, STD_SPEC, 1e-3)
+        stepped = dual_sde_step(e0, state, 1e-3)
         z = noise_block(3, 0, 1000)
         reference = e0.positions - 1e-3 * e0.positions + math.sqrt(2e-3) * z
-        assert np.array_equal(stepped.positions, reference)
+        assert np.max(np.abs(stepped.positions - reference)) <= 1e-12
 
     def test_stationarity_under_nonquadratic_mirror(self):
-        # start from the pullback of the target through the mirror inverse;
-        # the chain must keep that law (KS within twice its initial value)
-        from sinkflow.grids import pushforward_monotone
-        from sinkflow.pma import inverse_gradient_map
-
+        # start at the target; the chain must keep that law (KS within twice
+        # its initial value)
         u = ConvexPotential.from_callable(
             GRID,
             lambda x: 0.5 * x**2 + 0.4 * np.cosh(x / 2.0),
             lambda x: x + 0.2 * np.sinh(x / 2.0),
             lambda x: 1.0 + 0.1 * np.cosh(x / 2.0))
-        nu = STD
-        w_prime = inverse_gradient_map(u, GRID.nodes)
-        start_density = pushforward_monotone(nu, w_prime)
+        frozen = make_flow_state(GRID, STD_SPEC, STD_SPEC, u)
         count = 20000
-        ens = ParticleEnsemble.from_density(start_density, count, seed=5)
-        ks0 = max(ks_distance(ens, start_density), 1.63 / math.sqrt(count))
+        ens = ParticleEnsemble.from_density(frozen.nu, count, seed=5)
+        ks0 = max(ks_distance(ens, frozen.nu), 1.63 / math.sqrt(count))
         for _ in range(1000):
-            ens = mirror_langevin_step(ens, u, STD_SPEC, 1e-3)
-        assert ks_distance(ens, start_density) <= 2 * ks0
+            ens = dual_sde_step(ens, frozen, 1e-3)
+        assert ks_distance(ens, frozen.nu) <= 2 * ks0
 
     def test_seeded(self):
-        u = ConvexPotential.quadratic(GRID)
+        state = make_flow_state(GRID, STD_SPEC, STD_SPEC, ConvexPotential.quadratic(GRID))
         e0 = ParticleEnsemble.from_density(STD, 100, seed=6)
-        a = mirror_langevin_step(e0, u, STD_SPEC, 1e-3)
-        b = mirror_langevin_step(e0, u, STD_SPEC, 1e-3)
+        a = dual_sde_step(e0, state, 1e-3)
+        b = dual_sde_step(e0, state, 1e-3)
         assert np.array_equal(a.positions, b.positions)
 
 

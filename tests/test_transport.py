@@ -292,9 +292,3 @@ def test_convexity_floor_enforced():
     d2[10] = 1e-5
     with pytest.raises(ConvexityLost):
         ConvexPotential(GRID, vals, GRID.nodes, d2)
-
-
-def test_derivative_consistency_of_from_values():
-    u = ConvexPotential.from_values(GRID, np.cosh(GRID.nodes / 2.0))
-    # O(h^2) agreement between stored du and central differences of u
-    assert u.derivative_consistency() < 10 * GRID.spacing**2
