@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import (
     DomainError,
@@ -219,7 +218,8 @@ class DensitySpec:
     default 0 the spec is taken as already normalized on the line.  ``grad``
     and ``hess`` are f' and f'' and must stay finite (bounded f'' is the
     discrete stand-in for the bounded-derivative assumption the flow
-    operators rely on).
+    operators rely on).  Each callable returns a new array, which
+    :meth:`f` may hand back as it is.
     """
 
     log_density_neg: Callable[[np.ndarray], np.ndarray]
@@ -228,15 +228,28 @@ class DensitySpec:
     log_norm: float = 0.0
 
     def f(self, x) -> np.ndarray:
-        return np.asarray(self.log_density_neg(np.asarray(x, dtype=float))) + self.log_norm
+        out = self.log_density_neg(np.asarray(x, dtype=float))
+        if self.log_norm:
+            out = out + self.log_norm
+        return out
 
     @classmethod
     def gaussian(cls, mean: float, variance: float) -> "DensitySpec":
         if variance <= 0:
             raise DomainError("variance must be positive")
         c = 0.5 * math.log(2.0 * math.pi * variance)
+        two_v = 2.0 * variance
+
+        def log_density_neg(x):
+            # (x - mean)^2 / (2 variance) + c, in one buffer
+            z = x - mean
+            z *= z
+            z /= two_v
+            z += c
+            return z
+
         return cls(
-            log_density_neg=lambda x: (x - mean) ** 2 / (2.0 * variance) + c,
+            log_density_neg=log_density_neg,
             grad=lambda x: (x - mean) / variance,
             hess=lambda x: np.full_like(np.asarray(x, dtype=float), 1.0 / variance),
         )
@@ -337,6 +350,88 @@ def _check_map_values(grid: Grid, map_values) -> np.ndarray:
     return t
 
 
+def _hermite(x: np.ndarray, y: np.ndarray, dydx: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Piecewise cubic Hermite interpolant of (x, y) with knot slopes ``dydx``.
+
+    Each piece is a polynomial in the offset s from its left knot, summed
+    term by term from the constant up (c0 + c1 s + c2 s^2 + c3 s^3); points
+    beyond the knots continue the end pieces.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2.0 * slope) / dx
+    i = np.clip(np.searchsorted(x, q, side="right") - 1, 0, len(x) - 2)
+    s = q - x[i]
+    out = y[i] + dydx[i] * s
+    z = s * s
+    out += ((slope - dydx[:-1]) / dx - t)[i] * z
+    z *= s
+    out += (t / dx)[i] * z
+    return out
+
+
+def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Knot slopes of the monotone PCHIP interpolant (Fritsch & Carlson 1980).
+
+    Interior slopes are the weighted harmonic mean of the adjacent secant
+    slopes, or 0 where those change sign or vanish; the end slopes are the
+    one-sided three-point estimates, clamped to keep the data's shape
+    (zero against the end secant's sign, at most three times its slope
+    where the secants turn).  Needs three knots.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.zeros_like(y)
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    ok = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
+    d[1:-1][ok] = 1.0 / ((w1[ok] / m[:-1][ok] + w2[ok] / m[1:][ok]) / (w1[ok] + w2[ok]))
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
+def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _spline_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Knot slopes of the not-a-knot cubic spline through (x, y).
+
+    The end rows make the third derivative continuous across the second
+    and the next-to-last knot; the tridiagonal system is solved by forward
+    elimination and back substitution.  Needs four knots.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    diag = np.empty_like(y)
+    rhs = np.empty_like(y)
+    diag[1:-1] = 2.0 * (dx[:-1] + dx[1:])
+    rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    upper = np.concatenate(([x[2] - x[0]], dx[:-1]))   # row i, column i + 1
+    lower = np.concatenate((dx[1:], [x[-1] - x[-3]]))   # row i + 1, column i
+    d = upper[0]
+    diag[0] = dx[1]
+    rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = lower[-1]
+    diag[-1] = dx[-2]
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    a, b, up, lo = diag.tolist(), rhs.tolist(), upper.tolist(), lower.tolist()
+    for k in range(1, len(a)):
+        w = lo[k - 1] / a[k - 1]
+        a[k] -= w * up[k - 1]
+        b[k] -= w * b[k - 1]
+    b[-1] /= a[-1]
+    for k in range(len(a) - 2, -1, -1):
+        b[k] = (b[k] - up[k] * b[k + 1]) / a[k]
+    return np.array(b)
+
+
 def pushforward_monotone(
     d: GridDensity, map_values, target_grid: Grid | None = None
 ) -> GridDensity:
@@ -344,8 +439,9 @@ def pushforward_monotone(
 
     The output density on ``target_grid`` (default: the source grid) is
     built from the change-of-variables identity: at y = T(x) the log of the
-    new density is log d(x) - log T'(x).  Log-density and the inverse map
-    are interpolated with cubic accuracy; nodes beyond the image of the map
+    new density is log d(x) - log T'(x).  The inverse map is interpolated by
+    monotone PCHIP and the log-density by the not-a-knot cubic spline, both
+    cubic Hermite pieces evaluated in numpy; nodes beyond the image of the map
     continue the boundary log-slope so positivity is preserved.
 
     Raises :class:`TruncationError` when more than ``TRUNCATION_TOL`` of the
@@ -396,11 +492,10 @@ def pushforward_monotone(
     log_push = d.log_values[core] - np.log(t_prime)
 
     ys = target.nodes
-    inv = PchipInterpolator(t_c, xs_c)
-    log_spline = CubicSpline(xs_c, log_push)
     out = np.empty(target.n)
     inside = (ys >= t_c[0]) & (ys <= t_c[-1])
-    out[inside] = log_spline(inv(ys[inside]))
+    x_at = _hermite(t_c, xs_c, _pchip_slopes(t_c, xs_c), ys[inside])
+    out[inside] = _hermite(xs_c, log_push, _spline_slopes(xs_c, log_push), x_at)
     # continue the boundary log-slope beyond the core image (exponential tails)
     if not np.all(inside):
         lo_slope = max((log_push[1] - log_push[0]) / (t_c[1] - t_c[0]), 0.0)

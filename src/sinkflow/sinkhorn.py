@@ -26,7 +26,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import logsumexp
 
 from .errors import DomainError, NumericOverflow
 from .grids import Grid, GridDensity, _readonly
@@ -292,6 +291,14 @@ def coupling(state: SinkhornState) -> EntropicCoupling:
     return EntropicCoupling(state.mu.grid, state.nu.grid, lg)
 
 
+def _logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """log sum exp(a) along ``axis`` (over every entry for None), shifted by
+    the maximum so that no exp overflows."""
+    peak = np.max(a, axis=axis, keepdims=True)
+    total = np.sum(np.exp(a - peak), axis=axis, keepdims=True)
+    return np.squeeze(np.log(total) + peak, axis=axis)
+
+
 def ipfp_marginal_view(
     u0, mu: GridDensity, nu: GridDensity, eps: float, steps: int
 ) -> GridDensity:
@@ -306,13 +313,13 @@ def ipfp_marginal_view(
     wx, wy = mu.grid.trapezoid_weights, nu.grid.trapezoid_weights
     lg = (np.outer(xs, ys) - np.asarray(u0, float)[:, None]) / eps \
         + mu.log_values[:, None] + nu.log_values[None, :]
-    lg -= logsumexp(lg + np.log(wx)[:, None] + np.log(wy)[None, :])
+    lg -= _logsumexp(lg + np.log(wx)[:, None] + np.log(wy)[None, :])
     # the initial column fit already yields the first iterate's coupling,
     # so `steps` two-step iterations need steps - 1 further double-scalings
-    lg += (nu.log_values - (logsumexp(lg + np.log(wx)[:, None], axis=0)))[None, :]
+    lg += (nu.log_values - (_logsumexp(lg + np.log(wx)[:, None], axis=0)))[None, :]
     for _ in range(steps - 1):
-        lg += (mu.log_values - logsumexp(lg + np.log(wy)[None, :], axis=1))[:, None]
-        lg += (nu.log_values - logsumexp(lg + np.log(wx)[:, None], axis=0))[None, :]
+        lg += (mu.log_values - _logsumexp(lg + np.log(wy)[None, :], axis=1))[:, None]
+        lg += (nu.log_values - _logsumexp(lg + np.log(wx)[:, None], axis=0))[None, :]
     vals = np.exp(lg) @ wy
     return GridDensity.from_unnormalized(mu.grid, vals)
 

@@ -106,11 +106,10 @@ class ConvexPotential:
                    np.asarray(d2u(xs), float), floor)
 
     @classmethod
-    def quadratic(cls, grid: Grid, curvature: float = 1.0,
-                  floor: float = DEFAULT_CONVEXITY_FLOOR):
+    def quadratic(cls, grid: Grid, curvature: float = 1.0):
         xs = grid.nodes
         return cls(grid, 0.5 * curvature * xs**2, curvature * xs,
-                   np.full(grid.n, float(curvature)), floor)
+                   np.full(grid.n, float(curvature)))
 
     def gradient_range(self) -> tuple[float, float]:
         return float(self.du[0]), float(self.du[-1])

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sinkflow
 import sinkflow.experiments as experiments
 from sinkflow.cli import main
 from sinkflow.errors import DomainError, EmptyTable
@@ -347,3 +352,23 @@ class TestCliCommands:
         code = main(["tabulate", "euclid_inverse", "--points", "5"])
         assert code == 0
         assert (tmp_path / "tabulate_euclid_inverse.csv").exists()
+
+
+def test_runs_on_numpy_alone(tmp_path):
+    # a fresh interpreter imports sinkflow and runs the quick battery
+    # without loading scipy or any of its submodules
+    script = (
+        "import sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "import sinkflow\n"
+        "from sinkflow.experiments import verify_battery\n"
+        "after_import = scipy_modules()\n"
+        f"verify_battery({str(tmp_path)!r}, profile='quick')\n"
+        "print('SCIPY', after_import, scipy_modules())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(sinkflow.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=600, check=True)
+    assert done.stdout.splitlines()[-1] == "SCIPY [] []"
+    assert (tmp_path / "verify_manifest.json").exists()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from sinkflow.errors import (
     DomainError,
@@ -16,6 +17,9 @@ from sinkflow.grids import (
     DensitySpec,
     Grid,
     GridDensity,
+    _hermite,
+    _pchip_slopes,
+    _spline_slopes,
     cdf_values,
     discretize,
     grad_central,
@@ -197,6 +201,73 @@ class TestPushforward:
     def test_escaping_mass_rejected(self, std_normal, grid):
         with pytest.raises(TruncationError):
             pushforward_monotone(std_normal, 2.0 * grid.nodes)  # image [-16,16] onto [-8,8]
+
+
+def knots(kind, n):
+    if kind == "uniform":
+        return np.linspace(-3.0, 4.0, n)
+    return np.cumsum(np.random.default_rng(n).uniform(0.01, 1.0, n)) - 5.0
+
+
+def knot_values(x):
+    """Samples with a flat run, a strict extremum, secant slopes that change
+    sign, and a kink."""
+    y = np.sin(1.7 * x) + 0.3 * x + 0.05 * np.abs(x - x[len(x) // 5])
+    y[len(x) // 3: len(x) // 3 + 4] = y[len(x) // 3]
+    return y
+
+
+def queries(x):
+    """Every knot, both ends, points beyond them and random interior points."""
+    inner = np.random.default_rng(len(x) + 1).uniform(x[0], x[-1], 4 * len(x))
+    beyond = [x[0] - 0.3, x[0] - 1e-12, x[-1] + 1e-12, x[-1] + 0.3]
+    return np.sort(np.concatenate([x, inner, beyond]))
+
+
+class TestCubicInterpolants:
+    """The numpy PCHIP and not-a-knot spline in pushforward_monotone against
+    scipy's PchipInterpolator and CubicSpline."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "nonuniform"])
+    @pytest.mark.parametrize("n", [5, 16, 400, 1600])
+    def test_pchip_matches_scipy(self, kind, n):
+        x = knots(kind, n)
+        y = knot_values(x)
+        q = queries(x)
+        got = _hermite(x, y, _pchip_slopes(x, y), q)
+        want = PchipInterpolator(x, y)(q)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("kind", ["uniform", "nonuniform"])
+    @pytest.mark.parametrize("n", [4, 5, 16, 400, 1600])
+    def test_spline_matches_scipy(self, kind, n):
+        x = knots(kind, n)
+        y = knot_values(x)
+        q = queries(x)
+        got = _hermite(x, y, _spline_slopes(x, y), q)
+        want = CubicSpline(x, y)(q)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_pchip_end_slope_clamps(self):
+        # the one-sided estimate points against the end secant (set to 0) or
+        # overshoots three times it where the secants turn (set to 3 m0)
+        x = np.array([0.0, 1.0, 1.5, 4.0, 5.0])
+        for y in ([0.0, 1.0, 3.0, 2.5, 2.0], [0.0, 1.0, -4.0, -3.0, -2.0],
+                  [0.0, 0.1, 2.0, -1.0, 3.0]):
+            y = np.asarray(y)
+            np.testing.assert_allclose(_pchip_slopes(x, y), PchipInterpolator(x, y)(x, 1),
+                                       rtol=0, atol=1e-14)
+
+    def test_knots_reproduced(self):
+        x = knots("nonuniform", 40)
+        y = knot_values(x)
+        for slopes in (_pchip_slopes(x, y), _spline_slopes(x, y)):
+            np.testing.assert_allclose(_hermite(x, y, slopes, x), y, rtol=0, atol=1e-14)
+
+    def test_spline_exact_on_cubics(self):
+        x = knots("nonuniform", 12)
+        y = x**3 - 2.0 * x
+        np.testing.assert_allclose(_spline_slopes(x, y), 3.0 * x**2 - 2.0, rtol=1e-11)
 
 
 def sample(d, count, seed):

@@ -221,12 +221,15 @@ class TestMirrorLangevin:
 
     def test_stationarity_under_nonquadratic_mirror(self):
         # start at the target; the chain must keep that law (KS within twice
-        # its initial value)
+        # its initial value, variance within 3 standard errors).  u'' runs
+        # from 2 at the origin to 1 in the tails, so a step that drops the
+        # mirror Hessian from the diffusion narrows the law (KS ~0.09,
+        # variance ~0.51)
         u = ConvexPotential.from_callable(
             GRID,
-            lambda x: 0.5 * x**2 + 0.4 * np.cosh(x / 2.0),
-            lambda x: x + 0.2 * np.sinh(x / 2.0),
-            lambda x: 1.0 + 0.1 * np.cosh(x / 2.0))
+            lambda x: 0.5 * x**2 + np.log(np.cosh(x)),
+            lambda x: x + np.tanh(x),
+            lambda x: 2.0 - np.tanh(x) ** 2)
         frozen = make_flow_state(GRID, STD_SPEC, STD_SPEC, u)
         count = 20000
         ens = ParticleEnsemble.from_density(frozen.nu, count, seed=5)
@@ -234,6 +237,8 @@ class TestMirrorLangevin:
         for _ in range(1000):
             ens = dual_sde_step(ens, frozen, 1e-3)
         assert ks_distance(ens, frozen.nu) <= 2 * ks0
+        target_var = frozen.nu.variance()
+        assert abs(np.var(ens.positions) - target_var) <= 3 * target_var * math.sqrt(2.0 / count)
 
     def test_seeded(self):
         state = make_flow_state(GRID, STD_SPEC, STD_SPEC, ConvexPotential.quadratic(GRID))

@@ -425,6 +425,41 @@ def assert_same_flow_state(got, want):
     assert got.t == want.t
 
 
+class ReferenceSpec(DensitySpec):
+    """DensitySpec.f as it was before it skipped a zero log_norm: the
+    callable wrapped in np.asarray on both sides, log_norm always added."""
+
+    def f(self, x):
+        return np.asarray(self.log_density_neg(np.asarray(x, dtype=float))) + self.log_norm
+
+
+def reference_gaussian(mean, variance):
+    """The Gaussian spec as it was, one temporary per operation."""
+    c = 0.5 * math.log(2.0 * math.pi * variance)
+    return ReferenceSpec(
+        log_density_neg=lambda x: (x - mean) ** 2 / (2.0 * variance) + c,
+        grad=lambda x: (x - mean) / variance,
+        hess=lambda x: np.full_like(np.asarray(x, dtype=float), 1.0 / variance),
+    )
+
+
+@pytest.mark.parametrize("nu_mean, nu_variance", [(0.5, 1.0), (0.0, 0.25)],
+                         ids=["location", "scale"])
+def test_density_spec_f_unchanged_along_flow(nu_mean, nu_variance):
+    # 100 steps at n = 2048 give the same states bit for bit with the
+    # one-buffer Gaussian spec and with the spec as it was
+    grid = Grid(-8.0, 8.0, 2048)
+    u0 = ConvexPotential.quadratic(grid)
+    got = make_flow_state(grid, MU_SPEC, DensitySpec.gaussian(nu_mean, nu_variance), u0)
+    want = make_flow_state(grid, reference_gaussian(0.0, 1.0),
+                           reference_gaussian(nu_mean, nu_variance), u0)
+    assert_same_flow_state(got, want)
+    for _ in range(100):
+        got = step(got, 1e-3)
+        want = step(want, 1e-3)
+        assert_same_flow_state(got, want)
+
+
 def flattener_state():
     return make_flow_state(GRID, MU_SPEC, MU_SPEC, ConvexPotential.quadratic(GRID),
                            functional=Flattener(), a_floor=0.9)

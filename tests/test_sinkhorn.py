@@ -8,6 +8,7 @@ from sinkflow.closed_form import sinkhorn_location_iterates, sinkhorn_scale_iter
 from sinkflow.grids import DensitySpec, Grid, discretize, kl_divergence
 from sinkflow.sinkhorn import (
     _kernel_lse,
+    _logsumexp,
     _log_kernel,
     coupling,
     initial_state,
@@ -266,6 +267,18 @@ def test_ipfp_view_matches_potential_iteration():
         st = s_step(st)
     alt = ipfp_marginal_view(quad_u0(), MU, NU, 0.1, 5)
     assert np.max(np.abs(alt.values - st.rho.values)) < 1e-8
+
+
+@pytest.mark.parametrize("axis", [None, 0, 1])
+def test_logsumexp_matches_scipy(axis):
+    # entries far below and far above exp's range, as in the dense IPFP kernel
+    a = np.random.default_rng(3).normal(0.0, 300.0, (40, 70))
+    a[5, :] = -2000.0
+    a[:, 7] = 900.0
+    got = _logsumexp(a, axis=axis)
+    want = logsumexp(a, axis=axis)
+    assert np.shape(got) == np.shape(want)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.05])
