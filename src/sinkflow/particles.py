@@ -85,20 +85,18 @@ def _euler_maruyama(e: ParticleEnsemble, grid: Grid, dt: float,
 def sinkhorn_sde_coefficients(state: PmaState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Drift and diffusion at points ``x``, read from a flow state.
 
-    Drift: -f'(x)/u''(x) - g'(u'(x)) + h'(x)/u''(x); diffusion sqrt(2/u'').
-    The middle term carries no inverse-Hessian factor: it is the gradient in
-    the mirror coordinate itself, and exactly this combination reproduces
-    the flow's continuity equation through the change-of-measure identity.
-    The points are located on the grid once and u', u'' and h' are all read
-    at that location.
+    The mirrored diffusion's drift is -f'/u'' - g'(u') + h'/u''.  By the
+    change of measure h = g(u') - log u'' its last two terms collapse to
+    (1/u'')', so the drift is -f'/u'' + (1/u'')' and the diffusion
+    sqrt(2/u''): neither reads the target.  Both are tabulated on the grid
+    nodes and read at the points with one locate and two lerps; points
+    beyond the grid take the end-node values.
     """
     grid = state.grid
+    d2u = state.u.d2u
+    drift = grad_central(1.0 / d2u, grid.spacing) - state.mu_spec.grad(grid.nodes) / d2u
     at = locate(grid, x)
-    du = lerp(at, state.u.du)
-    d2u = lerp(at, state.u.d2u)
-    hp = lerp(at, grad_central(np.asarray(state.h), grid.spacing))
-    drift = (-state.mu_spec.grad(x) + hp) / d2u - state.nu_spec.grad(du)
-    return drift, np.sqrt(2.0 / d2u)
+    return lerp(at, drift), lerp(at, np.sqrt(2.0 / d2u))
 
 
 def sinkhorn_sde_step(
@@ -111,21 +109,31 @@ def sinkhorn_sde_step(
     return _euler_maruyama(e, pma.grid, dt, drift, diffusion, zero_noise)
 
 
-def dual_sde_step(
-    e: ParticleEnsemble, pma: PmaState, dt: float, zero_noise: bool = False
-) -> ParticleEnsemble:
-    """One Euler-Maruyama step of the dual-coordinate diffusion.
+def dual_sde_coefficients(state: PmaState, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drift and diffusion of the dual-coordinate diffusion at points ``y``.
 
     Drift -h'(w'(y)), diffusion sqrt(2 u''(w'(y))) with w the conjugate
     potential; with the mirror frozen this process leaves the target
-    marginal invariant.  The pulled-back points w'(y) are located on the
-    grid once for both coefficients.
+    marginal invariant.  Both are tabulated on a uniform grid of n nodes
+    over the range of u', pulling each node back through w' once, and read
+    at the points with one locate and two lerps; points beyond that range
+    take the end-node values.
     """
-    grid = pma.grid
-    at = locate(grid, inverse_gradient_map(pma.u, e.positions))
-    drift = -lerp(at, grad_central(np.asarray(pma.h), grid.spacing))
-    diffusion = np.sqrt(2.0 * lerp(at, pma.u.d2u))
-    return _euler_maruyama(e, grid, dt, drift, diffusion, zero_noise)
+    u = state.u
+    ys = Grid(u.du[0], u.du[-1], u.grid.n)
+    at = locate(u.grid, inverse_gradient_map(u, ys.nodes))
+    drift = -lerp(at, grad_central(state.h, u.grid.spacing))
+    diffusion = np.sqrt(2.0 * lerp(at, u.d2u))
+    at = locate(ys, y)
+    return lerp(at, drift), lerp(at, diffusion)
+
+
+def dual_sde_step(
+    e: ParticleEnsemble, pma: PmaState, dt: float, zero_noise: bool = False
+) -> ParticleEnsemble:
+    """One Euler-Maruyama step of the dual-coordinate diffusion."""
+    drift, diffusion = dual_sde_coefficients(pma, e.positions)
+    return _euler_maruyama(e, pma.grid, dt, drift, diffusion, zero_noise)
 
 
 def markov_chain_step(e: ParticleEnsemble, sk: SinkhornState) -> ParticleEnsemble:

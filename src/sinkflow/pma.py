@@ -167,23 +167,6 @@ def make_flow_state(
     )
 
 
-def gaussian_location_state(grid: Grid, theta: float, **kwargs) -> PmaState:
-    """Standard-normal first marginal, shifted-normal target, started at the
-    target with the identity mirror."""
-    mu_spec = DensitySpec.gaussian(0.0, 1.0)
-    nu_spec = DensitySpec.gaussian(theta, 1.0)
-    return make_flow_state(grid, mu_spec, nu_spec, ConvexPotential.quadratic(grid), **kwargs)
-
-
-def gaussian_scale_state(grid: Grid, eta: float, **kwargs) -> PmaState:
-    """Standard-normal first marginal, narrowed-normal target N(0, eta^2)."""
-    if not 0.0 < eta < 1.0:
-        raise DomainError("eta must lie in (0, 1)")
-    mu_spec = DensitySpec.gaussian(0.0, 1.0)
-    nu_spec = DensitySpec.gaussian(0.0, eta * eta)
-    return make_flow_state(grid, mu_spec, nu_spec, ConvexPotential.quadratic(grid), **kwargs)
-
-
 def pma_rhs(state: PmaState) -> np.ndarray:
     """Nodewise time derivative of the potential (the first variation)."""
     if float(np.min(state.u.d2u)) < state.a_floor:

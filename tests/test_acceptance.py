@@ -43,14 +43,15 @@ from sinkflow.closed_form import (
 from sinkflow.experiments import (ExperimentConfig, Report, floor_steps, run_experiment,
                                   verify_battery)
 from sinkflow.grids import DensitySpec, Grid, discretize, pushforward_monotone
-from sinkflow.pma import (continuity_residual, dual_pma_residual, gaussian_location_state,
-                          make_flow_state, run_flow, step)
+from sinkflow.pma import continuity_residual, dual_pma_residual, make_flow_state, run_flow, step
 from sinkflow.sinkhorn import coupling, initial_state, s_step, u_operator, v_operator
 from sinkflow.transport import (
     ConvexPotential,
     change_of_measure_residual,
     log_det_hessian_gradient_residual,
 )
+
+from conftest import gaussian_flow_state
 
 GRID = Grid(-8.0, 8.0, 512)
 DT = 1e-3
@@ -277,7 +278,7 @@ def test_criterion_8_pde_identities(stationary_pair):
     levels = {}
     for n, dt in ((512, 1e-3), (1024, 5e-4)):
         g = Grid(-8.0, 8.0, n)
-        states = run_flow(gaussian_location_state(g, THETA), dt,
+        states = run_flow(gaussian_flow_state(g, mean=THETA), dt,
                           int(round(0.5 / dt)) + 1, max_substep=sub)
         k = int(round(0.5 / dt))
         phi = ConvexPotential.from_callable(

@@ -7,6 +7,7 @@ from sinkflow.errors import DomainError, ParticleEscape
 from sinkflow.grids import DensitySpec, Grid, discretize, grad_central
 from sinkflow.particles import (
     ParticleEnsemble,
+    dual_sde_coefficients,
     dual_sde_step,
     generator_stationarity_residual,
     ks_distance,
@@ -16,14 +17,21 @@ from sinkflow.particles import (
     sinkhorn_sde_step,
     uniform_block,
 )
-from sinkflow.pma import (gaussian_location_state, gaussian_scale_state, inverse_gradient_map,
-                          make_flow_state, step)
+from sinkflow.pma import inverse_gradient_map, make_flow_state, step
 from sinkflow.sinkhorn import _kernel_draw, _log_kernel, initial_state, s_step
 from sinkflow.transport import ConvexPotential
+
+from conftest import gaussian_flow_state
 
 GRID = Grid(-8.0, 8.0, 512)
 STD_SPEC = DensitySpec.gaussian(0.0, 1.0)
 STD = discretize(STD_SPEC, GRID)
+COSH_MIRROR = (lambda x: 0.5 * x**2 + 0.4 * np.cosh(x / 2.0),
+               lambda x: x + 0.2 * np.sinh(x / 2.0),
+               lambda x: 1.0 + 0.1 * np.cosh(x / 2.0))
+LOG_COSH_MIRROR = (lambda x: 0.5 * x**2 + np.log(np.cosh(x)),
+                   lambda x: x + np.tanh(x),
+                   lambda x: 2.0 - np.tanh(x) ** 2)
 
 
 class TestNoise:
@@ -45,7 +53,7 @@ class TestNoise:
 
 class TestPrimalSde:
     def test_seed_determinism(self):
-        state = gaussian_location_state(GRID, 0.5)
+        state = gaussian_flow_state(GRID, mean=0.5)
         e0 = ParticleEnsemble.from_density(state.rho, 500, seed=1)
         a = sinkhorn_sde_step(e0, state, 1e-3)
         b = sinkhorn_sde_step(e0, state, 1e-3)
@@ -65,7 +73,7 @@ class TestPrimalSde:
         assert np.array_equal(e1.positions, xs)
 
     def test_diffusion_matches_inverse_hessian(self):
-        state = gaussian_location_state(GRID, 0.5)
+        state = gaussian_flow_state(GRID, mean=0.5)
         xs = np.linspace(-3, 3, 17)
         _, diffusion = sinkhorn_sde_coefficients(state, xs)
         d2u = np.interp(xs, GRID.nodes, state.u.d2u)
@@ -73,7 +81,7 @@ class TestPrimalSde:
 
     def test_marginal_moments_track_flow(self):
         # short run; the acceptance suite exercises the full-scale version
-        state = gaussian_location_state(GRID, 0.5)
+        state = gaussian_flow_state(GRID, mean=0.5)
         count = 20000
         ens = ParticleEnsemble.from_density(state.rho, count, seed=7)
         cur = state
@@ -85,23 +93,54 @@ class TestPrimalSde:
         assert abs(ens.mean() - cur.rho.mean()) <= 3 * se_m
         assert abs(ens.variance() - cur.rho.variance()) <= 3 * se_v
 
+    def test_marginal_moments_track_flow_under_nonquadratic_mirror(self):
+        # u = x^2/2 + log cosh x, so (1/u'')' is far from zero: a drift that
+        # drops it leaves the variance ~5 standard errors below the flow's
+        u = ConvexPotential.from_callable(GRID, *LOG_COSH_MIRROR)
+        state = make_flow_state(GRID, STD_SPEC, STD_SPEC, u)
+        count = 20000
+        ens = ParticleEnsemble.from_density(state.rho, count, seed=7)
+        cur = state
+        for _ in range(250):
+            ens = sinkhorn_sde_step(ens, cur, 1e-3)
+            cur = step(cur, 1e-3)
+        se_m = math.sqrt(ens.variance() / count)
+        se_v = ens.variance() * math.sqrt(2.0 / count)
+        assert abs(ens.mean() - cur.rho.mean()) <= 3 * se_m
+        assert abs(ens.variance() - cur.rho.variance()) <= 3 * se_v
+
+    @pytest.mark.parametrize("mean, variance", [(0.5, 1.0), (0.0, 0.25)], ids=["location", "scale"])
+    def test_node_drift_is_change_of_measure_form(self, mean, variance):
+        # h = g(u') - log u'' turns -f'/u'' - g'(u') + h'/u'' into
+        # -f'/u'' + (1/u'')'; at t = 0.5 u is still quadratic, so the
+        # stencils are exact and the two forms agree to roundoff
+        state = gaussian_flow_state(GRID, mean=mean, variance=variance)
+        for _ in range(500):
+            state = step(state, 1e-3)
+        xs = GRID.nodes
+        hp = grad_central(np.asarray(state.h), GRID.spacing)
+        former = (-state.mu_spec.grad(xs) + hp) / state.u.d2u - state.nu_spec.grad(state.u.du)
+        drift, _ = sinkhorn_sde_coefficients(state, xs)
+        keep = GRID.interior_slice()
+        assert np.max(np.abs(drift[keep] - former[keep])) <= 1e-10
+
     def test_time_mismatch_rejected(self):
-        state = gaussian_location_state(GRID, 0.5)
+        state = gaussian_flow_state(GRID, mean=0.5)
         e0 = ParticleEnsemble(np.zeros(10), 0.5, seed=1)
         with pytest.raises(DomainError):
             sinkhorn_sde_step(e0, state, 1e-3)
 
     def test_escape_detected(self):
         # an oversized step drives the drift far outside the margin
-        state = gaussian_location_state(GRID, 0.5)
+        state = gaussian_flow_state(GRID, mean=0.5)
         ens = ParticleEnsemble(np.array([8.5]), 0.0, seed=1)
         with pytest.raises(ParticleEscape):
             sinkhorn_sde_step(ens, state, 5.0, zero_noise=True)
 
 
 def _interp_sde_step(e, state, dt):
-    """The primal step as written before the shared grid locate: one
-    ``np.interp`` per coefficient lookup, u'' looked up twice."""
+    """The primal step as written before the node tables: one ``np.interp``
+    per coefficient lookup, u'' looked up twice, f' read at the particle."""
     xs, x = state.grid.nodes, e.positions
     h_prime = grad_central(np.asarray(state.h), state.grid.spacing)
     du = np.interp(x, xs, state.u.du)
@@ -114,7 +153,8 @@ def _interp_sde_step(e, state, dt):
 
 
 def _interp_dual_step(e, state, dt):
-    """The dual step as written before the shared grid locate."""
+    """The dual step as written before the node tables: every particle
+    pulled back through w' and its coefficients read there."""
     xs, y = state.grid.nodes, e.positions
     h_prime = grad_central(np.asarray(state.h), state.grid.spacing)
     x_back = inverse_gradient_map(state.u, y)
@@ -124,55 +164,83 @@ def _interp_dual_step(e, state, dt):
     return y + dt * drift + math.sqrt(dt) * diffusion * z
 
 
+REFINE = (512, 1024, 2048)
+
+
 @pytest.fixture(scope="module")
 def evolved():
-    """Flow states five steps in, on a quadratic and a non-quadratic mirror."""
-    cosh_mirror = ConvexPotential.from_callable(
-        GRID,
-        lambda x: 0.5 * x**2 + 0.4 * np.cosh(x / 2.0),
-        lambda x: x + 0.2 * np.sinh(x / 2.0),
-        lambda x: 1.0 + 0.1 * np.cosh(x / 2.0))
-    starts = {"location": gaussian_location_state(GRID, 0.5),
-              "scale": gaussian_scale_state(GRID, 0.5),
-              "cosh mirror": make_flow_state(GRID, STD_SPEC, DensitySpec.gaussian(0.3, 0.8),
-                                             cosh_mirror)}
+    """Flow states five steps in, on two quadratic and a non-quadratic
+    mirror, keyed by (name, n) for each grid of the refinement."""
     out = {}
-    for name, state in starts.items():
-        for _ in range(5):
-            state = step(state, 1e-3)
-        out[name] = state
+    for n in REFINE:
+        grid = Grid(-8.0, 8.0, n)
+        starts = {"location": gaussian_flow_state(grid, mean=0.5),
+                  "scale": gaussian_flow_state(grid, variance=0.25),
+                  "cosh mirror": make_flow_state(grid, STD_SPEC, DensitySpec.gaussian(0.3, 0.8),
+                                                 ConvexPotential.from_callable(grid, *COSH_MIRROR))}
+        for name, state in starts.items():
+            for _ in range(5):
+                state = step(state, 1e-3)
+            out[name, n] = state
     return out
 
 
 class TestSharedLocate:
-    """The steps read every coefficient from one grid locate; they must
-    agree with the per-coefficient ``np.interp`` formulas to roundoff, with
-    the noise on and particles at and beyond the grid ends."""
+    """The steps read their coefficients from node tables through one grid
+    locate.  Against the former per-particle ``np.interp`` formulas, with
+    the noise on, they agree to roundoff on the quadratic mirrors, where
+    every stencil is exact; on the cosh mirror the two differ at O(h^2),
+    so there the gap must fall at least 3x per grid doubling.  Points
+    beyond a table's ends take its end-node values."""
 
     @staticmethod
-    def _ensemble(density, state, seed):
-        inner = ParticleEnsemble.from_density(density, 10_000, seed=seed).positions
-        edges = np.array([GRID.lower - 0.5, GRID.lower, GRID.upper, GRID.upper + 0.5])
-        return ParticleEnsemble(np.concatenate([inner, edges]), state.t, seed=seed, step_count=3)
+    def _check_gaps(name, stepper, reference, marginal, evolved):
+        gaps = []
+        for n in REFINE:
+            state = evolved[name, n]
+            inner = ParticleEnsemble.from_density(getattr(state, marginal), 10_000, seed=21)
+            e = ParticleEnsemble(inner.positions, state.t, seed=21, step_count=3)
+            gaps.append(np.max(np.abs(stepper(e, state, 1e-3).positions
+                                      - reference(e, state, 1e-3))))
+        if name == "cosh mirror":
+            assert gaps[0] <= 1e-5
+            assert gaps[0] >= 3 * gaps[1] and gaps[1] >= 3 * gaps[2]
+        else:
+            assert max(gaps) <= 1e-12
 
     @pytest.mark.parametrize("name", ["location", "scale", "cosh mirror"])
     def test_primal_step_matches_interp_reference(self, evolved, name):
-        state = evolved[name]
-        e = self._ensemble(state.rho, state, seed=21)
-        got = sinkhorn_sde_step(e, state, 1e-3).positions
-        assert np.max(np.abs(got - _interp_sde_step(e, state, 1e-3))) <= 1e-12
+        self._check_gaps(name, sinkhorn_sde_step, _interp_sde_step, "rho", evolved)
 
     @pytest.mark.parametrize("name", ["location", "scale", "cosh mirror"])
     def test_dual_step_matches_interp_reference(self, evolved, name):
-        state = evolved[name]
-        e = self._ensemble(state.nu, state, seed=22)
-        got = dual_sde_step(e, state, 1e-3).positions
-        assert np.max(np.abs(got - _interp_dual_step(e, state, 1e-3))) <= 1e-12
+        self._check_gaps(name, dual_sde_step, _interp_dual_step, "nu", evolved)
+
+    @pytest.mark.parametrize("name", ["location", "scale", "cosh mirror"])
+    def test_points_beyond_the_ends_take_end_node_values(self, evolved, name):
+        state = evolved[name, 512]
+        d2u = state.u.d2u
+        primal = (grad_central(1.0 / d2u, GRID.spacing) - state.mu_spec.grad(GRID.nodes) / d2u,
+                  np.sqrt(2.0 / d2u))
+        dual = (-grad_central(np.asarray(state.h), GRID.spacing), np.sqrt(2.0 * d2u))
+        for coefficients, ends, tables in (
+                (sinkhorn_sde_coefficients, GRID.nodes[[0, -1]], primal),
+                (dual_sde_coefficients, state.u.du[[0, -1]], dual)):
+            beyond = coefficients(state, ends + [-0.5, 0.5])
+            for got, far, table in zip(beyond, coefficients(state, ends + [-3.0, 3.0]), tables):
+                assert np.array_equal(got, far)
+                assert np.max(np.abs(got - table[[0, -1]])) <= 1e-12 * np.max(np.abs(table))
+        # a primal step moves particles at +-8.5 by exactly those values
+        e = ParticleEnsemble(np.array([-8.5, 8.5]), state.t, seed=21, step_count=3)
+        drift, diffusion = sinkhorn_sde_coefficients(state, GRID.nodes[[0, -1]])
+        z = noise_block(21, 3, 2)
+        expected = e.positions + 1e-3 * drift + math.sqrt(1e-3) * diffusion * z
+        assert np.array_equal(sinkhorn_sde_step(e, state, 1e-3).positions, expected)
 
 
 class TestDualSde:
     def test_frozen_mirror_preserves_target(self):
-        state = gaussian_location_state(GRID, 0.5)
+        state = gaussian_flow_state(GRID, mean=0.5)
         count = 20000
         ens = ParticleEnsemble.from_density(state.nu, count, seed=8)
         for _ in range(250):
@@ -191,7 +259,7 @@ class TestDualSde:
         # primal and dual ensembles driven by identical noise: mapping the
         # dual through the gradient map matches the primal to O(dt) in mean
         dt = 1e-3
-        state = gaussian_location_state(GRID, 0.5)
+        state = gaussian_flow_state(GRID, mean=0.5)
         count = 20000
         primal = ParticleEnsemble.from_density(state.rho, count, seed=9)
         dual = ParticleEnsemble(
@@ -225,11 +293,7 @@ class TestMirrorLangevin:
         # from 2 at the origin to 1 in the tails, so a step that drops the
         # mirror Hessian from the diffusion narrows the law (KS ~0.09,
         # variance ~0.51)
-        u = ConvexPotential.from_callable(
-            GRID,
-            lambda x: 0.5 * x**2 + np.log(np.cosh(x)),
-            lambda x: x + np.tanh(x),
-            lambda x: 2.0 - np.tanh(x) ** 2)
+        u = ConvexPotential.from_callable(GRID, *LOG_COSH_MIRROR)
         frozen = make_flow_state(GRID, STD_SPEC, STD_SPEC, u)
         count = 20000
         ens = ParticleEnsemble.from_density(frozen.nu, count, seed=5)

@@ -28,8 +28,6 @@ from sinkflow.pma import (
     fokker_planck_velocity,
     fp_continuity_residual,
     gauge_consistency_residual,
-    gaussian_location_state,
-    gaussian_scale_state,
     kl_decay_series,
     make_flow_state,
     metric_derivative_lot,
@@ -42,6 +40,8 @@ from sinkflow.pma import (
     velocity_mirror_chart,
 )
 from sinkflow.transport import ConvexPotential
+
+from conftest import gaussian_flow_state
 
 GRID = Grid(-8.0, 8.0, 512)
 MU_SPEC = DensitySpec.gaussian(0.0, 1.0)
@@ -71,7 +71,7 @@ def stationary_state():
 @pytest.fixture(scope="module")
 def location_run():
     # theta = 0.5 flow integrated to t = 0.6 at the acceptance step size
-    state = gaussian_location_state(GRID, 0.5)
+    state = gaussian_flow_state(GRID, mean=0.5)
     return run_flow(state, 1e-3, 600)
 
 
@@ -83,7 +83,7 @@ class TestRhs:
     def test_location_initial_rhs(self):
         # with the identity mirror the time derivative is f - g:
         # theta*x - theta^2/2 for unit-variance marginals
-        state = gaussian_location_state(GRID, 0.5)
+        state = gaussian_flow_state(GRID, mean=0.5)
         expected = 0.5 * GRID.nodes - 0.125
         keep = GRID.interior_slice()
         assert np.max(np.abs(pma_rhs(state) - expected)[keep]) < 1e-9
@@ -113,7 +113,7 @@ class TestStep:
         assert abs(final.rho.variance() - 1.0) <= 0.02
 
     def test_scale_variance(self):
-        state = gaussian_scale_state(GRID, 0.5)
+        state = gaussian_flow_state(GRID, variance=0.25)
         states = run_flow(state, 1e-3, 500)
         got = states[-1].rho.variance()
         ref = scale_variance_entropic(0.5, states[-1].t)
@@ -140,7 +140,7 @@ class TestStep:
         assert all(s.rho_mass_error < 1e-6 for s in location_run)
 
     def test_convexity_cap(self):
-        state = gaussian_location_state(GRID, 0.5, b_cap=0.9)
+        state = gaussian_flow_state(GRID, mean=0.5, b_cap=0.9)
         with pytest.raises(ConvexityLost):
             step(state, 1e-3)
 
@@ -160,7 +160,7 @@ class TestVelocity:
         assert np.max(np.abs(velocity(stationary_state).values)[keep]) < 1e-4
 
     def test_location_velocity_constant(self):
-        state = gaussian_location_state(GRID, 0.5)
+        state = gaussian_flow_state(GRID, mean=0.5)
         keep = GRID.interior_slice()
         assert np.max(np.abs(velocity(state).values + 0.5)[keep]) < 1e-6
 
@@ -171,7 +171,7 @@ class TestVelocity:
         assert np.max(gap[keep]) < 1e-3
 
     def test_reduces_to_fokker_planck_for_identity_mirror(self):
-        state = gaussian_location_state(GRID, 0.5)
+        state = gaussian_flow_state(GRID, mean=0.5)
         fp = fokker_planck_velocity(state.rho, state.mu)
         keep = GRID.interior_slice()
         assert np.max(np.abs(velocity(state).values - fp.values)[keep]) < 1e-6
@@ -250,7 +250,7 @@ class TestResiduals:
         res = {}
         for n, dt in ((512, 1e-3), (1024, 5e-4)):
             g = Grid(-8.0, 8.0, n)
-            st = gaussian_location_state(g, 0.5)
+            st = gaussian_flow_state(g, mean=0.5)
             k = int(round(0.5 / dt))
             states = run_flow(st, dt, k + 1, max_substep=sub)
             res[n] = (dual_pma_residual(states[k], states[k + 1]),
@@ -298,7 +298,7 @@ class TestKlDecay:
         # entropic flow closes its variance deficit faster; at t = 1 the
         # run-based deficit ratio already clears the guaranteed envelope
         eta = 0.5
-        state = gaussian_scale_state(GRID, eta)
+        state = gaussian_flow_state(GRID, variance=eta * eta)
         states = run_flow(state, 1e-3, 1000, keep_every=100)
         mu = discretize(MU_SPEC, GRID)
         rho_fp = discretize(DensitySpec.gaussian(0.0, eta * eta), GRID)
@@ -479,11 +479,11 @@ class TestInPlaceSubsteps:
 
     @pytest.mark.parametrize("n", [256, 2048])
     def test_location(self, n):
-        self.check_steps(gaussian_location_state(Grid(-8.0, 8.0, n), 0.5), 1e-3, 4)
+        self.check_steps(gaussian_flow_state(Grid(-8.0, 8.0, n), mean=0.5), 1e-3, 4)
 
     @pytest.mark.parametrize("n", [256, 2048])
     def test_scale(self, n):
-        self.check_steps(gaussian_scale_state(Grid(-8.0, 8.0, n), 0.5), 1e-3, 4)
+        self.check_steps(gaussian_flow_state(Grid(-8.0, 8.0, n), variance=0.25), 1e-3, 4)
 
     @pytest.mark.parametrize("functional", [EntropyFunctional(), PotentialEnergyFunctional()])
     def test_mirror_functionals(self, functional):
@@ -496,7 +496,7 @@ class TestInPlaceSubsteps:
         assert last.projection_magnitude > 0.0
 
     def test_max_substep(self):
-        self.check_steps(gaussian_location_state(GRID, 0.5), 1e-3, 4, max_substep=6.25e-5)
+        self.check_steps(gaussian_flow_state(GRID, mean=0.5), 1e-3, 4, max_substep=6.25e-5)
 
     @pytest.mark.parametrize("n", [512, 2048])
     def test_fokker_planck(self, n):
