@@ -34,7 +34,7 @@ from .pma import (
     EntropyFunctional,
     PmaState,
     PotentialEnergyFunctional,
-    _state_at,
+    _is_at,
     kl_decay_series,
     make_flow_state,
     metric_derivative_lot,
@@ -197,9 +197,14 @@ def _verdict(check: str, value: float, tolerance, ok: bool) -> dict:
     return {"check": check, "value": value, "tolerance": tolerance, "pass": bool(ok)}
 
 
-def _moment_verdicts(t: float, rho: GridDensity, ref, rel: float) -> list:
+def _checkpoint_verdicts(due: list, stamp: float, rho: GridDensity, oracle, rel: float) -> list:
     """Mean (when the reference mean is nonzero) and variance of rho against
-    a Gaussian reference, each within the relative tolerance rel."""
+    the Gaussian oracle, each within the relative tolerance rel, if rho's
+    time stamp is the next checkpoint due (which it then removes); else none."""
+    if not (due and _is_at(stamp, due[0])):
+        return []
+    t = due.pop(0)
+    ref = evaluate(oracle, t)
     verdicts = []
     if ref.mean != 0.0:
         verdicts.append(_verdict(
@@ -267,28 +272,24 @@ def run_pma(config: ExperimentConfig) -> Report:
     """Flow run with moment trajectory checked against the closed form."""
     num = config.numerics
     problem = Problem.from_config(config)
-    state = problem.flow_state(config.grid())
     steps = _steps(num["T"], num["dt"])
-    # thin the stored states to about 200, keeping the checkpoints' states
+    # thin the rows to about 200, keeping the checkpoints' states
     half = round(0.5 / num["dt"])
     keep = max(k for k in range(1, max(1, steps // 200) + 1) if half % k == 0)
-    states = run_flow(state, num["dt"], steps, keep_every=keep)
-    rows = [
-        {"t": s.t, "mean": s.rho.mean(), "variance": s.rho.variance(),
-         "kl": kl_divergence(s.rho, s.mu)}
-        for s in states
-    ]
-    artifacts = {}
     stride = int(config.output["snapshot_stride"])
-    if stride > 0:
-        for s in states[::stride]:
+    due = [t for t in (0.5, 1.0) if t <= num["T"] + 1e-9]
+    rows, artifacts, verdicts = [], {}, []
+    for i, s in enumerate(run_flow(problem.flow_state(config.grid()), num["dt"], steps)):
+        verdicts += _checkpoint_verdicts(due, s.t, s.rho, problem.oracle, 0.02)
+        if i % keep and i != steps:
+            continue
+        if stride > 0 and len(rows) % stride == 0:
             artifacts[f"density_t{s.t:.6f}.csv"] = [
                 {"x": x, "density": d} for x, d in zip(s.rho.grid.nodes, s.rho.values)]
-    verdicts = []
-    for t in (0.5, 1.0):
-        if t <= num["T"] + 1e-9:
-            verdicts += _moment_verdicts(t, _state_at(states, t).rho,
-                                         evaluate(problem.oracle, t), 0.02)
+        rows.append({"t": s.t, "mean": s.rho.mean(), "variance": s.rho.variance(),
+                     "kl": kl_divergence(s.rho, s.mu)})
+    if due:
+        raise DomainError(f"no state reached the checkpoint t = {due[0]}")
     return Report(config.experiment, config.hash(), rows, verdicts, artifacts)
 
 
@@ -299,18 +300,16 @@ def run_fokker_planck_experiment(config: ExperimentConfig) -> Report:
     if problem.fp_oracle is None:
         raise DomainError("fokker_planck_run expects a Gaussian problem")
     steps = _steps(num["T"], num["dt"])
-    hist = run_fokker_planck(discretize(problem.nu, grid), discretize(problem.mu, grid),
-                             num["dt"], steps)
     stride = max(1, steps // 200)
-    rows = [
-        {"t": i * num["dt"], "mean": d.mean(), "variance": d.variance()}
-        for i, d in enumerate(hist) if i % stride == 0 or i == steps
-    ]
-    verdicts = []
-    for t in (0.5, 1.0):
-        if t <= num["T"] + 1e-9:
-            verdicts += _moment_verdicts(t, hist[int(round(t / num["dt"]))],
-                                         evaluate(problem.fp_oracle, t), 0.01)
+    due = [t for t in (0.5, 1.0) if t <= num["T"] + 1e-9]
+    rows, verdicts = [], []
+    for i, d in enumerate(run_fokker_planck(discretize(problem.nu, grid),
+                                            discretize(problem.mu, grid), num["dt"], steps)):
+        verdicts += _checkpoint_verdicts(due, i * num["dt"], d, problem.fp_oracle, 0.01)
+        if i % stride == 0 or i == steps:
+            rows.append({"t": i * num["dt"], "mean": d.mean(), "variance": d.variance()})
+    if due:
+        raise DomainError(f"no state reached the checkpoint t = {due[0]}")
     return Report(config.experiment, config.hash(), rows, verdicts)
 
 
@@ -348,7 +347,7 @@ def run_eps_limit(config: ExperimentConfig) -> Report:
     ks = [_iterations(num["T"], e) for e in eps_list]
     t_targets = [k * e for k, e in zip(ks, eps_list)]
     steps_needed = int(round(max(t_targets) / num["dt"])) + 1
-    states = run_flow(problem.flow_state(grid), num["dt"], steps_needed)
+    states = list(run_flow(problem.flow_state(grid), num["dt"], steps_needed))
 
     rows = []
     for eps, k, t_k in zip(eps_list, ks, t_targets):
@@ -408,7 +407,7 @@ def run_metric_derivative(config: ExperimentConfig) -> Report:
     state = Problem.from_config(config).flow_state(config.grid())
     t0, deltas = 0.5, (0.1, 0.05, 0.025)
     steps = _steps(t0 + max(deltas), num["dt"])
-    states = run_flow(state, num["dt"], steps)
+    states = list(run_flow(state, num["dt"], steps))
     table = metric_derivative_lot(states, t0, deltas)
     rows = [dict(r) for r in table]
     ratio = table[-1]["ratio"]
@@ -426,9 +425,10 @@ def run_kl_decay(config: ExperimentConfig) -> Report:
     problem = Problem.from_config(config)
     problem.require_relative_entropy("kl_decay")
     steps = _steps(num["T"], num["dt"])
-    states = run_flow(problem.flow_state(config.grid()), num["dt"], steps,
-                      keep_every=max(1, steps // 100))
-    table = kl_decay_series(states)
+    keep = max(1, steps // 100)
+    table = kl_decay_series(
+        s for i, s in enumerate(run_flow(problem.flow_state(config.grid()), num["dt"], steps))
+        if i % keep == 0 or i == steps)
     ok = all(r["within"] for r in table)
     final = table[-1]
     verdicts = [_verdict("kl <= 1.05 * bound along the run", final["kl"],

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, ParticleEscape
 from .grids import (DensitySpec, Grid, GridDensity, _readonly, cdf_values, grad_central,
                     lerp, locate, second_central)
-from .pma import PmaState, inverse_gradient_map
+from .pma import PmaState, _is_at, inverse_gradient_map
 from .sinkhorn import SinkhornState, _kernel_draw, _log_kernel
 from .transport import ConvexPotential
 
@@ -103,10 +103,16 @@ def sinkhorn_sde_step(
     e: ParticleEnsemble, pma: PmaState, dt: float, zero_noise: bool = False
 ) -> ParticleEnsemble:
     """One Euler-Maruyama step of the mirrored diffusion along a flow state."""
-    if abs(pma.t - e.t) > 1e-9 + 1e-6 * max(1.0, abs(e.t)):
+    if not _is_at(pma.t, e.t):
         raise DomainError(f"flow state time {pma.t} does not match ensemble time {e.t}")
     drift, diffusion = sinkhorn_sde_coefficients(pma, e.positions)
     return _euler_maruyama(e, pma.grid, dt, drift, diffusion, zero_noise)
+
+
+def _dual_grid(u: ConvexPotential) -> Grid:
+    """Uniform grid of n nodes over the range of u', where dual positions
+    live: the dual coefficient tables and escape check use it."""
+    return Grid(u.du[0], u.du[-1], u.grid.n)
 
 
 def dual_sde_coefficients(state: PmaState, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,7 +126,7 @@ def dual_sde_coefficients(state: PmaState, y: np.ndarray) -> tuple[np.ndarray, n
     take the end-node values.
     """
     u = state.u
-    ys = Grid(u.du[0], u.du[-1], u.grid.n)
+    ys = _dual_grid(u)
     at = locate(u.grid, inverse_gradient_map(u, ys.nodes))
     drift = -lerp(at, grad_central(state.h, u.grid.spacing))
     diffusion = np.sqrt(2.0 * lerp(at, u.d2u))
@@ -133,7 +139,7 @@ def dual_sde_step(
 ) -> ParticleEnsemble:
     """One Euler-Maruyama step of the dual-coordinate diffusion."""
     drift, diffusion = dual_sde_coefficients(pma, e.positions)
-    return _euler_maruyama(e, pma.grid, dt, drift, diffusion, zero_noise)
+    return _euler_maruyama(e, _dual_grid(pma.u), dt, drift, diffusion, zero_noise)
 
 
 def markov_chain_step(e: ParticleEnsemble, sk: SinkhornState) -> ParticleEnsemble:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -136,11 +136,6 @@ class PmaState:
         return self.u.grid
 
 
-def _log_density_from_potential(u: ConvexPotential, nu_spec: DensitySpec) -> np.ndarray:
-    """h with exp(-h) the pullback of the target through the gradient map."""
-    return nu_spec.f(u.du) - np.log(u.d2u)
-
-
 def make_flow_state(
     grid: Grid,
     mu_spec: DensitySpec,
@@ -154,7 +149,8 @@ def make_flow_state(
     nu = discretize(nu_spec, grid)
     if functional is None:
         functional = RelativeEntropyFunctional(mu_spec)
-    h = _log_density_from_potential(u0, nu_spec)
+    # h with exp(-h) the pullback of the target through the gradient map
+    h = nu_spec.f(u0.du) - np.log(u0.d2u)
     raw = np.exp(-h)
     mass = grid.integrate(raw)
     rho = GridDensity(grid, raw / mass)
@@ -272,19 +268,13 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
     )
 
 
-def run_flow(
-    state: PmaState, dt: float, steps: int, keep_every: int = 1,
-    max_substep: float | None = None,
-) -> list[PmaState]:
-    """Advance ``steps`` user steps, keeping every ``keep_every``-th state
-    (the initial and final states are always kept)."""
-    out = [state]
-    current = state
-    for i in range(steps):
-        current = step(current, dt, max_substep=max_substep)
-        if (i + 1) % keep_every == 0 or i == steps - 1:
-            out.append(current)
-    return out
+def run_flow(state: PmaState, dt: float, steps: int,
+             max_substep: float | None = None) -> Iterator[PmaState]:
+    """Yield the start state, then the state after each of ``steps`` user steps."""
+    yield state
+    for _ in range(steps):
+        state = step(state, dt, max_substep=max_substep)
+        yield state
 
 
 def velocity(state: PmaState) -> VelocityField:
@@ -352,13 +342,13 @@ def fokker_planck_step(rho: GridDensity, mu: GridDensity, dt: float) -> GridDens
     return GridDensity(grid, vals / mass_after)
 
 
-def run_fokker_planck(rho0: GridDensity, mu: GridDensity, dt: float, steps: int) -> list[GridDensity]:
-    out = [rho0]
-    cur = rho0
+def run_fokker_planck(rho: GridDensity, mu: GridDensity, dt: float,
+                      steps: int) -> Iterator[GridDensity]:
+    """Yield rho, then the density after each of ``steps`` steps."""
+    yield rho
     for _ in range(steps):
-        cur = fokker_planck_step(cur, mu, dt)
-        out.append(cur)
-    return out
+        rho = fokker_planck_step(rho, mu, dt)
+        yield rho
 
 
 def _dual_target_grid(prev: PmaState, next_state: PmaState) -> Grid:
@@ -424,10 +414,15 @@ def gauge_consistency_residual(states: Sequence[PmaState], index: int) -> float:
     return float(np.max(np.abs((h_from_time - mid.h)[keep])))
 
 
+def _is_at(stamp: float, t: float) -> bool:
+    """Whether a time stamp is t, up to the drift of summed steps."""
+    return abs(stamp - t) <= 1e-9 + 1e-6 * max(1.0, abs(t))
+
+
 def _state_at(states: Sequence[PmaState], t: float) -> PmaState:
     times = np.array([s.t for s in states])
     i = int(np.argmin(np.abs(times - t)))
-    if abs(times[i] - t) > 1e-9 + 1e-6 * max(1.0, abs(t)):
+    if not _is_at(times[i], t):
         raise DomainError(f"no stored state near t = {t}")
     return states[i]
 
@@ -487,27 +482,25 @@ def second_order_lot_gap(states: Sequence[PmaState], t: float, delta: float) -> 
     return gap, base
 
 
-def kl_decay_series(states: Sequence[PmaState]) -> list[dict]:
+def kl_decay_series(states: Iterable[PmaState]) -> list[dict]:
     """Relative-entropy decay along a run against its mirror-adjusted bound.
 
     The bound is KL_0 * exp(-2 c H(t)) with H accumulated by trapezoid from
     the observed envelope inf_x 1/u'' of each state; c is the curvature
-    floor of the first marginal on the grid.
+    floor of the first marginal on the grid.  The states are read in one
+    pass, so a stream of them works.
     """
-    first = states[0]
-    c_lsi = float(np.min(first.mu_spec.hess(first.grid.nodes)))
-    if c_lsi <= 0:
-        raise DomainError("cannot infer a log-Sobolev constant from flat curvature")
-    kl0 = kl_divergence(first.rho, first.mu)
     rows = []
-    h_accum = 0.0
-    prev_t = first.t
-    prev_env = 1.0 / float(np.max(first.u.d2u))
     for s in states:
         env = 1.0 / float(np.max(s.u.d2u))
-        if s.t > prev_t:
-            h_accum += 0.5 * (env + prev_env) * (s.t - prev_t)
         kl = kl_divergence(s.rho, s.mu)
+        if not rows:
+            c_lsi = float(np.min(s.mu_spec.hess(s.grid.nodes)))
+            if c_lsi <= 0:
+                raise DomainError("cannot infer a log-Sobolev constant from flat curvature")
+            kl0, h_accum = kl, 0.0
+        elif s.t > prev_t:
+            h_accum += 0.5 * (env + prev_env) * (s.t - prev_t)
         bound = kl0 * math.exp(-2.0 * c_lsi * h_accum)
         rows.append({"t": s.t, "kl": kl, "bound": bound, "within": kl <= bound * 1.05 + 1e-12})
         prev_t, prev_env = s.t, env

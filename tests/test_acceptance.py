@@ -278,8 +278,8 @@ def test_criterion_8_pde_identities(stationary_pair):
     levels = {}
     for n, dt in ((512, 1e-3), (1024, 5e-4)):
         g = Grid(-8.0, 8.0, n)
-        states = run_flow(gaussian_flow_state(g, mean=THETA), dt,
-                          int(round(0.5 / dt)) + 1, max_substep=sub)
+        states = list(run_flow(gaussian_flow_state(g, mean=THETA), dt,
+                               int(round(0.5 / dt)) + 1, max_substep=sub))
         k = int(round(0.5 / dt))
         phi = ConvexPotential.from_callable(
             g, lambda x: 0.5 * x**2 + 0.05 * np.cosh(x / 2) * 4,

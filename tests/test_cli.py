@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import sinkflow
 import sinkflow.experiments as experiments
 from sinkflow.cli import main
 from sinkflow.errors import DomainError, EmptyTable
+from sinkflow.grids import discretize
 from sinkflow.experiments import (
     ExperimentConfig,
     Problem,
@@ -19,6 +21,7 @@ from sinkflow.experiments import (
     floor_steps,
     run_experiment,
 )
+from sinkflow.pma import run_fokker_planck
 from sinkflow.svgplot import emit_svg
 
 
@@ -231,6 +234,55 @@ class TestPmaCheckpoints:
             name, t = v["check"].rstrip(")").split("(t=")
             assert v["value"] == by_t[float(t)][name]
         assert report.passed()
+
+
+    @pytest.mark.parametrize("experiment", ["pma_run", "fokker_planck_run"])
+    def test_checkpoint_between_steps_raises(self, experiment):
+        # dt = 0.03 steps through t = 0.51 and 0.99, never 0.5 or 1.0, so a
+        # verdict named t=0.5 or t=1.0 has no state to be judged on
+        raw = {"experiment": experiment, "problem": {"kind": "gaussian_scale"},
+               "numerics": {"n": 128, "T": 1.0, "dt": 0.03}}
+        with pytest.raises(DomainError):
+            run_experiment(ExperimentConfig.from_dict(raw))
+
+    def test_fokker_planck_verdicts_read_the_checkpoint_densities(self):
+        # T = 1.3 thins the rows every 6 steps, which skips step 500 (t = 0.5);
+        # the verdicts must still read the densities at t = 0.5 and 1.0
+        raw = {"experiment": "fokker_planck_run", "problem": {"kind": "gaussian_scale"},
+               "numerics": {"n": 128, "T": 1.3}}
+        config = ExperimentConfig.from_dict(raw)
+        report = run_experiment(config)
+        assert 0.5 not in [round(r["t"], 9) for r in report.rows]
+        problem = Problem.from_config(config)
+        grid = config.grid()
+        hist = list(run_fokker_planck(discretize(problem.nu, grid),
+                                      discretize(problem.mu, grid), 1e-3, 1000))
+        assert [v["check"] for v in report.verdicts] == VARIANCES
+        assert [v["value"] for v in report.verdicts] == [hist[500].variance(),
+                                                         hist[1000].variance()]
+        assert report.passed()
+
+
+class TestStreamingRunners:
+    """The flow runners walk their trajectory once and hold O(1) states."""
+
+    @pytest.mark.parametrize("experiment, kind", [
+        ("pma_run", "gaussian_location"), ("pma_run", "gaussian_scale"),
+        ("fokker_planck_run", "gaussian_scale"), ("kl_decay", "gaussian_location")])
+    def test_peak_memory_stays_flat_in_the_step_count(self, experiment, kind):
+        # one 512-node state is a few 4 KB arrays; holding all 501 states of
+        # the run peaked at 2.1-5.3 MB, one pass at 0.10-0.17 MB
+        raw = {"experiment": experiment, "problem": {"kind": kind},
+               "numerics": {"n": 512, "T": 0.5}}
+        config = ExperimentConfig.from_dict(raw)
+        tracemalloc.start()
+        try:
+            report = run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed()
+        assert peak <= 2**20
 
 
 MOMENTS_BOTH = ["mean(t=0.5)", "variance(t=0.5)", "mean(t=1.0)", "variance(t=1.0)"]

@@ -6,6 +6,7 @@ import pytest
 from sinkflow.errors import DomainError, ParticleEscape
 from sinkflow.grids import DensitySpec, Grid, discretize, grad_central
 from sinkflow.particles import (
+    ESCAPE_MARGIN,
     ParticleEnsemble,
     dual_sde_coefficients,
     dual_sde_step,
@@ -254,6 +255,22 @@ class TestDualSde:
         e0 = ParticleEnsemble(np.linspace(0.2, 0.8, 20), 0.0, seed=3)
         e1 = dual_sde_step(e0, state, 1e-4, zero_noise=True)
         assert np.max(np.abs(e1.positions - e0.positions)) < 1e-9
+
+    def test_escape_checked_on_the_gradient_range(self):
+        # dual positions live on the range of u', which the cosh mirror
+        # stretches to +-13.46 over the x-grid [-8, 8]: points inside that
+        # range plus the margin step, points beyond it escape
+        u = ConvexPotential.from_callable(GRID, *COSH_MIRROR)
+        state = make_flow_state(GRID, STD_SPEC, STD_SPEC, u)
+        lo, hi = float(u.du[0]) - ESCAPE_MARGIN, float(u.du[-1]) + ESCAPE_MARGIN
+        inside = ParticleEnsemble(np.array([lo + 0.1, -10.0, 10.0, hi - 0.1]), 0.0, seed=3)
+        stepped = dual_sde_step(inside, state, 1e-3, zero_noise=True)
+        # the zero-noise step is the drift, which pulls toward the origin
+        assert np.all(np.abs(stepped.positions) < np.abs(inside.positions))
+        for y in (lo - 0.1, hi + 0.1):
+            with pytest.raises(ParticleEscape):
+                dual_sde_step(ParticleEnsemble(np.array([0.0, y]), 0.0, seed=3), state, 1e-3,
+                              zero_noise=True)
 
     def test_same_noise_mirror_consistency(self):
         # primal and dual ensembles driven by identical noise: mapping the
