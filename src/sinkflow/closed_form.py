@@ -3,9 +3,9 @@
 Every numeric solver in this package is tested against the expressions
 here, never the other way around.  The module collects the Gaussian
 location/scale flows of the entropic iteration and its Fokker-Planck
-counterpart, the exact iterates of the discrete iteration on the Gaussian
-location and scale problems, the mirror-flow examples with explicit
-solutions, and the 1-D mirror ODE examples.
+counterpart, the exact iterates of the discrete iteration for a Gaussian
+target, the mirror-flow examples with explicit solutions, and the 1-D
+mirror ODE examples.
 """
 
 from __future__ import annotations
@@ -103,61 +103,38 @@ def tabulate(flow: ClosedFormFlow, ts) -> list[dict]:
     return rows
 
 
-def sinkhorn_location_iterates(theta: float, eps: float, steps: int) -> list[GaussianMeasure]:
-    """Exact iterate marginals of the two-step iteration on the location problem.
+def sinkhorn_gaussian_iterates(theta: float, eta: float, eps: float,
+                               steps: int) -> list[GaussianMeasure]:
+    """Exact iterate marginals of the two-step iteration for a Gaussian target.
 
-    With mu = N(0, 1), nu = N(theta, 1) and u_0 = x^2/2, every potential
+    With mu = N(0, 1), nu = N(theta, eta^2) and u_0 = x^2/2, every potential
     stays quadratic, u_k = a x^2/2 + b x, and both scaling operators are
     Gaussian integrals.  One step maps (a, b) to
 
-        alpha = 1/(a + eps),  a' = 1/(alpha + eps),
-        b' = (alpha b + eps theta)/(alpha + eps),
+        alpha = 1/(a + eps),  a' = 1/(alpha + eps/eta^2),
+        b' = (alpha b + eps theta/eta^2)/(alpha + eps/eta^2),
 
     and rho_{k+1} = exp((u_{k+1} - u_k)/eps) mu has precision
     P = 1 + (a - a')/eps and mean (b' - b)/(eps P).  Entry k of the result
     is rho_k; entry 0 is the start density nu, as in the grid iteration.
+    The location problem is eta = 1, the scale problem theta = 0.
     """
+    if not eta > 0.0:
+        raise DomainError("eta must be positive")
     if eps <= 0.0:
         raise DomainError("eps must be positive")
     if steps < 0:
         raise DomainError("steps must be non-negative")
+    var = eta * eta
     a, b = 1.0, 0.0
-    out = [GaussianMeasure(theta, 1.0)]
+    out = [GaussianMeasure(theta, var)]
     for _ in range(steps):
         alpha = 1.0 / (a + eps)
-        a_next = 1.0 / (alpha + eps)
-        b_next = (alpha * b + eps * theta) / (alpha + eps)
+        a_next = 1.0 / (alpha + eps / var)
+        b_next = (alpha * b + eps * theta / var) / (alpha + eps / var)
         precision = 1.0 + (a - a_next) / eps
         out.append(GaussianMeasure((b_next - b) / (eps * precision), 1.0 / precision))
         a, b = a_next, b_next
-    return out
-
-
-def sinkhorn_scale_iterates(eta: float, eps: float, steps: int) -> list[GaussianMeasure]:
-    """Exact iterate marginals of the two-step iteration on the scale problem.
-
-    With mu = N(0, 1), nu = N(0, eta^2) and u_0 = x^2/2, every potential
-    stays an even quadratic, u_k = a x^2/2, and one step maps a to
-
-        alpha = 1/(a + eps),  a' = 1/(alpha + eps/eta^2);
-
-    rho_{k+1} = exp((u_{k+1} - u_k)/eps) mu is centred with precision
-    P = 1 + (a - a')/eps.  Entry k of the result is rho_k; entry 0 is the
-    start density nu, as in the grid iteration.
-    """
-    if not 0.0 < eta < 1.0:
-        raise DomainError("eta must lie in (0, 1)")
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
-    if steps < 0:
-        raise DomainError("steps must be non-negative")
-    a = 1.0
-    out = [GaussianMeasure(0.0, eta * eta)]
-    for _ in range(steps):
-        alpha = 1.0 / (a + eps)
-        a_next = 1.0 / (alpha + eps / (eta * eta))
-        out.append(GaussianMeasure(0.0, 1.0 / (1.0 + (a - a_next) / eps)))
-        a = a_next
     return out
 
 

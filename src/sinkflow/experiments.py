@@ -31,9 +31,8 @@ from .particles import (
     sinkhorn_sde_step,
 )
 from .pma import (
-    EntropyFunctional,
+    Functional,
     PmaState,
-    PotentialEnergyFunctional,
     _is_at,
     kl_decay_series,
     make_flow_state,
@@ -41,7 +40,7 @@ from .pma import (
     run_flow,
     run_fokker_planck,
     second_order_lot_gap,
-    step,
+    step,  # noqa: F401 - unused here; perfbench/check_counts.py checks the tracer patches it
 )
 from .sinkhorn import SinkhornState, initial_state, laplace_residual, s_step
 from .svgplot import emit_svg
@@ -128,8 +127,8 @@ class ExperimentConfig:
             if not _is_integer(numerics[key]):
                 raise DomainError(f"{key} must be an integer, got {numerics[key]!r}")
         eps_list = numerics["eps_list"]
-        if not isinstance(eps_list, (list, tuple)):
-            raise DomainError(f"eps_list must be a list, got {eps_list!r}")
+        if not isinstance(eps_list, (list, tuple)) or len(eps_list) < 2:
+            raise DomainError(f"eps_list must be a list of two or more values, got {eps_list!r}")
         reals = [(key, numerics[key]) for key in ("L", "T", "dt", "eps")]
         reals += [("eps_list entries", e) for e in eps_list]
         reals += [(key, problem[key]) for key in ("theta", "eta", "param") if key in problem]
@@ -182,19 +181,22 @@ class Report:
         return bool(self.verdicts) and all(v["pass"] for v in self.verdicts)
 
     def to_json(self, path) -> None:
-        payload = {
-            "experiment": self.experiment,
-            "config_hash": self.config_hash,
-            "rows": self.rows,
-            "verdicts": self.verdicts,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        _write_json({"experiment": self.experiment, "config_hash": self.config_hash,
+                     "rows": self.rows, "verdicts": self.verdicts}, path)
 
 
 def _verdict(check: str, value: float, tolerance, ok: bool) -> dict:
     return {"check": check, "value": value, "tolerance": tolerance, "pass": bool(ok)}
+
+
+def _ks_tolerance(factor: float, count: int) -> float:
+    """KS tolerance factor * 1.63/sqrt(count) for ``count`` particles.  A KS
+    distance never exceeds 1, so a tolerance of 1 or more is refused."""
+    tol = factor * 1.63 / math.sqrt(count)
+    if tol >= 1.0:
+        raise DomainError(f"{count} particles give a KS tolerance of {tol:.3f}, "
+                          "which no KS distance can exceed")
+    return tol
 
 
 def _checkpoint_verdicts(due: list, stamp: float, rho: GridDensity, oracle, rel: float) -> list:
@@ -231,7 +233,7 @@ class Problem:
     mu: DensitySpec
     nu: DensitySpec
     oracle: ClosedFormFlow
-    functional: object = None
+    functional: Functional | None = None
     fp_oracle: ClosedFormFlow | None = None
 
     @classmethod
@@ -248,10 +250,10 @@ class Problem:
                        ClosedFormFlow(FlowKind.SINKHORN_SCALE, p["eta"]),
                        fp_oracle=ClosedFormFlow(FlowKind.FOKKER_PLANCK_SCALE, p["eta"]))
         if kind == "mirror_entropy":
-            return cls(std, std, ClosedFormFlow(FlowKind.MIRROR_ENTROPY), EntropyFunctional())
+            return cls(std, std, ClosedFormFlow(FlowKind.MIRROR_ENTROPY), Functional.entropy())
         if kind == "mirror_potential_energy":
             return cls(std, std, ClosedFormFlow(FlowKind.MIRROR_POTENTIAL_ENERGY),
-                       PotentialEnergyFunctional())
+                       Functional.potential_energy())
         raise DomainError(f"unknown problem kind {kind!r}")
 
     def flow_state(self, grid: Grid) -> PmaState:
@@ -358,15 +360,12 @@ def run_eps_limit(config: ExperimentConfig) -> Report:
         w2sq = w2_distance(sk.rho, flow_at.rho) ** 2
         rows.append({"eps": eps, "k": k, "t": t_k, "w2_squared": w2sq})
     ratios = [rows[i + 1]["w2_squared"] / rows[i]["w2_squared"] for i in range(len(rows) - 1)]
-    verdicts = []
-    if len(rows) >= 2:
-        logs = np.log([r["w2_squared"] for r in rows])
-        slope = float(np.polyfit(np.log(eps_list), logs, 1)[0])
-        for i, r in enumerate(ratios):
-            verdicts.append(_verdict(
-                f"ratio {eps_list[i + 1]}/{eps_list[i]}", r, "[0.3, 0.8]",
-                0.3 <= r <= 0.8))
-        rows.append({"fitted_slope": slope})
+    logs = np.log([r["w2_squared"] for r in rows])
+    slope = float(np.polyfit(np.log(eps_list), logs, 1)[0])
+    verdicts = [_verdict(f"ratio {eps_list[i + 1]}/{eps_list[i]}", r, "[0.3, 0.8]",
+                         0.3 <= r <= 0.8)
+                for i, r in enumerate(ratios)]
+    rows.append({"fitted_slope": slope})
     return Report(config.experiment, config.hash(), rows, verdicts)
 
 
@@ -448,16 +447,18 @@ def run_diffusion(config: ExperimentConfig) -> Report:
     count, seed = num["particles"], num["seed"]
     problem = Problem.from_config(config)
     problem.require_relative_entropy("diffusion_run")
+    ks_tol = _ks_tolerance(2, count)
     state = problem.flow_state(config.grid())
     steps = _steps(num["T"], num["dt"])
     ens = ParticleEnsemble.from_density(state.rho, count, seed)
-    current = state
     rows = []
     stride = max(1, steps // 10)
-    for i in range(steps):
+    flow = run_flow(state, num["dt"], steps)
+    current = next(flow)
+    for i, following in enumerate(flow, 1):
         ens = sinkhorn_sde_step(ens, current, num["dt"])
-        current = step(current, num["dt"])
-        if (i + 1) % stride == 0:
+        current = following
+        if i % stride == 0:
             rows.append({"t": ens.t, "mean": ens.mean(), "variance": ens.variance(),
                          "flow_mean": current.rho.mean(), "flow_variance": current.rho.variance()})
     se_mean = math.sqrt(ens.variance() / count)
@@ -475,7 +476,6 @@ def run_diffusion(config: ExperimentConfig) -> Report:
     for _ in range(steps):
         dual = dual_sde_step(dual, state, num["dt"])
     ks = ks_distance(dual, state.nu)
-    ks_tol = 2 * 1.63 / math.sqrt(count)
     verdicts.append(_verdict("frozen-mirror dual stationarity (KS)", ks,
                              f"<= {ks_tol:.5f}", ks <= ks_tol))
     rows.append({"dual_ks": ks})
@@ -490,7 +490,7 @@ def run_markov_chain(config: ExperimentConfig) -> Report:
     ens = ParticleEnsemble.from_density(sk.rho, count, seed)
     rows = []
     k_steps = min(10, _iterations(num["T"], num["eps"]))
-    ks_tol = 3 * 1.63 / math.sqrt(count)
+    ks_tol = _ks_tolerance(3, count)
     worst = 0.0
     for _ in range(k_steps):
         ens = markov_chain_step(ens, sk)
@@ -505,10 +505,11 @@ def run_markov_chain(config: ExperimentConfig) -> Report:
 
 def run_gaussian_closed_form(config: ExperimentConfig) -> Report:
     kind = FlowKind(config.problem.get("flow_kind", "sinkhorn_location"))
-    param = config.problem.get("param", config.problem["theta"])
+    scale = kind in (FlowKind.SINKHORN_SCALE, FlowKind.FOKKER_PLANCK_SCALE)
+    param = config.problem.get("param", config.problem["eta" if scale else "theta"])
     rows = tabulate(ClosedFormFlow(kind, param), np.linspace(0.0, config.numerics["T"], 51))
     verdicts = []
-    if kind in (FlowKind.SINKHORN_SCALE, FlowKind.FOKKER_PLANCK_SCALE):
+    if scale:
         for t in (1.0, 2.0):
             lhs, rhs = deficit_ratio(param, t)
             verdicts.append(_verdict(f"deficit ratio at t={t}", lhs / rhs, ">= 1",
@@ -565,6 +566,13 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def _write_json(payload: dict, path) -> None:
+    """Write a JSON artifact: keys sorted, one-space indent, final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
 def execute(config: ExperimentConfig, outdir: str | Path) -> tuple[Report, dict]:
     """Run one experiment, write its artifacts, and return (report, manifest)."""
     out = Path(outdir)
@@ -600,9 +608,7 @@ def execute(config: ExperimentConfig, outdir: str | Path) -> tuple[Report, dict]
         "files": {p.name: _sha256(p) for p in files},
         "passed": report.passed(),
     }
-    with open(out / f"{stem}_manifest.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(manifest, out / f"{stem}_manifest.json")
     return report, manifest
 
 
@@ -651,7 +657,5 @@ def verify_battery(outdir: str | Path, profile: str = "full", seed: int | None =
         }
         combined["files"].update(manifest["files"])
         combined["all_passed"] = combined["all_passed"] and report.passed()
-    with open(out / "verify_manifest.json", "w") as fh:
-        json.dump(combined, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(combined, out / "verify_manifest.json")
     return combined

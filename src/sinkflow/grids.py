@@ -350,23 +350,28 @@ def _check_map_values(grid: Grid, map_values) -> np.ndarray:
     return t
 
 
-def _hermite(x: np.ndarray, y: np.ndarray, dydx: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Piecewise cubic Hermite interpolant of (x, y) with knot slopes ``dydx``.
-
-    Each piece is a polynomial in the offset s from its left knot, summed
-    term by term from the constant up (c0 + c1 s + c2 s^2 + c3 s^3); points
-    beyond the knots continue the end pieces.
+def _hermite_pieces(x: np.ndarray, y: np.ndarray, dydx: np.ndarray, q: np.ndarray):
+    """Cubic piece of the Hermite interpolant of (x, y) with knot slopes
+    ``dydx`` at each point of ``q``: the offset s from the piece's left knot
+    and the coefficients (c0, c1, c2, c3) of c0 + c1 s + c2 s^2 + c3 s^3.
+    Points beyond the knots take the end pieces.
     """
     dx = np.diff(x)
     slope = np.diff(y) / dx
     t = (dydx[:-1] + dydx[1:] - 2.0 * slope) / dx
     i = np.clip(np.searchsorted(x, q, side="right") - 1, 0, len(x) - 2)
-    s = q - x[i]
-    out = y[i] + dydx[i] * s
+    return q - x[i], y[i], dydx[i], ((slope - dydx[:-1]) / dx - t)[i], (t / dx)[i]
+
+
+def _hermite(x: np.ndarray, y: np.ndarray, dydx: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Piecewise cubic Hermite interpolant of (x, y) with knot slopes ``dydx``,
+    each piece summed term by term from the constant up."""
+    s, c0, c1, c2, c3 = _hermite_pieces(x, y, dydx, q)
+    out = c0 + c1 * s
     z = s * s
-    out += ((slope - dydx[:-1]) / dx - t)[i] * z
+    out += c2 * z
     z *= s
-    out += (t / dx)[i] * z
+    out += c3 * z
     return out
 
 

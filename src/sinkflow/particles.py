@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, ParticleEscape
 from .grids import (DensitySpec, Grid, GridDensity, _readonly, cdf_values, grad_central,
-                    lerp, locate, second_central)
+                    lerp, locate, quantile, second_central)
 from .pma import PmaState, _is_at, inverse_gradient_map
 from .sinkhorn import SinkhornState, _kernel_draw, _log_kernel
 from .transport import ConvexPotential
@@ -52,8 +52,7 @@ class ParticleEnsemble:
     @classmethod
     def from_density(cls, d: GridDensity, count: int, seed: int) -> "ParticleEnsemble":
         u = uniform_block(seed, step=0, count=count, substream=7)
-        xs = np.interp(u, cdf_values(d), d.grid.nodes)
-        return cls(xs, 0.0, seed)
+        return cls(quantile(d, u), 0.0, seed)
 
     def mean(self) -> float:
         return float(np.mean(self.positions))
@@ -162,7 +161,7 @@ def markov_chain_step(e: ParticleEnsemble, sk: SinkhornState) -> ParticleEnsembl
     u2 = uniform_block(e.seed, e.step_count, p.size, substream=1)
     if sk.u_prev is None:
         # product initial coupling: dual coordinate independent of x
-        y = np.interp(u1, cdf_values(sk.nu), sk.nu.grid.nodes)
+        y = quantile(sk.nu, u1)
     else:
         previous = _log_kernel(sk.nu.grid, sk.nu.log_values - sk.v_prev / sk.eps, sk.eps)
         y, _ = _kernel_draw(previous, p, u1)
@@ -176,7 +175,7 @@ def ks_distance(e: ParticleEnsemble, d: GridDensity) -> float:
     """Kolmogorov-Smirnov distance of the ensemble against a grid density."""
     xs = np.sort(e.positions)
     n = xs.size
-    model = np.interp(xs, d.grid.nodes, cdf_values(d), left=0.0, right=1.0)
+    model = lerp(locate(d.grid, xs), cdf_values(d))
     upper = np.arange(1, n + 1) / n
     lower = np.arange(0, n) / n
     return float(max(np.max(np.abs(model - upper)), np.max(np.abs(model - lower))))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,58 +40,43 @@ PUSHFORWARD_TOL = 5e-3       # sup-norm drift allowed in the transport constrain
 DEFAULT_B_CAP = 1e6
 
 
-# A functional gives its first variation at the nodes xs as ``variation(xs, h)``,
-# with h = -log rho, and, split for the stepper, as ``potential(xs)``, the part
-# that does not depend on h, minus h when ``entropic`` is true.
-
-
 @dataclass(frozen=True)
-class RelativeEntropyFunctional:
-    """First variation of KL(rho || exp(-f)): f - h up to a constant."""
+class Functional:
+    """A flow functional by its first variation at the nodes xs.
 
-    mu_spec: DensitySpec
-    entropic = True
+    The variation is ``potential(xs)``, the part that does not depend on
+    h = -log rho, minus h when ``entropic`` is true; ``gradient(xs)`` is the
+    x-derivative of ``potential``.  The stepper evaluates ``potential`` once
+    per step and subtracts h at each substep.
+    """
 
-    def potential(self, xs: np.ndarray) -> np.ndarray:
-        return self.mu_spec.f(xs)
+    potential: Callable[[np.ndarray], np.ndarray]
+    gradient: Callable[[np.ndarray], np.ndarray]
+    entropic: bool
 
     def variation(self, xs: np.ndarray, h: np.ndarray) -> np.ndarray:
-        return self.potential(xs) - h
+        v = self.potential(xs)
+        return v - h if self.entropic else v
 
     def variation_gradient(self, xs: np.ndarray, h: np.ndarray, spacing: float) -> np.ndarray:
-        return self.mu_spec.grad(xs) - grad_central(h, spacing)
+        g = self.gradient(xs)
+        return g - grad_central(h, spacing) if self.entropic else g
 
+    @classmethod
+    def relative_entropy(cls, mu_spec: DensitySpec) -> "Functional":
+        """KL(rho || exp(-f)), first variation f - h up to a constant."""
+        return cls(mu_spec.f, mu_spec.grad, entropic=True)
 
-@dataclass(frozen=True)
-class EntropyFunctional:
-    """First variation of the negative differential entropy: log rho + 1."""
+    @classmethod
+    def entropy(cls) -> "Functional":
+        """The negative differential entropy, first variation log rho + 1."""
+        return cls(lambda xs: np.full_like(xs, 1.0), np.zeros_like, entropic=True)
 
-    entropic = True
-
-    def potential(self, xs):
-        return np.full_like(xs, 1.0)
-
-    def variation(self, xs, h):
-        return self.potential(xs) - h
-
-    def variation_gradient(self, xs, h, spacing):
-        return -grad_central(h, spacing)
-
-
-@dataclass(frozen=True)
-class PotentialEnergyFunctional:
-    """First variation of the quadratic potential energy: x^2 / 2."""
-
-    entropic = False
-
-    def potential(self, xs):
-        return 0.5 * xs**2
-
-    def variation(self, xs, h):
-        return self.potential(xs)
-
-    def variation_gradient(self, xs, h, spacing):
-        return np.asarray(xs, dtype=float)
+    @classmethod
+    def potential_energy(cls) -> "Functional":
+        """The quadratic potential energy, first variation x^2 / 2."""
+        return cls(lambda xs: 0.5 * xs**2, lambda xs: np.asarray(xs, dtype=float),
+                   entropic=False)
 
 
 @dataclass(frozen=True)
@@ -121,7 +106,7 @@ class PmaState:
     nu: GridDensity
     mu_spec: DensitySpec
     nu_spec: DensitySpec
-    functional: object
+    functional: Functional
     bounds: HessianBoundsReport
     a_floor: float
     b_cap: float = DEFAULT_B_CAP
@@ -148,7 +133,7 @@ def make_flow_state(
     mu = discretize(mu_spec, grid)
     nu = discretize(nu_spec, grid)
     if functional is None:
-        functional = RelativeEntropyFunctional(mu_spec)
+        functional = Functional.relative_entropy(mu_spec)
     # h with exp(-h) the pullback of the target through the gradient map
     h = nu_spec.f(u0.du) - np.log(u0.d2u)
     raw = np.exp(-h)

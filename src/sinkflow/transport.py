@@ -12,14 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvexityLost, DomainError, GridMismatch, NonMonotoneMap, RangeError
+from .errors import ConvexityLost, DomainError, GridMismatch, RangeError
 from .grids import (
     Grid,
     GridDensity,
+    _check_map_values,
+    _hermite,
+    _hermite_pieces,
+    _readonly,
     cdf_values,
     grad_central,
     quantile,
-    _readonly,
 )
 
 DEFAULT_CONVEXITY_FLOOR = 1e-3
@@ -36,10 +39,7 @@ class MonotoneMap:
     def __post_init__(self):
         v = _readonly(self.values)
         object.__setattr__(self, "values", v)
-        if v.shape != (self.grid.n,):
-            raise DomainError("map must be sampled at every node")
-        if not np.all(np.isfinite(v)) or np.any(np.diff(v) <= 0.0):
-            raise NonMonotoneMap("map values must be finite and strictly increasing")
+        _check_map_values(self.grid, v)
 
     def __call__(self, x):
         return np.interp(x, self.grid.nodes, self.values)
@@ -114,27 +114,13 @@ class ConvexPotential:
     def gradient_range(self) -> tuple[float, float]:
         return float(self.du[0]), float(self.du[-1])
 
-    def _bracket(self, x):
-        """Hermite evaluation data for points inside the grid."""
+    def value_at(self, x):
+        """Cubic-Hermite evaluation of u using node values and slopes."""
         xs = self.grid.nodes
         x = np.asarray(x, dtype=float)
         if np.any(x < xs[0]) or np.any(x > xs[-1]):
             raise DomainError("point outside the potential's grid")
-        idx = np.clip(np.searchsorted(xs, x) - 1, 0, self.grid.n - 2)
-        return x, idx
-
-    def value_at(self, x):
-        """Cubic-Hermite evaluation of u using node values and slopes."""
-        x, i = self._bracket(x)
-        h = self.grid.spacing
-        s = (x - self.grid.nodes[i]) / h
-        u0, u1 = self.u[i], self.u[i + 1]
-        m0, m1 = self.du[i] * h, self.du[i + 1] * h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        out = h00 * u0 + h10 * m0 + h01 * u1 + h11 * m1
+        out = _hermite(xs, self.u, self.du, x)
         return float(out) if out.ndim == 0 else out
 
     def gradient_at(self, x):
@@ -203,17 +189,10 @@ def legendre_transform(u: ConvexPotential, target_grid: Grid) -> ConvexPotential
         )
     xs = u.grid.nodes
     x_hat = np.interp(ys, u.du, xs)
-    # one Newton polish: du is piecewise-cubic between nodes via Hermite of u
-    h = u.grid.spacing
-    i = np.clip(np.searchsorted(xs, x_hat) - 1, 0, u.grid.n - 2)
-    s = (x_hat - xs[i]) / h
-    u0, u1 = u.u[i], u.u[i + 1]
-    m0, m1 = u.du[i] * h, u.du[i + 1] * h
-    dh = (6 * s * s - 6 * s) * u0 + (3 * s * s - 4 * s + 1) * m0 \
-        + (6 * s - 6 * s * s) * u1 + (3 * s * s - 2 * s) * m1
-    d2h = (12 * s - 6) * u0 + (6 * s - 4) * m0 + (6 - 12 * s) * u1 + (6 * s - 2) * m1
+    # one Newton polish of u'(x) = y on the cubic-Hermite pieces of u
+    s, _, c1, c2, c3 = _hermite_pieces(xs, u.u, u.du, x_hat)
     with np.errstate(divide="ignore", invalid="ignore"):
-        correction = (dh / h - ys) / (d2h / (h * h))
+        correction = (c1 + (2.0 * c2 + 3.0 * c3 * s) * s - ys) / (2.0 * c2 + 6.0 * c3 * s)
     correction = np.where(np.isfinite(correction), correction, 0.0)
     x_hat = np.clip(x_hat - correction, xs[0], xs[-1])
 

@@ -37,7 +37,7 @@ from sinkflow.closed_form import (
     integrate_euclid_mirror,
     scale_variance_entropic,
     scale_variance_fokker_planck,
-    sinkhorn_location_iterates,
+    sinkhorn_gaussian_iterates,
     w2_gaussian,
 )
 from sinkflow.experiments import (ExperimentConfig, Report, floor_steps, run_experiment,
@@ -157,7 +157,7 @@ def test_criterion_2_gaussian_scale_oracle(battery):
 def recursion_w2_squared(eps: float) -> float:
     """Squared W2 from the exact iterate at k = floor(1/eps) to the exact flow at k*eps."""
     k = floor_steps(1.0, eps)
-    rho_k = sinkhorn_location_iterates(THETA, eps, k)[k]
+    rho_k = sinkhorn_gaussian_iterates(THETA, 1.0, eps, k)[k]
     flow = evaluate(ClosedFormFlow(FlowKind.SINKHORN_LOCATION, THETA), k * eps)
     return w2_gaussian(rho_k, flow) ** 2
 

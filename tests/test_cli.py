@@ -12,6 +12,7 @@ import pytest
 import sinkflow
 import sinkflow.experiments as experiments
 from sinkflow.cli import main
+from sinkflow.closed_form import ClosedFormFlow, FlowKind, deficit_ratio, tabulate
 from sinkflow.errors import DomainError, EmptyTable
 from sinkflow.grids import discretize
 from sinkflow.experiments import (
@@ -78,6 +79,7 @@ class TestConfig:
         {"numerics": {"eps": float("nan")}},
         {"numerics": {"eps_list": [0.2, "0.1"]}},
         {"numerics": {"eps_list": 0.1}},
+        {"numerics": {"eps_list": [0.1]}},
         {"problem": {"theta": "0.5"}},
         {"problem": {"param": True}},
         {"numerics": {"seed": -3}},
@@ -87,8 +89,8 @@ class TestConfig:
             "removed-directory", "negative-dt", "zero-dt", "zero-eps", "zero-in-eps-list",
             "negative-L", "no-particles", "unknown-flow-kind", "string-n",
             "fractional-particles", "bool-seed", "string-T", "nan-eps",
-            "string-in-eps-list", "eps-list-not-a-list", "string-theta", "bool-param",
-            "negative-seed", "numerics-not-an-object", "list-flow-kind"])
+            "string-in-eps-list", "eps-list-not-a-list", "one-entry-eps-list", "string-theta",
+            "bool-param", "negative-seed", "numerics-not-an-object", "list-flow-kind"])
     def test_bad_config_rejected(self, raw):
         with pytest.raises(DomainError):
             ExperimentConfig.from_dict({"experiment": "pma_run", **raw})
@@ -103,6 +105,16 @@ class TestConfig:
         # floor(T/eps) iterations or round(T/dt) time steps come out zero
         cfg = ExperimentConfig.from_dict({"experiment": experiment,
                                           "numerics": {**QUICK_NUMERICS, **numerics}})
+        with pytest.raises(DomainError):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("experiment,particles", [("markov_chain_run", 20),
+                                                      ("diffusion_run", 8)])
+    def test_particles_too_few_for_a_ks_verdict_rejected(self, experiment, particles):
+        # the KS tolerances 3 * 1.63/sqrt(20) and 2 * 1.63/sqrt(8) reach 1,
+        # which no KS distance exceeds, so the verdict could not fail
+        cfg = ExperimentConfig.from_dict({"experiment": experiment,
+                                          "numerics": {**QUICK_NUMERICS, "particles": particles}})
         with pytest.raises(DomainError):
             run_experiment(cfg)
 
@@ -208,6 +220,23 @@ class TestExecute:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
         assert main(["--output", str(tmp_path), "run", str(cfg_path)]) == 1
+
+
+@pytest.mark.parametrize("problem,param", [
+    ({"flow_kind": "sinkhorn_scale", "eta": 0.3}, 0.3),
+    ({"flow_kind": "fokker_planck_scale", "eta": 0.3, "theta": 0.7}, 0.3),
+    ({"flow_kind": "sinkhorn_location", "theta": 0.7, "eta": 0.3}, 0.7),
+    ({"flow_kind": "sinkhorn_scale", "eta": 0.3, "param": 0.6}, 0.6),
+], ids=["scale-eta", "fokker-planck-scale-eta", "location-theta", "explicit-param"])
+def test_gaussian_closed_form_reads_the_problem_parameter(problem, param):
+    # without "param", the scale kinds take eta and the location kinds theta
+    report = run_experiment(ExperimentConfig.from_dict(
+        {"experiment": "gaussian_closed_form", "problem": problem}))
+    flow = ClosedFormFlow(FlowKind(problem["flow_kind"]), param)
+    assert report.rows == tabulate(flow, np.linspace(0.0, 1.0, 51))
+    if "scale" in problem["flow_kind"]:
+        lhs, rhs = deficit_ratio(param, 1.0)
+        assert report.verdicts[0]["value"] == lhs / rhs
 
 
 class TestPmaCheckpoints:

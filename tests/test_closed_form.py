@@ -12,8 +12,7 @@ from sinkflow.closed_form import (
     integrate_euclid_mirror,
     scale_variance_entropic,
     scale_variance_fokker_planck,
-    sinkhorn_location_iterates,
-    sinkhorn_scale_iterates,
+    sinkhorn_gaussian_iterates,
     w2_gaussian,
 )
 from sinkflow.errors import DomainError
@@ -138,7 +137,7 @@ class TestEuclidMirrorOde:
 
 class TestSinkhornLocationIterates:
     def test_starts_at_target_and_counts_steps(self):
-        it = sinkhorn_location_iterates(0.5, 0.1, 10)
+        it = sinkhorn_gaussian_iterates(0.5, 1.0, 0.1, 10)
         assert len(it) == 11
         assert it[0] == GaussianMeasure(0.5, 1.0)
 
@@ -148,24 +147,24 @@ class TestSinkhornLocationIterates:
         eps, theta = 0.2, 0.5
         d = 1.0 + eps + eps * eps
         a1, p = (1.0 + eps) / d, 1.0 + eps / d
-        rho1 = sinkhorn_location_iterates(theta, eps, 1)[1]
+        rho1 = sinkhorn_gaussian_iterates(theta, 1.0, eps, 1)[1]
         assert rho1.mean == pytest.approx(theta * a1 / p, rel=1e-14)
         assert rho1.variance == pytest.approx(1.0 / p, rel=1e-14)
 
     def test_long_run_returns_to_first_marginal(self):
-        last = sinkhorn_location_iterates(0.5, 0.1, 2000)[-1]
+        last = sinkhorn_gaussian_iterates(0.5, 1.0, 0.1, 2000)[-1]
         assert abs(last.mean) < 1e-12 and last.variance == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
-            sinkhorn_location_iterates(0.5, 0.0, 3)
+            sinkhorn_gaussian_iterates(0.5, 1.0, 0.0, 3)
         with pytest.raises(DomainError):
-            sinkhorn_location_iterates(0.5, 0.1, -1)
+            sinkhorn_gaussian_iterates(0.5, 1.0, 0.1, -1)
 
 
 class TestScaleIterates:
     def test_start_is_the_target(self):
-        it = sinkhorn_scale_iterates(0.5, 0.1, 10)
+        it = sinkhorn_gaussian_iterates(0.0, 0.5, 0.1, 10)
         assert len(it) == 11
         assert it[0] == GaussianMeasure(0.0, 0.25)
         assert all(m.mean == 0.0 for m in it)
@@ -175,19 +174,19 @@ class TestScaleIterates:
         # variance 1/P with P = 1 + (1 - a')/eps
         eps, eta = 0.2, 0.5
         a1 = 1.0 / (1.0 / (1.0 + eps) + eps / (eta * eta))
-        rho1 = sinkhorn_scale_iterates(eta, eps, 1)[1]
+        rho1 = sinkhorn_gaussian_iterates(0.0, eta, eps, 1)[1]
         assert rho1.variance == pytest.approx(eps / (eps + 1.0 - a1), rel=1e-14)
 
     def test_unit_eta_limit_is_the_location_recursion(self):
-        # with eta -> 1 both recursions run the same curvature sequence, and
-        # the location iterates' variances do not depend on theta
-        scale = sinkhorn_scale_iterates(1.0 - 1e-12, 0.1, 30)
-        location = sinkhorn_location_iterates(0.5, 0.1, 30)
+        # with eta -> 1 the scale problem runs the location problem's curvature
+        # sequence, and the location iterates' variances do not depend on theta
+        scale = sinkhorn_gaussian_iterates(0.0, 1.0 - 1e-12, 0.1, 30)
+        location = sinkhorn_gaussian_iterates(0.5, 1.0, 0.1, 30)
         for s, loc in zip(scale[1:], location[1:]):
             assert s.variance == pytest.approx(loc.variance, abs=1e-10)
 
     def test_variance_rises_to_the_first_marginal(self):
-        variances = [m.variance for m in sinkhorn_scale_iterates(0.5, 0.1, 2000)]
+        variances = [m.variance for m in sinkhorn_gaussian_iterates(0.0, 0.5, 0.1, 2000)]
         assert all(b > a for a, b in zip(variances[:40], variances[1:41]))
         assert variances[-1] == pytest.approx(1.0, abs=1e-12)
 
@@ -195,13 +194,14 @@ class TestScaleIterates:
     def test_tracks_the_entropic_scale_flow(self, eps):
         # the iterate k approximates the flow at t = k eps, to O(eps)
         k = int(round(1.0 / eps))
-        got = sinkhorn_scale_iterates(0.5, eps, k)[-1].variance
+        got = sinkhorn_gaussian_iterates(0.0, 0.5, eps, k)[-1].variance
         assert abs(got - scale_variance_entropic(0.5, 1.0)) <= 0.1 * eps
 
     def test_rejects_bad_arguments(self):
-        for args in ((0.5, 0.0, 3), (0.5, 0.1, -1), (1.0, 0.1, 3), (0.0, 0.1, 3)):
+        # eta = 1 is the location problem, so only eta <= 0 is out of range
+        for args in ((0.5, 0.0, 3), (0.5, 0.1, -1), (-0.5, 0.1, 3), (0.0, 0.1, 3)):
             with pytest.raises(DomainError):
-                sinkhorn_scale_iterates(*args)
+                sinkhorn_gaussian_iterates(0.0, *args)
 
 
 class TestGaussianHelpers:

@@ -21,8 +21,7 @@ from sinkflow.pma import (
     CFL_FACTOR,
     FP_CFL_FACTOR,
     PUSHFORWARD_TOL,
-    EntropyFunctional,
-    PotentialEnergyFunctional,
+    Functional,
     continuity_residual,
     dual_pma_residual,
     fokker_planck_step,
@@ -315,7 +314,7 @@ class TestKlDecay:
 class TestMirrorFlows:
     def test_entropy_flow_variance(self):
         state = make_flow_state(GRID, MU_SPEC, MU_SPEC, ConvexPotential.quadratic(GRID),
-                                functional=EntropyFunctional())
+                                functional=Functional.entropy())
         states = list(islice(run_flow(state, 1e-3, 1000), 0, None, 500))
         for s in states[1:]:
             ref = (1.0 + s.t) ** 2
@@ -323,7 +322,7 @@ class TestMirrorFlows:
 
     def test_potential_energy_flow_variance(self):
         state = make_flow_state(GRID, MU_SPEC, MU_SPEC, ConvexPotential.quadratic(GRID),
-                                functional=PotentialEnergyFunctional())
+                                functional=Functional.potential_energy())
         states = list(islice(run_flow(state, 1e-3, 1000), 0, None, 500))
         for s in states[1:]:
             ref = 1.0 / (1.0 + s.t) ** 2
@@ -332,7 +331,7 @@ class TestMirrorFlows:
     def test_entropy_mirror_identity(self):
         # gradient map of the evolving potential stays x/(1+t)
         state = make_flow_state(GRID, MU_SPEC, MU_SPEC, ConvexPotential.quadratic(GRID),
-                                functional=EntropyFunctional())
+                                functional=Functional.entropy())
         states = list(run_flow(state, 1e-3, 500))
         s = states[-1]
         keep = GRID.interior_slice()
@@ -486,7 +485,7 @@ class TestInPlaceSubsteps:
     def test_scale(self, n):
         self.check_steps(gaussian_flow_state(Grid(-8.0, 8.0, n), variance=0.25), 1e-3, 4)
 
-    @pytest.mark.parametrize("functional", [EntropyFunctional(), PotentialEnergyFunctional()])
+    @pytest.mark.parametrize("functional", [Functional.entropy(), Functional.potential_energy()])
     def test_mirror_functionals(self, functional):
         state = make_flow_state(GRID, MU_SPEC, MU_SPEC, ConvexPotential.quadratic(GRID),
                                 functional=functional)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from sinkflow.closed_form import sinkhorn_location_iterates, sinkhorn_scale_iterates
+from sinkflow.closed_form import sinkhorn_gaussian_iterates
 from sinkflow.grids import DensitySpec, Grid, discretize, kl_divergence
 from sinkflow.sinkhorn import (
     _kernel_lse,
@@ -281,14 +281,12 @@ def test_logsumexp_matches_scipy(axis):
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
-@pytest.mark.parametrize("eps", [0.1, 0.05])
-def test_iterates_match_exact_gaussian_recursion(eps):
-    # quadratic potentials stay quadratic on the location problem, so every
-    # iterate's mean and variance are known exactly; check the first 1/eps
-    steps = int(round(1.0 / eps))
-    exact = sinkhorn_location_iterates(0.5, eps, steps)
-    st = initial_state(quad_u0(), MU, NU, NU, eps)
-    for k, ref in enumerate(exact):
+def assert_matches_exact_recursion(theta, eta, eps, steps):
+    # quadratic potentials stay quadratic (with a linear term) for a Gaussian
+    # target, so every iterate's mean and variance are known exactly
+    nu = discretize(DensitySpec.gaussian(theta, eta * eta), GRID)
+    st = initial_state(quad_u0(), MU, nu, nu, eps)
+    for k, ref in enumerate(sinkhorn_gaussian_iterates(theta, eta, eps, steps)):
         if k:
             st = s_step(st)
         assert abs(st.rho.mean() - ref.mean) <= 1e-10
@@ -297,20 +295,21 @@ def test_iterates_match_exact_gaussian_recursion(eps):
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.05])
+def test_iterates_match_exact_gaussian_recursion(eps):
+    # the location problem, nu = N(0.5, 1), over the first 1/eps steps
+    assert_matches_exact_recursion(0.5, 1.0, eps, int(round(1.0 / eps)))
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.05])
 def test_scale_iterates_match_exact_gaussian_recursion(eps):
-    # on the scale problem the potentials stay even quadratics, so every
-    # iterate's variance is known exactly; check the first 1/eps
-    steps = int(round(1.0 / eps))
-    eta = 0.5
-    nu = discretize(DensitySpec.gaussian(0.0, eta * eta), GRID)
-    exact = sinkhorn_scale_iterates(eta, eps, steps)
-    st = initial_state(quad_u0(), MU, nu, nu, eps)
-    for k, ref in enumerate(exact):
-        if k:
-            st = s_step(st)
-        assert abs(st.rho.mean()) <= 1e-10
-        assert abs(st.rho.variance() - ref.variance) <= 1e-10
-    assert st.k == steps
+    # the scale problem, nu = N(0, 0.25), over the first 1/eps steps
+    assert_matches_exact_recursion(0.0, 0.5, eps, int(round(1.0 / eps)))
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.1])
+def test_iterates_match_exact_recursion_on_a_joint_problem(eps):
+    # nu = N(0.5, 0.25) moves the mean and the variance at once
+    assert_matches_exact_recursion(0.5, 0.5, eps, 20)
 
 
 class TestLaplaceResidual:

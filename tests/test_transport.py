@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sinkflow.errors import ConvexityLost, DomainError, GridMismatch, RangeError
+from sinkflow.errors import ConvexityLost, DomainError, GridMismatch, NonMonotoneMap, RangeError
 from sinkflow.grids import DensitySpec, Grid, discretize, pushforward_monotone
 from sinkflow.transport import (
     ConvexPotential,
@@ -272,8 +272,33 @@ def test_change_of_measure_identity():
 
 
 def test_monotone_map_validation():
-    with pytest.raises(Exception):
+    with pytest.raises(NonMonotoneMap):
         MonotoneMap(GRID, np.zeros(GRID.n))
+    with pytest.raises(NonMonotoneMap):
+        MonotoneMap(GRID, np.where(GRID.nodes > 0.0, np.nan, GRID.nodes))
+    with pytest.raises(DomainError):
+        MonotoneMap(GRID, GRID.nodes[:-1])
+
+
+class TestValueAt:
+    # cubic-Hermite pieces reproduce a cubic exactly from its node values
+    # and slopes; u'' = x + 4 keeps it convex on [-3, 3]
+    grid = Grid(-3.0, 3.0, 64)
+    u = ConvexPotential.from_callable(grid, lambda x: x**3 / 6.0 + 2.0 * x**2,
+                                      lambda x: x**2 / 2.0 + 4.0 * x, lambda x: x + 4.0)
+
+    def test_exact_on_a_cubic(self):
+        x = np.concatenate([np.random.default_rng(4).uniform(-3.0, 3.0, 500),
+                            self.grid.nodes])
+        np.testing.assert_allclose(self.u.value_at(x), x**3 / 6.0 + 2.0 * x**2,
+                                   rtol=0, atol=1e-12)
+        got = self.u.value_at(0.3)
+        assert isinstance(got, float) and got == pytest.approx(0.0045 + 0.18, abs=1e-12)
+
+    @pytest.mark.parametrize("x", [-3.001, 3.001, [0.0, 3.5]])
+    def test_outside_the_grid_raises(self, x):
+        with pytest.raises(DomainError):
+            self.u.value_at(x)
 
 
 def test_hessian_bounds_report():
