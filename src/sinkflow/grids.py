@@ -3,7 +3,8 @@
 A :class:`GridDensity` is the discrete stand-in for a strictly positive
 density with finite second moment.  All quadrature is trapezoidal, all
 CDF/quantile machinery is the piecewise-linear generalized inverse, and
-every operation here is a pure function of immutable values.
+every operation here is a pure function of immutable values (the
+tridiagonal solver alone keeps a work buffer between its solves).
 """
 
 from __future__ import annotations
@@ -405,12 +406,75 @@ def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
     return d
 
 
+def _scan_multipliers(a: np.ndarray) -> list[np.ndarray]:
+    """Multipliers of the Hillis-Steele scan solving x_i = a_i x_{i-1} + b_i
+    (with a_0 = 0): at offset s, the products a_i ... a_{i-s+1} for i >= s.
+    Passes whose products all vanish are dropped."""
+    a = a.copy()
+    levels = []
+    s = 1
+    while s < len(a):
+        m = a[s:].copy()
+        if not m.any():
+            break
+        levels.append(_readonly(m))
+        a[s:] = m * a[:-s]
+        s *= 2
+    return levels
+
+
+class Tridiagonal:
+    """A tridiagonal matrix factored once for repeated solves.
+
+    The matrix has diagonal ``diag``, subdiagonal ``lower`` (row i + 1,
+    column i) and superdiagonal ``upper`` (row i, column i + 1).  The LU
+    elimination runs in order without pivoting, which is stable for
+    matrices diagonally dominant by rows or by columns; its pivots are a
+    nonlinear recurrence and run in one Python loop, here.  Each solve then
+    runs the forward and back substitution as two log-depth Hillis-Steele
+    scans of whole-array passes over the solver's own work buffer, whose
+    views are cut once, so one solver serves one caller at a time.
+    """
+
+    def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
+        lo, up = lower.tolist(), upper.tolist()
+        pivots = diag.tolist()
+        mult = [0.0] * len(pivots)
+        for k in range(1, len(pivots)):
+            w = lo[k - 1] / pivots[k - 1]
+            mult[k] = -w
+            pivots[k] -= w * up[k - 1]
+        self._inv_pivot = inv_pivot = 1.0 / np.array(pivots)
+        # back substitution x_i = y_i / p_i - (upper_i / p_i) x_{i+1}, a
+        # forward scan from the last row up
+        back = np.zeros(len(pivots))
+        back[:-1] = -upper * inv_pivot[:-1]
+        self._x = x = np.empty(len(pivots))
+        tmp = np.empty_like(x)
+        self._forward = [(m, x[:m.size], tmp[-m.size:], x[-m.size:])
+                         for m in _scan_multipliers(np.array(mult))]
+        self._backward = [(m[::-1].copy(), x[-m.size:], tmp[:m.size], x[:m.size])
+                          for m in _scan_multipliers(back[::-1])]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The solution for ``rhs``, as a new array."""
+        x = self._x
+        x[:] = rhs
+        for m, src, t, dst in self._forward:
+            np.multiply(m, src, out=t)
+            dst += t
+        x *= self._inv_pivot
+        for m, src, t, dst in self._backward:
+            np.multiply(m, src, out=t)
+            dst += t
+        return x.copy()
+
+
 def _spline_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Knot slopes of the not-a-knot cubic spline through (x, y).
 
     The end rows make the third derivative continuous across the second
-    and the next-to-last knot; the tridiagonal system is solved by forward
-    elimination and back substitution.  Needs four knots.
+    and the next-to-last knot.  Needs four knots.
     """
     dx = np.diff(x)
     slope = np.diff(y) / dx
@@ -426,15 +490,7 @@ def _spline_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     d = lower[-1]
     diag[-1] = dx[-2]
     rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    a, b, up, lo = diag.tolist(), rhs.tolist(), upper.tolist(), lower.tolist()
-    for k in range(1, len(a)):
-        w = lo[k - 1] / a[k - 1]
-        a[k] -= w * up[k - 1]
-        b[k] -= w * b[k - 1]
-    b[-1] /= a[-1]
-    for k in range(len(a) - 2, -1, -1):
-        b[k] = (b[k] - up[k] * b[k + 1]) / a[k]
-    return np.array(b)
+    return Tridiagonal(lower, diag, upper).solve(rhs)
 
 
 def pushforward_monotone(

@@ -5,9 +5,11 @@ the change-of-measure identity; stepping is explicit Euler with an
 internal CFL subdivision (the log-Hessian term is parabolic with
 diffusivity 1/u'', so a raw step at coarse spacing would amplify
 grid-scale noise).  The same stepper drives the relative-entropy flow and
-the other first-variation functionals; a conservative explicit update of
-the plain Fokker-Planck equation is included for comparison runs, along
-with the residual diagnostics the acceptance suite checks.
+the other first-variation functionals.  The plain Fokker-Planck equation,
+the unmirrored gradient flow of the same relative entropy, is stepped for
+comparison runs by backward Euler with Scharfetter-Gummel fluxes, one
+factored tridiagonal solve per step.  The residual diagnostics the
+acceptance suite checks are here too.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .grids import (
     DensitySpec,
     Grid,
     GridDensity,
+    Tridiagonal,
     _readonly,
     discretize,
     grad_central,
@@ -168,18 +171,27 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
     refinement studies use to keep the trajectory error fixed while the
     diagnostic spacing varies.
     """
-    if dt < 0:
-        raise DomainError("dt must be nonnegative")
+    if not math.isfinite(dt) or dt < 0:
+        raise DomainError("dt must be finite and nonnegative")
+    if max_substep is not None and not (math.isfinite(max_substep) and max_substep > 0):
+        raise DomainError("max_substep must be finite and positive")
     if dt == 0:
         return state
     grid = state.grid
     h_sp = grid.spacing
     xs = grid.nodes
 
+    # the h-free part of the first variation, once per step
     functional = state.functional
+    potential = functional.potential(xs)
+    entropic = functional.entropic
+
+    def sup_variation(h):
+        return float(np.max(np.abs(potential - h if entropic else potential)))
+
     u_vals = state.u.u.copy()
     h_cur = np.asarray(state.h)
-    sup_rhs_prev = float(np.max(np.abs(functional.variation(xs, h_cur))))
+    sup_rhs_prev = sup_variation(h_cur)
 
     a_min_now = float(np.min(state.u.d2u))
     dt_stable = CFL_FACTOR * h_sp * h_sp * a_min_now
@@ -190,8 +202,6 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
 
     # the substeps update u_vals, du and d2u in place; the buffers are new
     # each step because the returned ConvexPotential makes them read-only
-    potential = functional.potential(xs)
-    entropic = functional.entropic
     nu_f = state.nu_spec.f
     a_floor = state.a_floor
     du = np.empty_like(u_vals)
@@ -223,7 +233,7 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
         h_cur = nu_f(du)
         h_cur -= np.log(d2u)
 
-    sup_rhs_new = float(np.max(np.abs(functional.variation(xs, h_cur))))
+    sup_rhs_new = sup_variation(h_cur)
     if sup_rhs_new > 10.0 * sup_rhs_prev + 1e-8:
         raise StabilityError(
             f"flow derivative grew from {sup_rhs_prev!r} to {sup_rhs_new!r} in one step"
@@ -284,55 +294,84 @@ def fokker_planck_velocity(rho: GridDensity, mu: GridDensity) -> VelocityField:
     return VelocityField(rho.grid, vals)
 
 
-FP_CFL_FACTOR = 0.2
+def _bernoulli(z: np.ndarray) -> np.ndarray:
+    """B(z) = z / (exp(z) - 1), with B(0) = 1."""
+    out = np.ones_like(z)
+    nz = z != 0.0
+    with np.errstate(over="ignore"):
+        out[nz] = z[nz] / np.expm1(z[nz])
+    return out
 
 
-def fokker_planck_step(rho: GridDensity, mu: GridDensity, dt: float) -> GridDensity:
-    """Conservative explicit update of the continuity equation with the
-    Fokker-Planck velocity; zero-flux boundaries, internally substepped to
-    the diffusive stability limit, mass conserved to roundoff."""
+@dataclass(frozen=True)
+class FokkerPlanckSystem:
+    """The backward-Euler matrix W + dt A of the Fokker-Planck step for
+    (mu, dt), factored once for every step that shares them.
+
+    A is the Scharfetter-Gummel discretization of -d/dx(d/dx rho + rho psi')
+    with psi = -log mu: the flux through the face between nodes i and i + 1
+    is (B(dpsi) rho_i - B(-dpsi) rho_{i+1}) / h, with dpsi = psi_{i+1} - psi_i
+    and B the Bernoulli function, and no flux leaves the ends.  W holds the
+    trapezoid weights as cell widths, so the trapezoid mass is conserved,
+    mu is stationary, and the inverse of the M-matrix W + dt A keeps every
+    value positive.
+    """
+
+    mu: GridDensity
+    dt: float
+    solver: Tridiagonal
+
+    @classmethod
+    def build(cls, mu: GridDensity, dt: float) -> "FokkerPlanckSystem":
+        if not math.isfinite(dt) or dt < 0:
+            raise DomainError("dt must be finite and nonnegative")
+        grid = mu.grid
+        dpsi = -np.diff(mu.log_values)
+        scale = dt / grid.spacing
+        right = scale * _bernoulli(dpsi)     # dt/h B(dpsi): rho_i leaving rightward
+        left = scale * _bernoulli(-dpsi)     # dt/h B(-dpsi): rho_{i+1} leaving leftward
+        diag = np.array(grid.trapezoid_weights)
+        diag[:-1] += right
+        diag[1:] += left
+        return cls(mu, dt, Tridiagonal(-right, diag, -left))
+
+
+def _check_density_values(vals: np.ndarray, what: str) -> None:
+    if not (0.0 < vals.min() and vals.max() < np.inf):
+        raise StabilityError(f"Fokker-Planck {what} is not finite and positive")
+
+
+def fokker_planck_step(rho: GridDensity, mu: GridDensity, dt: float,
+                       system: FokkerPlanckSystem | None = None) -> GridDensity:
+    """One backward-Euler step of the Fokker-Planck equation toward mu, with
+    Scharfetter-Gummel fluxes and zero-flux ends (see FokkerPlanckSystem);
+    unconditionally stable, mass conserved to roundoff.  ``system``, when
+    given, must be the one built for this mu and dt."""
     if rho.grid != mu.grid:
         raise DomainError("densities must share a grid")
-    if dt < 0:
-        raise DomainError("dt must be nonnegative")
-    grid = rho.grid
-    h_sp = grid.spacing
-    w = grid.trapezoid_weights
-    n_sub = max(1, math.ceil(dt / (FP_CFL_FACTOR * h_sp * h_sp)))
-    dt_sub = dt / n_sub
-    vals = rho.values.copy()
-    log_mu = mu.log_values
-    mass_before = grid.integrate(vals)
-    v = np.empty_like(vals)             # velocity, then nodal flux
-    face = np.empty(grid.n - 1)         # flux through the faces between nodes
-    net = np.empty_like(vals)           # log-density gap, then net inflow
-    for _ in range(n_sub):
-        np.log(vals, out=net)
-        np.subtract(log_mu, net, out=net)
-        grad_central(net, h_sp, out=v)
-        v *= vals
-        np.add(v[:-1], v[1:], out=face)
-        face *= 0.5
-        net[0] = -face[0]
-        np.subtract(face[:-1], face[1:], out=net[1:-1])
-        net[-1] = face[-1]
-        net *= dt_sub
-        net /= w
-        vals += net
-        if not (0.0 < vals.min() and vals.max() < np.inf):
-            raise StabilityError("Fokker-Planck update lost positivity")
-    mass_after = grid.integrate(vals)
+    if system is None:
+        system = FokkerPlanckSystem.build(mu, dt)
+    elif system.mu is not mu or system.dt != dt:
+        raise DomainError("the Fokker-Planck system was built for another mu or dt")
+    _check_density_values(rho.values, "input")
+    w = rho.grid.trapezoid_weights
+    held = w * rho.values               # the right-hand side W rho, cell by cell
+    vals = system.solver.solve(held)
+    _check_density_values(vals, "update")
+    mass_before = float(held.sum())
+    mass_after = float(w @ vals)
     if abs(mass_after - mass_before) > 1e-7:
         raise StabilityError(f"mass drifted by {mass_after - mass_before!r}")
-    return GridDensity(grid, vals / mass_after)
+    return GridDensity(rho.grid, vals / mass_after)
 
 
 def run_fokker_planck(rho: GridDensity, mu: GridDensity, dt: float,
                       steps: int) -> Iterator[GridDensity]:
     """Yield rho, then the density after each of ``steps`` steps."""
     yield rho
+    system = FokkerPlanckSystem.build(mu, dt)
     for _ in range(steps):
-        rho = fokker_planck_step(rho, mu, dt)
+        rho = fokker_planck_step(rho, mu, dt, system)
         yield rho
 
 

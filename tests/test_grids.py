@@ -17,6 +17,7 @@ from sinkflow.grids import (
     DensitySpec,
     Grid,
     GridDensity,
+    Tridiagonal,
     _hermite,
     _pchip_slopes,
     _spline_slopes,
@@ -268,6 +269,32 @@ class TestCubicInterpolants:
         x = knots("nonuniform", 12)
         y = x**3 - 2.0 * x
         np.testing.assert_allclose(_spline_slopes(x, y), 3.0 * x**2 - 2.0, rtol=1e-11)
+
+
+class TestTridiagonal:
+    @pytest.mark.parametrize("dominance", ["rows", "columns"])
+    @pytest.mark.parametrize("n", [2, 3, 17, 1000])
+    def test_matches_dense_solve(self, n, dominance):
+        rng = np.random.default_rng(n)
+        lower, upper = rng.uniform(-1.0, 1.0, (2, n - 1))
+        off = np.abs(np.concatenate(([0.0], lower))) + np.abs(np.concatenate((upper, [0.0])))
+        if dominance == "columns":
+            off = np.abs(np.concatenate((lower, [0.0]))) + np.abs(np.concatenate(([0.0], upper)))
+        diag = off + rng.uniform(0.01, 1.0, n)
+        a = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        b = rng.standard_normal(n)
+        want = np.linalg.solve(a, b)
+        got = Tridiagonal(lower, diag, upper).solve(b)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_solves_repeat_and_return_new_arrays(self):
+        n = 64
+        solver = Tridiagonal(np.full(n - 1, -1.0), np.full(n, 3.0), np.full(n - 1, -1.0))
+        b = np.linspace(0.0, 1.0, n)
+        first = solver.solve(b)
+        second = solver.solve(b)
+        assert first is not second and np.array_equal(first, second)
+        assert np.array_equal(b, np.linspace(0.0, 1.0, n))
 
 
 def sample(d, count, seed):
