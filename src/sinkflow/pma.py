@@ -7,9 +7,10 @@ diffusivity 1/u'', so a raw step at coarse spacing would amplify
 grid-scale noise).  The same stepper drives the relative-entropy flow and
 the other first-variation functionals.  The plain Fokker-Planck equation,
 the unmirrored gradient flow of the same relative entropy, is stepped for
-comparison runs by backward Euler with Scharfetter-Gummel fluxes, one
-factored tridiagonal solve per step.  The residual diagnostics the
-acceptance suite checks are here too.
+comparison runs by backward Euler with Scharfetter-Gummel fluxes: one
+tridiagonal system factored per run, and one solve per step of at most
+FP_MAX_SUBSTEP.  The residual diagnostics the acceptance suite checks
+are here too.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .transport import ConvexPotential, HessianBoundsReport, legendre_transform,
 CFL_FACTOR = 0.25            # dt_sub <= CFL_FACTOR * h^2 * min(u'')
 PUSHFORWARD_TOL = 5e-3       # sup-norm drift allowed in the transport constraint
 DEFAULT_B_CAP = 1e6
+FP_MAX_SUBSTEP = 1e-3        # longest backward-Euler solve of a Fokker-Planck step
 
 
 @dataclass(frozen=True)
@@ -305,7 +307,7 @@ def _bernoulli(z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FokkerPlanckSystem:
-    """The backward-Euler matrix W + dt A of the Fokker-Planck step for
+    """The backward-Euler matrix W + dt_sub A of the Fokker-Planck step for
     (mu, dt), factored once for every step that shares them.
 
     A is the Scharfetter-Gummel discretization of -d/dx(d/dx rho + rho psi')
@@ -313,12 +315,14 @@ class FokkerPlanckSystem:
     is (B(dpsi) rho_i - B(-dpsi) rho_{i+1}) / h, with dpsi = psi_{i+1} - psi_i
     and B the Bernoulli function, and no flux leaves the ends.  W holds the
     trapezoid weights as cell widths, so the trapezoid mass is conserved,
-    mu is stationary, and the inverse of the M-matrix W + dt A keeps every
-    value positive.
+    mu is stationary, and the inverse of the M-matrix W + dt_sub A keeps
+    every value positive.  A step of dt runs ``substeps`` solves of length
+    dt_sub = dt / substeps <= FP_MAX_SUBSTEP, which bounds the first-order
+    time error whatever dt is.
     """
 
     mu: GridDensity
-    dt: float
+    substeps: int
     solver: Tridiagonal
 
     @classmethod
@@ -326,14 +330,17 @@ class FokkerPlanckSystem:
         if not math.isfinite(dt) or dt < 0:
             raise DomainError("dt must be finite and nonnegative")
         grid = mu.grid
+        # the 1e-9 keeps a dt that is a multiple of FP_MAX_SUBSTEP up to
+        # roundoff (0.1 / 1e-3 = 100.00000000000001) from taking one more solve
+        substeps = max(1, math.ceil(dt / FP_MAX_SUBSTEP - 1e-9))
         dpsi = -np.diff(mu.log_values)
-        scale = dt / grid.spacing
-        right = scale * _bernoulli(dpsi)     # dt/h B(dpsi): rho_i leaving rightward
-        left = scale * _bernoulli(-dpsi)     # dt/h B(-dpsi): rho_{i+1} leaving leftward
+        scale = dt / substeps / grid.spacing
+        right = scale * _bernoulli(dpsi)     # dt_sub/h B(dpsi): rho_i leaving rightward
+        left = scale * _bernoulli(-dpsi)     # dt_sub/h B(-dpsi): rho_{i+1} leaving leftward
         diag = np.array(grid.trapezoid_weights)
         diag[:-1] += right
         diag[1:] += left
-        return cls(mu, dt, Tridiagonal(-right, diag, -left))
+        return cls(mu, substeps, Tridiagonal(-right, diag, -left))
 
 
 def _check_density_values(vals: np.ndarray, what: str) -> None:
@@ -341,24 +348,22 @@ def _check_density_values(vals: np.ndarray, what: str) -> None:
         raise StabilityError(f"Fokker-Planck {what} is not finite and positive")
 
 
-def fokker_planck_step(rho: GridDensity, mu: GridDensity, dt: float,
-                       system: FokkerPlanckSystem | None = None) -> GridDensity:
-    """One backward-Euler step of the Fokker-Planck equation toward mu, with
-    Scharfetter-Gummel fluxes and zero-flux ends (see FokkerPlanckSystem);
-    unconditionally stable, mass conserved to roundoff.  ``system``, when
-    given, must be the one built for this mu and dt."""
-    if rho.grid != mu.grid:
+def fokker_planck_step(rho: GridDensity, system: FokkerPlanckSystem) -> GridDensity:
+    """Advance rho toward the system's mu by the dt it was built for:
+    ``system.substeps`` backward-Euler solves with Scharfetter-Gummel
+    fluxes and zero-flux ends (see FokkerPlanckSystem); unconditionally
+    stable, mass conserved to roundoff."""
+    if rho.grid != system.mu.grid:
         raise DomainError("densities must share a grid")
-    if system is None:
-        system = FokkerPlanckSystem.build(mu, dt)
-    elif system.mu is not mu or system.dt != dt:
-        raise DomainError("the Fokker-Planck system was built for another mu or dt")
     _check_density_values(rho.values, "input")
     w = rho.grid.trapezoid_weights
     held = w * rho.values               # the right-hand side W rho, cell by cell
-    vals = system.solver.solve(held)
-    _check_density_values(vals, "update")
     mass_before = float(held.sum())
+    solve = system.solver.solve         # (W + dt_sub A) rho' = W rho
+    vals = solve(held)
+    for _ in range(system.substeps - 1):
+        vals = solve(w * vals)
+    _check_density_values(vals, "update")
     mass_after = float(w @ vals)
     if abs(mass_after - mass_before) > 1e-7:
         raise StabilityError(f"mass drifted by {mass_after - mass_before!r}")
@@ -371,7 +376,7 @@ def run_fokker_planck(rho: GridDensity, mu: GridDensity, dt: float,
     yield rho
     system = FokkerPlanckSystem.build(mu, dt)
     for _ in range(steps):
-        rho = fokker_planck_step(rho, mu, dt, system)
+        rho = fokker_planck_step(rho, system)
         yield rho
 
 

@@ -337,6 +337,16 @@ def test_runner_verdicts_per_problem_kind(experiment, kind, checks):
     assert report.passed()
 
 
+@pytest.mark.parametrize("dt", [0.02, 0.1])
+@pytest.mark.parametrize("kind", ["gaussian_location", "gaussian_scale"])
+def test_fokker_planck_run_passes_at_a_coarse_dt(kind, dt):
+    # the step splits a coarse dt into short backward-Euler solves, so its
+    # first-order time error stays far inside the 1% verdicts
+    cfg = ExperimentConfig.from_dict({"experiment": "fokker_planck_run", "problem": {"kind": kind},
+                                      "numerics": {"n": 128, "T": 1.0, "dt": dt}})
+    assert run_experiment(cfg).passed()
+
+
 class TestCliCommands:
     def test_run_exit_zero_on_pass(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -19,6 +19,7 @@ from sinkflow.grids import (
 )
 from sinkflow.pma import (
     CFL_FACTOR,
+    FP_MAX_SUBSTEP,
     PUSHFORWARD_TOL,
     FokkerPlanckSystem,
     Functional,
@@ -246,8 +247,24 @@ class TestFokkerPlanckStep:
         w[0] = w[-1] = 0.5 * h
         want = np.linalg.solve(np.diag(w) + dt * div, w * rho.values)
         want /= grid.integrate(want)
-        got = fokker_planck_step(rho, mu, dt).values
+        got = fokker_planck_step(rho, FokkerPlanckSystem.build(mu, dt)).values
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+    def test_long_step_splits_into_substeps(self):
+        # a step longer than FP_MAX_SUBSTEP runs equal sub-solves of one
+        # factored system, the same as as many short steps
+        mu = discretize(MU_SPEC, GRID)
+        rho = discretize(DensitySpec.gaussian(0.5, 0.25), GRID)
+        system = FokkerPlanckSystem.build(mu, 2.5 * FP_MAX_SUBSTEP)
+        assert system.substeps == 3
+        short = FokkerPlanckSystem.build(mu, 2.5 * FP_MAX_SUBSTEP / 3)
+        assert short.substeps == 1
+        assert FokkerPlanckSystem.build(mu, 0.1).substeps == 100
+        want = rho
+        for _ in range(3):
+            want = fokker_planck_step(want, short)
+        got = fokker_planck_step(rho, system)
+        assert np.max(np.abs(got.values - want.values)) <= 1e-13 * np.max(want.values)
 
     def test_conserves_trapezoid_mass(self):
         # the solve itself, before the step renormalizes, keeps sum(w rho)
@@ -265,35 +282,35 @@ class TestFokkerPlanckStep:
         mu = discretize(MU_SPEC, GRID)
         vals = discretize(DensitySpec.gaussian(0.5, 1.0), GRID).values.copy()
         vals[GRID.n // 3] = 1e-300
-        nxt = fokker_planck_step(GridDensity.from_unnormalized(GRID, vals), mu, 1e-3)
+        nxt = fokker_planck_step(GridDensity.from_unnormalized(GRID, vals),
+                                 FokkerPlanckSystem.build(mu, 1e-3))
         assert np.all(nxt.values > 0.0)
         assert nxt.values[GRID.n // 3] > 1e-4
 
     def test_first_order_in_dt(self):
+        # the variance error halves with the solve length; a step twice
+        # FP_MAX_SUBSTEP splits into two solves and keeps the error of one
         grid = Grid(-8.0, 8.0, 2048)
         mu = discretize(MU_SPEC, grid)
         rho = discretize(DensitySpec.gaussian(0.0, 0.25), grid)
         ref = scale_variance_fokker_planck(0.5, 0.5)
         errs = []
-        for dt in (2e-3, 1e-3, 5e-4):
+        for dt in (2 * FP_MAX_SUBSTEP, FP_MAX_SUBSTEP, FP_MAX_SUBSTEP / 2, FP_MAX_SUBSTEP / 4):
             *_, last = run_fokker_planck(rho, mu, dt, int(round(0.5 / dt)))
             errs.append(abs(last.variance() - ref))
-        assert 1.8 <= errs[0] / errs[1] <= 2.2
+        assert errs[0] == pytest.approx(errs[1], rel=1e-9)
         assert 1.8 <= errs[1] / errs[2] <= 2.2
+        assert 1.8 <= errs[2] / errs[3] <= 2.2
 
-    def test_system_must_match_the_step(self):
-        mu = discretize(MU_SPEC, GRID)
-        system = FokkerPlanckSystem.build(mu, 1e-3)
+    def test_grid_mismatch_is_a_domain_error(self):
+        system = FokkerPlanckSystem.build(discretize(MU_SPEC, GRID), 1e-3)
         with pytest.raises(DomainError):
-            fokker_planck_step(mu, mu, 2e-3, system)
-        with pytest.raises(DomainError):
-            fokker_planck_step(mu, discretize(MU_SPEC, GRID), 1e-3, system)
+            fokker_planck_step(discretize(MU_SPEC, Grid(-8.0, 8.0, 256)), system)
 
     @pytest.mark.parametrize("dt", [np.nan, np.inf, -1e-3])
     def test_bad_dt_is_a_domain_error(self, dt):
-        mu = discretize(MU_SPEC, GRID)
         with pytest.raises(DomainError):
-            fokker_planck_step(mu, mu, dt)
+            FokkerPlanckSystem.build(discretize(MU_SPEC, GRID), dt)
 
     def test_fp_continuity_residual_law(self):
         mu = discretize(MU_SPEC, GRID)
@@ -569,4 +586,4 @@ class TestInPlaceSubsteps:
         # past the density's own checks, as a corrupted state would arrive
         object.__setattr__(rho, "values", vals)
         with np.errstate(all="ignore"), pytest.raises(StabilityError):
-            fokker_planck_step(rho, mu, 1e-3)
+            fokker_planck_step(rho, FokkerPlanckSystem.build(mu, 1e-3))
