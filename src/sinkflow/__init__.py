@@ -3,7 +3,7 @@
 Subpackages:
 
 * :mod:`sinkflow.grids` - grid densities, CDF/quantile machinery
-* :mod:`sinkflow.transport` - monotone maps, conjugates, transport distances
+* :mod:`sinkflow.transport` - convex potentials, conjugates, transport distances
 * :mod:`sinkflow.sinkhorn` - log-domain scaling operators and iterates
 * :mod:`sinkflow.pma` - the parabolic flow stepper and its diagnostics
 * :mod:`sinkflow.closed_form` - exact reference flows used as oracles
@@ -41,9 +41,6 @@ from .grids import (  # noqa: F401
 from .transport import (  # noqa: F401
     ConvexPotential,
     HessianBoundsReport,
-    MonotoneMap,
-    bregman_divergence,
-    brenier_map_1d,
     legendre_transform,
     lot_distance,
     w2_distance,

@@ -34,6 +34,7 @@ from .pma import (
     Functional,
     PmaState,
     _is_at,
+    _state_at,
     kl_decay_series,
     make_flow_state,
     metric_derivative_lot,
@@ -126,6 +127,11 @@ class ExperimentConfig:
         for key in ("n", "particles", "seed"):
             if not _is_integer(numerics[key]):
                 raise DomainError(f"{key} must be an integer, got {numerics[key]!r}")
+        stride = output["snapshot_stride"]
+        if not _is_integer(stride) or stride < 0:
+            raise DomainError(f"snapshot_stride must be a nonnegative integer, got {stride!r}")
+        if not isinstance(output["emit_svg"], bool):
+            raise DomainError(f"emit_svg must be true or false, got {output['emit_svg']!r}")
         eps_list = numerics["eps_list"]
         if not isinstance(eps_list, (list, tuple)) or len(eps_list) < 2:
             raise DomainError(f"eps_list must be a list of two or more values, got {eps_list!r}")
@@ -278,7 +284,7 @@ def run_pma(config: ExperimentConfig) -> Report:
     # thin the rows to about 200, keeping the checkpoints' states
     half = round(0.5 / num["dt"])
     keep = max(k for k in range(1, max(1, steps // 200) + 1) if half % k == 0)
-    stride = int(config.output["snapshot_stride"])
+    stride = config.output["snapshot_stride"]
     due = [t for t in (0.5, 1.0) if t <= num["T"] + 1e-9]
     rows, artifacts, verdicts = [], {}, []
     for i, s in enumerate(run_flow(problem.flow_state(config.grid()), num["dt"], steps)):
@@ -340,7 +346,8 @@ def run_eps_limit(config: ExperimentConfig) -> Report:
     Shares the initial potential between both, runs floor(T/eps) two-step
     iterations per eps, and tabulates the squared quantile distance to the
     flow state at the matching time, with successive ratios and the fitted
-    log-log slope.
+    log-log slope.  Raises DomainError when no flow state lies at a
+    matching time (when dt does not divide it).
     """
     num = config.numerics
     grid = config.grid()
@@ -356,7 +363,7 @@ def run_eps_limit(config: ExperimentConfig) -> Report:
         sk = problem.sinkhorn_state(grid, eps)
         for _ in range(k):
             sk = s_step(sk)
-        flow_at = states[int(round(t_k / num["dt"]))]
+        flow_at = _state_at(states, t_k)
         w2sq = w2_distance(sk.rho, flow_at.rho) ** 2
         rows.append({"eps": eps, "k": k, "t": t_k, "w2_squared": w2sq})
     ratios = [rows[i + 1]["w2_squared"] / rows[i]["w2_squared"] for i in range(len(rows) - 1)]

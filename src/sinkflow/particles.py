@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, ParticleEscape
-from .grids import (DensitySpec, Grid, GridDensity, _readonly, cdf_values, grad_central,
-                    lerp, locate, quantile, second_central)
+from .grids import (Grid, GridDensity, _readonly, cdf_values, grad_central, lerp, locate,
+                    quantile)
 from .pma import PmaState, _is_at, inverse_gradient_map
 from .sinkhorn import SinkhornState, _kernel_draw, _log_kernel
 from .transport import ConvexPotential
@@ -179,28 +178,3 @@ def ks_distance(e: ParticleEnsemble, d: GridDensity) -> float:
     upper = np.arange(1, n + 1) / n
     lower = np.arange(0, n) / n
     return float(max(np.max(np.abs(model - upper)), np.max(np.abs(model - lower))))
-
-
-def generator_stationarity_residual(
-    u: ConvexPotential, target: DensitySpec, test_fn: Callable[[np.ndarray], np.ndarray]
-) -> float:
-    """Stationarity defect of the dual generator against the target measure.
-
-    The generator of the dual diffusion is assembled in Ito form: drift
-    -h'(w'(y)) recovered through the conjugate chain rule
-    g'(y)/w'' + w'''/w''^2, diffusion half 1/w''.  Integrating it against
-    the target measure must give zero; the reported defect is the O(h^2)
-    finite-difference quadrature residual, exactly zero for a constant
-    test function.
-    """
-    ys = u.grid.nodes
-    h = u.grid.spacing
-    phi = np.asarray(test_fn(ys), dtype=float)
-    phi_p = grad_central(phi, h)
-    phi_pp = second_central(phi, h)
-    x_back = inverse_gradient_map(u, ys)
-    w2 = 1.0 / np.interp(x_back, u.grid.nodes, u.d2u)   # w''(y)
-    w3 = grad_central(w2, h)                            # w'''(y)
-    drift = -(target.grad(ys) / w2 + w3 / w2**2)
-    weight = np.exp(-target.f(ys))
-    return float(abs(u.grid.integrate((drift * phi_p + phi_pp / w2) * weight)))

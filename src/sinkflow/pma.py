@@ -59,10 +59,6 @@ class Functional:
     gradient: Callable[[np.ndarray], np.ndarray]
     entropic: bool
 
-    def variation(self, xs: np.ndarray, h: np.ndarray) -> np.ndarray:
-        v = self.potential(xs)
-        return v - h if self.entropic else v
-
     def variation_gradient(self, xs: np.ndarray, h: np.ndarray, spacing: float) -> np.ndarray:
         g = self.gradient(xs)
         return g - grad_central(h, spacing) if self.entropic else g
@@ -151,13 +147,6 @@ def make_flow_state(
         bounds=bounds, a_floor=a_floor, b_cap=b_cap,
         rho_mass_error=abs(mass - 1.0),
     )
-
-
-def pma_rhs(state: PmaState) -> np.ndarray:
-    """Nodewise time derivative of the potential (the first variation)."""
-    if float(np.min(state.u.d2u)) < state.a_floor:
-        raise ConvexityLost("potential violates the convexity floor")
-    return state.functional.variation(state.grid.nodes, state.h)
 
 
 def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaState:
@@ -280,20 +269,6 @@ def velocity(state: PmaState) -> VelocityField:
     functional provides one."""
     g = state.functional.variation_gradient(state.grid.nodes, state.h, state.grid.spacing)
     return VelocityField(state.grid, -g / state.u.d2u)
-
-
-def velocity_mirror_chart(state: PmaState) -> VelocityField:
-    """Velocity recomputed purely from the potential's time derivative."""
-    g = grad_central(pma_rhs(state), state.grid.spacing)
-    return VelocityField(state.grid, -g / state.u.d2u)
-
-
-def fokker_planck_velocity(rho: GridDensity, mu: GridDensity) -> VelocityField:
-    """Plain (unmirrored) velocity of the relative-entropy gradient flow."""
-    if rho.grid != mu.grid:
-        raise DomainError("densities must share a grid")
-    vals = grad_central(mu.log_values - rho.log_values, rho.grid.spacing)
-    return VelocityField(rho.grid, vals)
 
 
 def _bernoulli(z: np.ndarray) -> np.ndarray:
@@ -420,27 +395,6 @@ def continuity_residual(prev: PmaState, next_state: PmaState) -> float:
     resid = (next_state.rho.values - prev.rho.values) / dt + flux_div
     keep = prev.grid.interior_slice()
     return float(np.max(np.abs(resid[keep])))
-
-
-def fp_continuity_residual(prev: GridDensity, next_d: GridDensity, mu: GridDensity, dt: float) -> float:
-    v = fokker_planck_velocity(prev, mu).values
-    flux_div = grad_central(prev.values * v, prev.grid.spacing)
-    resid = (next_d.values - prev.values) / dt + flux_div
-    keep = prev.grid.interior_slice()
-    return float(np.max(np.abs(resid[keep])))
-
-
-def gauge_consistency_residual(states: Sequence[PmaState], index: int) -> float:
-    """Sup gap between the two expressions for the log-density: the pullback
-    through the gradient map versus f minus a centered time derivative of
-    the potential across neighbouring states."""
-    if index <= 0 or index >= len(states) - 1:
-        raise DomainError("need a state with both neighbours")
-    prev, mid, nxt = states[index - 1], states[index], states[index + 1]
-    dudt = (nxt.u.u - prev.u.u) / (nxt.t - prev.t)
-    h_from_time = mid.mu_spec.f(mid.grid.nodes) - dudt
-    keep = mid.grid.interior_slice()
-    return float(np.max(np.abs((h_from_time - mid.h)[keep])))
 
 
 def _is_at(stamp: float, t: float) -> bool:

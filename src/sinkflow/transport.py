@@ -2,8 +2,8 @@
 
 Everything here reduces to quantile/CDF composition (exact in one
 dimension) plus convex-duality machinery for the potentials: Legendre
-transforms, Bregman divergences, and the
-log-det-Hessian tensor identity used by the flow diagnostics.
+transforms and the log-det-Hessian tensor identity used by the flow
+diagnostics.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .errors import ConvexityLost, DomainError, GridMismatch, RangeError
 from .grids import (
     Grid,
     GridDensity,
-    _check_map_values,
     _hermite,
     _hermite_pieces,
     _readonly,
@@ -27,25 +26,6 @@ from .grids import (
 
 DEFAULT_CONVEXITY_FLOOR = 1e-3
 W2_QUADRATURE_NODES = 1024
-
-
-@dataclass(frozen=True)
-class MonotoneMap:
-    """Strictly increasing map sampled at the grid nodes."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = _readonly(self.values)
-        object.__setattr__(self, "values", v)
-        _check_map_values(self.grid, v)
-
-    def __call__(self, x):
-        return np.interp(x, self.grid.nodes, self.values)
-
-    def inverse(self, y):
-        return np.interp(y, self.values, self.grid.nodes)
 
 
 @dataclass(frozen=True)
@@ -123,32 +103,15 @@ class ConvexPotential:
         out = _hermite(xs, self.u, self.du, x)
         return float(out) if out.ndim == 0 else out
 
-    def gradient_at(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        if np.any(x_arr < self.grid.lower) or np.any(x_arr > self.grid.upper):
-            raise DomainError("point outside the potential's grid")
-        out = np.interp(x_arr, self.grid.nodes, self.du)
-        return float(out) if out.ndim == 0 else out
-
 
 def _strictify(values: np.ndarray, min_gap: float) -> np.ndarray:
-    """Break float-saturation ties in the extreme tails of a quantile
-    composition; active only where the CDF has flattened to machine 1."""
+    """Make a nondecreasing sequence strictly increasing by lifting each tie
+    ``min_gap`` above its predecessor; a no-op where it already is."""
     out = values.copy()
     for i in range(1, len(out)):
         if out[i] <= out[i - 1]:
             out[i] = out[i - 1] + min_gap
     return out
-
-
-def brenier_map_1d(src: GridDensity, dst: GridDensity) -> MonotoneMap:
-    """Monotone transport map from src to dst: dst-quantile of the src-CDF."""
-    if src.grid != dst.grid:
-        raise GridMismatch("brenier_map_1d expects one shared grid")
-    t = quantile(dst, cdf_values(src))
-    if np.any(np.diff(t) <= 0.0):
-        t = _strictify(t, 1e-9 * src.grid.spacing)
-    return MonotoneMap(src.grid, t)
 
 
 def w2_distance(a: GridDensity, b: GridDensity) -> float:
@@ -203,12 +166,6 @@ def legendre_transform(u: ConvexPotential, target_grid: Grid) -> ConvexPotential
         dw = _strictify(dw, 1e-12 * u.grid.spacing)
     floor = min(u.floor, float(np.min(d2w)) * 0.5)
     return ConvexPotential(target_grid, w, dw, d2w, floor=floor)
-
-
-def bregman_divergence(u: ConvexPotential, w: ConvexPotential, x: float, y: float) -> float:
-    """u(x) + w(y) - x*y for a conjugate pair (u, w); nonnegative, zero at
-    the matched point x = w'(y)."""
-    return u.value_at(x) + w.value_at(y) - x * y
 
 
 def log_det_hessian_gradient_residual(u: ConvexPotential) -> float:

@@ -85,12 +85,21 @@ class TestConfig:
         {"numerics": {"seed": -3}},
         {"numerics": [["n", 128]]},
         {"problem": {"flow_kind": []}},
+        {"output": {"snapshot_stride": "abc"}},
+        {"output": {"snapshot_stride": None}},
+        {"output": {"snapshot_stride": -3}},
+        {"output": {"snapshot_stride": 1.7}},
+        {"output": {"snapshot_stride": True}},
+        {"output": {"emit_svg": "no"}},
+        {"output": {"emit_svg": 1}},
     ], ids=["unknown-problem-key", "unknown-numerics-key", "removed-tolerances",
             "removed-directory", "negative-dt", "zero-dt", "zero-eps", "zero-in-eps-list",
             "negative-L", "no-particles", "unknown-flow-kind", "string-n",
             "fractional-particles", "bool-seed", "string-T", "nan-eps",
             "string-in-eps-list", "eps-list-not-a-list", "one-entry-eps-list", "string-theta",
-            "bool-param", "negative-seed", "numerics-not-an-object", "list-flow-kind"])
+            "bool-param", "negative-seed", "numerics-not-an-object", "list-flow-kind",
+            "string-stride", "null-stride", "negative-stride", "fractional-stride",
+            "bool-stride", "string-emit-svg", "integer-emit-svg"])
     def test_bad_config_rejected(self, raw):
         with pytest.raises(DomainError):
             ExperimentConfig.from_dict({"experiment": "pma_run", **raw})
@@ -100,9 +109,11 @@ class TestConfig:
         ("markov_chain_run", {"eps": 0.5}),
         ("eps_limit", {"eps_list": [0.5, 0.1]}),
         ("pma_run", {"T": 0.5, "dt": 1.0}),
+        ("eps_limit", {"T": 1.0, "dt": 0.3}),
     ])
     def test_run_without_a_step_rejected(self, experiment, numerics):
-        # floor(T/eps) iterations or round(T/dt) time steps come out zero
+        # floor(T/eps) iterations or round(T/dt) time steps come out zero,
+        # or no flow step lands on the iterates' time (dt = 0.3 misses t = 1)
         cfg = ExperimentConfig.from_dict({"experiment": experiment,
                                           "numerics": {**QUICK_NUMERICS, **numerics}})
         with pytest.raises(DomainError):

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sinkflow.errors import ConvexityLost, DomainError, GridMismatch, NonMonotoneMap, RangeError
-from sinkflow.grids import DensitySpec, Grid, discretize, pushforward_monotone
+from sinkflow.grids import (DensitySpec, Grid, cdf_values, discretize, pushforward_monotone,
+                            quantile)
+from sinkflow.pma import inverse_gradient_map
 from sinkflow.transport import (
     ConvexPotential,
     HessianBoundsReport,
-    MonotoneMap,
-    bregman_divergence,
-    brenier_map_1d,
+    _strictify,
     change_of_measure_residual,
     legendre_transform,
     log_det_hessian_gradient_residual,
@@ -32,27 +32,38 @@ def brute_force_conjugate(u: ConvexPotential, ys):
     return vals
 
 
+def brenier_map(src, dst):
+    """The monotone map from src to dst at the nodes: dst-quantile of the
+    src-CDF, with the ties where the CDF saturates at 1 broken."""
+    return _strictify(quantile(dst, cdf_values(src)), 1e-9 * src.grid.spacing)
+
+
+def bregman_divergence(u, w, x, y):
+    """u(x) + w(y) - x*y for a conjugate pair (u, w)."""
+    return u.value_at(x) + w.value_at(y) - x * y
+
+
 class TestBrenierMap:
     def test_identity(self):
-        t = brenier_map_1d(STD, STD)
+        t = brenier_map(STD, STD)
         keep = GRID.interior_slice()
-        assert np.max(np.abs(t.values - GRID.nodes)[keep]) <= GRID.spacing
+        assert np.max(np.abs(t - GRID.nodes)[keep]) <= GRID.spacing
 
     def test_translation(self):
-        t = brenier_map_1d(STD, gaussian(0.5, 1.0))
+        t = brenier_map(STD, gaussian(0.5, 1.0))
         keep = GRID.interior_slice()
-        assert np.max(np.abs(t.values - (GRID.nodes + 0.5))[keep]) < 1e-3
+        assert np.max(np.abs(t - (GRID.nodes + 0.5))[keep]) < 1e-3
 
     def test_scaling(self):
         # quantile interpolation degrades deep in the narrow target's own
         # tail; the scaling law holds on the window |x| <= 3
-        t = brenier_map_1d(STD, gaussian(0.0, 0.25))
+        t = brenier_map(STD, gaussian(0.0, 0.25))
         window = np.abs(GRID.nodes) <= 3.0
-        assert np.max(np.abs(t.values - 0.5 * GRID.nodes)[window]) < 1e-3
+        assert np.max(np.abs(t - 0.5 * GRID.nodes)[window]) < 1e-3
 
     def test_pushforward_contract_translation(self):
-        t = brenier_map_1d(STD, gaussian(0.5, 1.0))
-        out = pushforward_monotone(STD, t.values)
+        t = brenier_map(STD, gaussian(0.5, 1.0))
+        out = pushforward_monotone(STD, t)
         assert np.max(np.abs(out.values - gaussian(0.5, 1.0).values)) < 1e-4
 
     def test_pushforward_contract_refines(self):
@@ -60,7 +71,7 @@ class TestBrenierMap:
         for n in (512, 1024, 2048):
             g = Grid(-8.0, 8.0, n)
             src, dst = gaussian(0.0, 1.0, g), gaussian(0.0, 0.25, g)
-            out = pushforward_monotone(src, brenier_map_1d(src, dst).values)
+            out = pushforward_monotone(src, brenier_map(src, dst))
             errs.append(np.max(np.abs(out.values - dst.values)))
         assert errs[0] / errs[1] > 3.0 and errs[1] / errs[2] > 3.0
         assert errs[2] < 1e-4
@@ -170,7 +181,7 @@ class TestLegendre:
             lambda x: np.cosh(x) + 0.5)
         w = legendre_transform(u, Grid(-4.5, 4.5, 512))
         xs = np.linspace(-1.8, 1.8, 101)
-        back = np.interp(u.gradient_at(xs), w.grid.nodes, w.du)
+        back = np.interp(np.interp(xs, g.nodes, u.du), w.grid.nodes, w.du)
         assert np.max(np.abs(back - xs)) < 1e-4
 
     def test_range_error(self):
@@ -180,26 +191,30 @@ class TestLegendre:
 
 
 class TestMirrorCoordinate:
+    """inverse_gradient_map takes mirror coordinates y = u'(x) back to x."""
+
     def test_quadratic(self):
         u = ConvexPotential.quadratic(GRID)
-        assert u.gradient_at(0.7) == pytest.approx(0.7, abs=1e-9)
+        assert inverse_gradient_map(u, np.array([0.7]))[0] == pytest.approx(0.7, abs=1e-9)
 
     def test_quartic(self):
         g = Grid(0.1, 2.0, 512)
         u = ConvexPotential.from_callable(g, lambda x: x**4, lambda x: 4 * x**3,
                                           lambda x: 12 * x**2)
-        assert u.gradient_at(1.0) == pytest.approx(4.0, abs=1e-4)
+        assert inverse_gradient_map(u, np.array([4.0]))[0] == pytest.approx(1.0, abs=1e-4)
 
     def test_inverse_potential(self):
         g = Grid(0.2, 5.0, 512)
         u = ConvexPotential.from_callable(g, lambda x: 1.0 / x, lambda x: -1.0 / x**2,
                                           lambda x: 2.0 / x**3, floor=1e-2)
-        assert u.gradient_at(1.0) == pytest.approx(-1.0, abs=1e-3)
+        assert inverse_gradient_map(u, np.array([-1.0]))[0] == pytest.approx(1.0, abs=1e-3)
 
     def test_outside_grid(self):
-        u = ConvexPotential.quadratic(GRID)
-        with pytest.raises(DomainError):
-            u.gradient_at(9.0)
+        # beyond u's gradient range the inverse continues linearly with the
+        # boundary Hessian
+        u = ConvexPotential.quadratic(GRID, curvature=2.0)
+        got = inverse_gradient_map(u, np.array([-18.0, 20.0]))
+        np.testing.assert_allclose(got, [-9.0, 10.0], rtol=0, atol=1e-12)
 
 
 class TestBregman:
@@ -272,12 +287,14 @@ def test_change_of_measure_identity():
 
 
 def test_monotone_map_validation():
+    # pushforward_monotone refuses a map that is not strictly increasing,
+    # not finite or not sampled at every node
     with pytest.raises(NonMonotoneMap):
-        MonotoneMap(GRID, np.zeros(GRID.n))
+        pushforward_monotone(STD, np.zeros(GRID.n))
     with pytest.raises(NonMonotoneMap):
-        MonotoneMap(GRID, np.where(GRID.nodes > 0.0, np.nan, GRID.nodes))
+        pushforward_monotone(STD, np.where(GRID.nodes > 0.0, np.nan, GRID.nodes))
     with pytest.raises(DomainError):
-        MonotoneMap(GRID, GRID.nodes[:-1])
+        pushforward_monotone(STD, GRID.nodes[:-1])
 
 
 class TestValueAt:
