@@ -500,11 +500,11 @@ def run_markov_chain(config: ExperimentConfig) -> Report:
     ks_tol = _ks_tolerance(3, count)
     worst = 0.0
     for _ in range(k_steps):
-        ens = markov_chain_step(ens, sk)
+        ens, rounds = markov_chain_step(ens, sk)
         sk = s_step(sk)
         ks = ks_distance(ens, sk.rho)
         worst = max(worst, ks)
-        rows.append({"k": sk.k, "ks_vs_iterate_marginal": ks})
+        rows.append({"k": sk.k, "ks_vs_iterate_marginal": ks, "rejection_rounds": rounds})
     verdicts = [_verdict(f"chain marginal KS over k<={k_steps}", worst,
                          f"<= {ks_tol:.5f}", worst <= ks_tol)]
     return Report(config.experiment, config.hash(), rows, verdicts)

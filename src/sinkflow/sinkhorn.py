@@ -16,7 +16,9 @@ Both operators, and the Markov-chain sampler in :mod:`sinkflow.particles`,
 evaluate their kernels through one log-kernel layer (``_log_kernel``): when
 the log-weights are concave, each kernel row is evaluated only on a band
 around its maximum, with a full-width pass for any row whose band edges
-are not negligible.
+are not negligible.  The chain draws from a concave kernel by rejection
+from a per-row envelope instead (``_kernel_reject``), at O(1) expected
+cost per row.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ NORMALIZATION_TOL = 1e-8
 BAND_LOG_UNITS = 40.0
 # entries per evaluated block: small enough to stay in the per-core cache
 _BLOCK_ENTRIES = 1 << 16
+# rows per block of rejection proposals: keeps the per-row envelope arrays
+# at a few hundred kB whatever the number of particles
+_PROPOSAL_ROWS = 1 << 13
 # second differences of a concave log-weight vector, relative to its size
 _CONCAVITY_TOL = 1e-12
 
@@ -174,6 +179,132 @@ def _kernel_draw(kernel: _LogKernel, p: np.ndarray, uniforms: np.ndarray):
         return nodes[lo + idx] + np.clip(frac, 0.0, 1.0) * h
 
     return _kernel_rows(kernel, p, reduce)
+
+
+class _Envelope(NamedTuple):
+    """Per-row upper bound on the cell weights of a concave kernel.
+
+    The weights are q_c = exp(r(c)) + exp(r(c+1)) over the cells c between
+    adjacent nodes.  In log units above ``log_mode``, the log weight of the
+    row's mode cell, the bound is 0 on cells [lo, hi].  Beyond each anchor
+    it falls linearly: log_hi + slope_hi * (c - hi) for c > hi, and
+    log_lo + slope_lo * (lo - c) for c < lo, truncated to the grid.
+    ``mass_lo`` and ``mass_hi`` are the totals of the two geometric tails,
+    in units of the mode cell's weight.
+    """
+
+    log_mode: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    log_lo: np.ndarray
+    slope_lo: np.ndarray
+    mass_lo: np.ndarray
+    log_hi: np.ndarray
+    slope_hi: np.ndarray
+    mass_hi: np.ndarray
+
+
+def _row_values(kernel: _LogKernel, pe: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """r(col) = pe * z_col + a_col for each row's column."""
+    return kernel.nodes[col] * pe + kernel.a[col]
+
+
+def _log_pair(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
+    """log(exp r0 + exp r1); numpy's logaddexp is several times slower."""
+    return np.maximum(r0, r1) + np.log1p(np.exp(-np.abs(r0 - r1)))
+
+
+def _geometric_mass(slope: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """sum_{k=1..count} exp(slope * k), elementwise (0 when count is 0)."""
+    with np.errstate(all="ignore"):
+        total = np.exp(slope) * np.expm1(count * slope) / np.expm1(slope)
+    return np.where(count > 0, np.where(slope == 0, count, total), 0.0)
+
+
+def _geometric_offset(slope: np.ndarray, v: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Smallest k in [1, count] with sum_{i=1..k} exp(slope * i) > v."""
+    with np.errstate(all="ignore"):
+        k = np.where(slope == 0, v, np.log1p(-v * np.expm1(-slope)) / slope)
+    k = np.floor(np.where(np.isnan(k), 0.0, k)) + 1.0
+    return np.minimum(np.maximum(k, 1.0), np.maximum(count, 1)).astype(np.intp)
+
+
+def _rejection_envelope(kernel: _LogKernel, pe: np.ndarray) -> _Envelope:
+    """The envelope of each row of a concave kernel at the points ``pe``.
+
+    The row's cell weights are log-concave (q is e convolved with (1, 1)),
+    and their mode is the row's peak column or the cell before it.  The
+    anchors sit about one curvature width from the mode, taken from the
+    row's second difference at its peak (or, for a row peaking at a grid
+    end, from its end slope), and at least 2 cells out, so that a row one
+    node wide still gets falling tails.  By concavity each tail lies under
+    the secant through its anchor and the cell inside it.
+    """
+    n = kernel.a.size
+    last = n - 2
+    first = np.clip(np.searchsorted(kernel.slopes, pe * kernel.spacing) - 1, 0, n - 3)
+    r0, r1, r2 = (_row_values(kernel, pe, first + k) for k in range(3))
+    log_first, log_next = _log_pair(r0, r1), _log_pair(r1, r2)
+    mode = first + (log_next > log_first)
+    log_mode = np.maximum(log_first, log_next)
+    rise, fall = r1 - r0, r2 - r1
+    bend = np.abs(rise - fall) + np.minimum(rise * rise, fall * fall)
+    with np.errstate(divide="ignore"):
+        half = np.minimum(np.maximum(np.rint(1.0 / np.sqrt(bend)), 2.0), n).astype(np.intp)
+    lo, hi = np.maximum(mode - half, 0), np.minimum(mode + half, last)
+    r0, r1, r2 = (_row_values(kernel, pe, lo + k) for k in range(3))
+    log_lo = _log_pair(r0, r1)
+    slope_lo = log_lo - _log_pair(r1, r2)
+    log_lo -= log_mode
+    r0, r1, r2 = (_row_values(kernel, pe, hi - 1 + k) for k in range(3))
+    log_hi = _log_pair(r1, r2)
+    slope_hi = log_hi - _log_pair(r0, r1)
+    log_hi -= log_mode
+    return _Envelope(log_mode, lo, hi,
+                     log_lo, slope_lo, np.exp(log_lo) * _geometric_mass(slope_lo, lo),
+                     log_hi, slope_hi, np.exp(log_hi) * _geometric_mass(slope_hi, last - hi))
+
+
+def _kernel_reject(kernel: _LogKernel, p: np.ndarray, rows: np.ndarray,
+                   u_pick: np.ndarray, u_accept: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One rejection round of the chain's draw for ``rows`` of a concave kernel.
+
+    The law is that of :func:`_kernel_draw`: cell c with probability
+    proportional to q_c, then uniform inside it.  Row i proposes a cell
+    from its envelope with ``u_pick[i]`` and accepts it when
+    ``u_accept[i]`` < q_c / envelope_c; given acceptance, ``u_accept[i]``
+    divided by that ratio is uniform on [0, 1) and places the point in the
+    cell.  Accepted points are written to ``out``.  Rows are handled
+    _PROPOSAL_ROWS at a time, so no per-particle envelope is held.
+    Returns the rows that were not accepted.
+    """
+    last = kernel.a.size - 2
+    left = [rows[:0]]
+    for start in range(0, rows.size, _PROPOSAL_ROWS):
+        ids = rows[start:start + _PROPOSAL_ROWS]
+        pe = p[ids] * kernel.scale
+        env = _rejection_envelope(kernel, pe)
+        flat = env.hi - env.lo + 1
+        v = u_pick[ids] * (env.mass_lo + flat + env.mass_hi)
+        with np.errstate(all="ignore"):
+            below = env.lo - _geometric_offset(env.slope_lo, v / np.exp(env.log_lo), env.lo)
+            above = env.hi + _geometric_offset(
+                env.slope_hi, (v - env.mass_lo - flat) / np.exp(env.log_hi), last - env.hi)
+        inside = env.lo + np.minimum(np.floor(v - env.mass_lo).astype(np.intp), flat - 1)
+        cell = np.where(v < env.mass_lo, below, np.where(v < env.mass_lo + flat, inside, above))
+        cell = np.minimum(np.maximum(cell, 0), last)
+        log_env = np.where(cell < env.lo, env.log_lo + env.slope_lo * (env.lo - cell),
+                           np.where(cell > env.hi,
+                                    env.log_hi + env.slope_hi * (cell - env.hi), 0.0))
+        log_env += env.log_mode
+        ratio = (np.exp(_row_values(kernel, pe, cell) - log_env)
+                 + np.exp(_row_values(kernel, pe, cell + 1) - log_env))
+        u = u_accept[ids]
+        accepted = u < ratio
+        out[ids[accepted]] = kernel.nodes[cell[accepted]] \
+            + u[accepted] / ratio[accepted] * kernel.spacing
+        left.append(ids[~accepted])
+    return np.concatenate(left)
 
 
 def _smooth(potential, marginal: GridDensity, eps: float, out_grid: Grid | None) -> np.ndarray:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from sinkflow.errors import DomainError, ParticleEscape
-from sinkflow.grids import DensitySpec, Grid, discretize, grad_central, second_central
+from sinkflow import particles, sinkhorn
+from sinkflow.grids import (DensitySpec, Grid, GridDensity, discretize, grad_central,
+                            second_central)
 from sinkflow.particles import (
     ESCAPE_MARGIN,
     ParticleEnsemble,
@@ -18,7 +20,7 @@ from sinkflow.particles import (
     uniform_block,
 )
 from sinkflow.pma import inverse_gradient_map, make_flow_state, step
-from sinkflow.sinkhorn import _kernel_draw, _log_kernel, initial_state, s_step
+from sinkflow.sinkhorn import _log_kernel, initial_state, s_step
 from sinkflow.transport import ConvexPotential
 
 from conftest import gaussian_flow_state
@@ -328,19 +330,29 @@ class TestMirrorLangevin:
         assert np.array_equal(a.positions, b.positions)
 
 
-def _sample_conditional_rows(log_core, nodes, uniforms):
-    """Dense inverse-CDF sample per row of a batch of grid conditionals.
+def _cell_cdf(log_core, nodes):
+    """Exact cell law of a batch of grid conditionals, as a CDF at the nodes.
 
-    The reference for the banded sampler: rows are unnormalized log-density
-    samples at the nodes; the CDF is the trapezoid cumulative over the whole
-    row, inverted linearly inside the selected cell.
+    Rows are unnormalized log-density samples at the nodes; cell c carries
+    the trapezoid mass of its two end nodes, and the law is uniform inside
+    each cell, so the CDF is linear between nodes.
     """
     stable = log_core - log_core.max(axis=1, keepdims=True)
     dens = np.exp(stable)
     h = nodes[1] - nodes[0]
     cell_mass = 0.5 * h * (dens[:, 1:] + dens[:, :-1])
     cdf = np.concatenate([np.zeros((dens.shape[0], 1)), np.cumsum(cell_mass, axis=1)], axis=1)
-    cdf /= cdf[:, -1:]
+    return cdf / cdf[:, -1:]
+
+
+def _sample_conditional_rows(log_core, nodes, uniforms):
+    """Dense inverse-CDF sample per row of a batch of grid conditionals.
+
+    The reference for the inversion sampler: the CDF of :func:`_cell_cdf`
+    over the whole row, inverted linearly inside the selected cell.
+    """
+    cdf = _cell_cdf(log_core, nodes)
+    h = nodes[1] - nodes[0]
     targets = uniforms[:, None]
     idx = np.sum(cdf < targets, axis=1) - 1
     idx = np.clip(idx, 0, len(nodes) - 2)
@@ -350,33 +362,132 @@ def _sample_conditional_rows(log_core, nodes, uniforms):
     return nodes[idx] + np.clip(frac, 0.0, 1.0) * h
 
 
+def _conditional_log_core(sk, conditional, p):
+    """Log conditionals of the chain at points p, over full rows: the dual
+    coordinate given x (conditional 0), the new x given y (conditional 1)."""
+    if conditional == 0:
+        return (np.outer(p, sk.nu.grid.nodes) - sk.v_prev[None, :]) / sk.eps \
+            + sk.nu.log_values[None, :], sk.nu.grid.nodes
+    return (np.outer(p, sk.mu.grid.nodes) - sk.u[None, :]) / sk.eps \
+        + sk.mu.log_values[None, :], sk.mu.grid.nodes
+
+
 def dense_chain_positions(e, sk):
-    """One chain step on full-width conditional tables (after step zero)."""
-    xs, ys = sk.mu.grid.nodes, sk.nu.grid.nodes
+    """One chain step on full-width conditional tables by inversion (after
+    step zero): the chain's draws when neither kernel is concave."""
     u1 = uniform_block(e.seed, e.step_count, e.positions.size, substream=0)
     u2 = uniform_block(e.seed, e.step_count, e.positions.size, substream=1)
-    log_cond = (np.outer(e.positions, ys) - sk.v_prev[None, :]) / sk.eps \
-        + sk.nu.log_values[None, :]
-    y = _sample_conditional_rows(log_cond, ys, u1)
-    log_cond = (np.outer(y, xs) - sk.u[None, :]) / sk.eps + sk.mu.log_values[None, :]
-    return _sample_conditional_rows(log_cond, xs, u2)
+    y = _sample_conditional_rows(*_conditional_log_core(sk, 0, e.positions), u1)
+    return _sample_conditional_rows(*_conditional_log_core(sk, 1, y), u2)
+
+
+LAW_POINTS = (-1.5, 0.0, 0.8, 2.5)
+LAW_DRAWS = 200_000
+LAW_BOUND = 1.63 / math.sqrt(LAW_DRAWS)
+
+
+def chain_state(grid, eps):
+    """The chain's couplings one iteration in, from N(0, 1) toward N(0.5, 1)."""
+    mu = discretize(STD_SPEC, grid)
+    nu = discretize(DensitySpec.gaussian(0.5, 1.0), grid)
+    return s_step(initial_state(0.5 * grid.nodes**2, mu, nu, nu, eps))
+
+
+def law_distances(sk, conditional, seed=21):
+    """KS distance of LAW_DRAWS draws of one chain conditional, at each of
+    LAW_POINTS, to the exact cell law there (one 1.63/sqrt(N) bound: the
+    1% point of the KS statistic), and the draw's rejection rounds."""
+    if conditional == 0:
+        grid, a = sk.nu.grid, sk.nu.log_values - sk.v_prev / sk.eps
+    else:
+        grid, a = sk.mu.grid, sk.mu.log_values - sk.u / sk.eps
+    kernel = _log_kernel(grid, a, sk.eps)
+    assert kernel.slopes is not None
+    points = np.repeat(LAW_POINTS, LAW_DRAWS)
+    draws, rounds = particles._draw_conditional(kernel, points, seed, 1, conditional)
+    out = []
+    for i, p0 in enumerate(LAW_POINTS):
+        log_core, nodes = _conditional_log_core(sk, conditional, np.array([p0]))
+        xs = np.sort(draws[i * LAW_DRAWS:(i + 1) * LAW_DRAWS])
+        model = np.interp(xs, nodes, _cell_cdf(log_core, nodes)[0])
+        upper = np.arange(1, xs.size + 1) / xs.size
+        out.append(max(np.max(np.abs(model - upper)),
+                       np.max(np.abs(model - upper + 1.0 / xs.size))))
+    return out, rounds
+
+
+class TestChainLaw:
+    """The chain's rejection draws against the exact cell law."""
+
+    @pytest.mark.parametrize("eps", [0.5, 0.1, 0.05])
+    @pytest.mark.parametrize("conditional", [0, 1])
+    def test_rejection_draws_follow_the_cell_law(self, eps, conditional):
+        distances, rounds = law_distances(chain_state(GRID, eps), conditional)
+        assert max(distances) <= LAW_BOUND
+        assert 1 <= rounds < particles.REJECTION_ROUNDS
+
+    @pytest.mark.parametrize("eps", [1e-4, 50.0])
+    def test_extreme_row_widths(self, eps):
+        # n = 64: at eps = 1e-4 each row is one node wide, so the two cells
+        # beside its peak node tie; at eps = 50 rows span the whole grid
+        sk = chain_state(Grid(-8.0, 8.0, 64), eps)
+        for conditional in (0, 1):
+            distances, _ = law_distances(sk, conditional)
+            assert max(distances) <= LAW_BOUND
+
+    def test_envelope_without_its_upper_tail_fails(self, monkeypatch):
+        envelope = sinkhorn._rejection_envelope
+
+        def drop_upper_tail(kernel, pe):
+            env = envelope(kernel, pe)
+            return env._replace(mass_hi=np.zeros_like(env.mass_hi))
+
+        monkeypatch.setattr(sinkhorn, "_rejection_envelope", drop_upper_tail)
+        distances, _ = law_distances(chain_state(GRID, 0.1), 1)
+        assert min(distances) > 10 * LAW_BOUND
+
+    def test_rows_left_after_the_round_cap_are_inverted(self, monkeypatch):
+        sk = chain_state(GRID, 0.1)
+        uncapped, _ = law_distances(sk, 1)
+        monkeypatch.setattr(particles, "REJECTION_ROUNDS", 1)
+        distances, rounds = law_distances(sk, 1)
+        assert rounds == 1
+        assert max(distances) <= LAW_BOUND
+        assert distances != uncapped
 
 
 class TestMarkovChain:
-    @pytest.mark.parametrize("eps", [0.5, 0.1, 0.05])
-    def test_banded_draws_match_dense_reference(self, eps):
-        nu = discretize(DensitySpec.gaussian(0.5, 1.0), GRID)
-        sk = s_step(initial_state(0.5 * GRID.nodes**2, STD, nu, nu, eps))
+    def test_non_concave_kernels_invert_like_the_dense_reference(self):
+        # two-bump marginals make both conditionals' log-weights non-concave,
+        # so every row is drawn by full-width inversion
+        bumps = np.exp(-(GRID.nodes - 2.0) ** 2 / 0.5) + np.exp(-(GRID.nodes + 2.0) ** 2 / 0.5)
+        mu = GridDensity.from_unnormalized(GRID, bumps)
+        nu = GridDensity.from_unnormalized(GRID, np.roll(bumps, 16))
+        eps = 0.5
+        sk = s_step(initial_state(0.5 * GRID.nodes**2, mu, nu, nu, eps))
+        assert _log_kernel(GRID, nu.log_values - sk.v_prev / eps, eps).slopes is None
+        assert _log_kernel(GRID, mu.log_values - sk.u / eps, eps).slopes is None
         ens = ParticleEnsemble.from_density(sk.rho, 20000, seed=13)
         ens = ParticleEnsemble(ens.positions, 0.0, seed=13, step_count=1)
-        moved = markov_chain_step(ens, sk)
+        moved, rounds = markov_chain_step(ens, sk)
+        assert rounds == 0
         assert np.max(np.abs(moved.positions - dense_chain_positions(ens, sk))) <= 1e-12
-        # both conditional kernels keep the band on every row at these points
-        u = uniform_block(13, 1, ens.positions.size)
-        for marg, pot in ((nu, sk.v_prev), (STD, sk.u)):
-            kernel = _log_kernel(GRID, marg.log_values - pot / eps, eps)
-            assert kernel.width < GRID.n
-            assert _kernel_draw(kernel, ens.positions, u)[1].all()
+
+    @pytest.mark.parametrize("step", [0, 1])
+    def test_draws_do_not_depend_on_the_ensemble_size(self, step):
+        # 20,000 rows span three proposal blocks; the first 9,001 end inside
+        # the second, so particle i must see entry i of every block whatever
+        # the ensemble around it
+        nu = discretize(DensitySpec.gaussian(0.5, 1.0), GRID)
+        sk = initial_state(0.5 * GRID.nodes**2, STD, nu, nu, 0.1)
+        if step:
+            sk = s_step(sk)
+        full = ParticleEnsemble.from_density(sk.rho, 20000, seed=4)
+        full = ParticleEnsemble(full.positions, 0.0, seed=4, step_count=step)
+        head = ParticleEnsemble(full.positions[:9001], 0.0, seed=4, step_count=step)
+        moved, rounds = markov_chain_step(full, sk)
+        assert rounds >= 2
+        assert np.array_equal(markov_chain_step(head, sk)[0].positions, moved.positions[:9001])
 
     def test_marginals_match_iterates(self):
         mu = STD
@@ -387,7 +498,7 @@ class TestMarkovChain:
         ens = ParticleEnsemble.from_density(sk.rho, count, seed=11)
         tol = 3 * 1.63 / math.sqrt(count)
         for _ in range(5):
-            ens = markov_chain_step(ens, sk)
+            ens, _ = markov_chain_step(ens, sk)
             sk = s_step(sk)
             assert ks_distance(ens, sk.rho) <= tol
 
@@ -397,7 +508,7 @@ class TestMarkovChain:
         sk = s_step(initial_state(0.5 * GRID.nodes**2, mu, nu, nu, 10.0))
         x0 = np.linspace(-2.0, 2.0, 2000)
         ens = ParticleEnsemble(x0, 0.0, seed=5, step_count=1)
-        moved = markov_chain_step(ens, sk)
+        moved, _ = markov_chain_step(ens, sk)
         assert abs(np.corrcoef(x0, moved.positions)[0, 1]) <= 0.1
 
     def test_seed_determinism(self):
@@ -405,9 +516,9 @@ class TestMarkovChain:
         nu = discretize(DensitySpec.gaussian(0.5, 1.0), GRID)
         sk = initial_state(0.5 * GRID.nodes**2, mu, nu, nu, 0.1)
         ens = ParticleEnsemble.from_density(sk.rho, 500, seed=11)
-        a = markov_chain_step(ens, sk)
-        b = markov_chain_step(ens, sk)
-        assert np.array_equal(a.positions, b.positions)
+        a, rounds_a = markov_chain_step(ens, sk)
+        b, rounds_b = markov_chain_step(ens, sk)
+        assert np.array_equal(a.positions, b.positions) and rounds_a == rounds_b
 
     def test_step_count_mismatch(self):
         mu = STD
