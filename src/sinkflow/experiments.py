@@ -295,7 +295,8 @@ def run_pma(config: ExperimentConfig) -> Report:
             artifacts[f"density_t{s.t:.6f}.csv"] = [
                 {"x": x, "density": d} for x, d in zip(s.rho.grid.nodes, s.rho.values)]
         rows.append({"t": s.t, "mean": s.rho.mean(), "variance": s.rho.variance(),
-                     "kl": kl_divergence(s.rho, s.mu)})
+                     "kl": kl_divergence(s.rho, s.mu), "substeps": s.substeps,
+                     "transport_drift": s.transport_drift})
     if due:
         raise DomainError(f"no state reached the checkpoint t = {due[0]}")
     return Report(config.experiment, config.hash(), rows, verdicts, artifacts)

@@ -1,16 +1,18 @@
 """Time-stepping for the parabolic Monge-Ampere flow and its relatives.
 
 The state bundles a convex potential with the density it induces through
-the change-of-measure identity; stepping is explicit Euler with an
-internal CFL subdivision (the log-Hessian term is parabolic with
-diffusivity 1/u'', so a raw step at coarse spacing would amplify
-grid-scale noise).  The same stepper drives the relative-entropy flow and
-the other first-variation functionals.  The plain Fokker-Planck equation,
-the unmirrored gradient flow of the same relative entropy, is stepped for
-comparison runs by backward Euler with Scharfetter-Gummel fluxes: one
-tridiagonal system factored per run, and one solve per step of at most
-FP_MAX_SUBSTEP.  The residual diagnostics the acceptance suite checks
-are here too.
+the change-of-measure identity.  The log-Hessian term is parabolic with
+diffusivity 1/u'', so an explicit step must be cut into CFL substeps whose
+count grows as 1/h^2.  A step whose CFL count is at most
+EXPLICIT_MAX_SUBSTEPS runs that many explicit Euler substeps; a stiffer
+step runs second-order Rosenbrock (ROS2) substeps of at most MAX_SUBSTEP,
+each one tridiagonal factorization and two solves.  The same stepper
+drives the relative-entropy flow and the other first-variation
+functionals.  The plain Fokker-Planck equation, the unmirrored gradient
+flow of the same relative entropy, is stepped for comparison runs by
+backward Euler with Scharfetter-Gummel fluxes: one tridiagonal system
+factored per run, and one solve per step of at most MAX_SUBSTEP.  The
+residual diagnostics the acceptance suite checks are here too.
 """
 
 from __future__ import annotations
@@ -42,7 +44,14 @@ from .transport import ConvexPotential, HessianBoundsReport, legendre_transform,
 CFL_FACTOR = 0.25            # dt_sub <= CFL_FACTOR * h^2 * min(u'')
 PUSHFORWARD_TOL = 5e-3       # sup-norm drift allowed in the transport constraint
 DEFAULT_B_CAP = 1e6
-FP_MAX_SUBSTEP = 1e-3        # longest backward-Euler solve of a Fokker-Planck step
+# The largest CFL count a flow step still takes explicitly, about where
+# the two integrators cost the same.  Measured per step on the Gaussian
+# runs at dt = 1e-3: a ROS2 step took 0.9-1.25 times the explicit step's
+# time at n = 1024 (count 17), about twice it at n = 256 and 512 (counts
+# 2-6), and 0.35-0.42 times it at n = 2048 (counts 66-120).
+EXPLICIT_MAX_SUBSTEPS = 16
+MAX_SUBSTEP = 1e-3           # longest ROS2 substep of a flow step, longest FP solve
+ROS2_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -113,6 +122,8 @@ class PmaState:
     b_cap: float = DEFAULT_B_CAP
     rho_mass_error: float = 0.0
     projection_magnitude: float = 0.0
+    substeps: int = 0            # substeps the last step took (0 at the start)
+    transport_drift: float = 0.0 # its sup-norm transport-constraint drift
 
     def __post_init__(self):
         object.__setattr__(self, "h", _readonly(self.h))
@@ -149,18 +160,139 @@ def make_flow_state(
     )
 
 
-def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaState:
-    """Advance the flow by dt with explicit Euler under a CFL guard.
+def _substep_count(dt: float, longest: float) -> int:
+    """Equal substeps of at most ``longest`` covering dt; the 1e-9 keeps a dt
+    that is a multiple of ``longest`` up to roundoff (0.1 / 1e-3 =
+    100.00000000000001) from taking one more."""
+    return max(1, math.ceil(dt / longest - 1e-9))
 
-    The requested dt is subdivided into equal substeps no longer than
-    CFL_FACTOR * h^2 * min(u''); after each substep the derivatives are
-    rebuilt by finite differences and the Hessian samples are clamped at
-    the floor (the clamp magnitude is recorded and should stay at zero on
-    well-posed runs).  The transport constraint - the gradient map pushing
-    the current density onto the target - is re-verified at the end of the
-    user step.  ``max_substep`` tightens the subdivision further, which
-    refinement studies use to keep the trajectory error fixed while the
-    diagnostic spacing varies.
+
+def _ros2_system(d2u: np.ndarray, score: np.ndarray, gamma_tau: float,
+                 spacing: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The solve of W k = r for the ROS2 matrix W = I - gamma_tau J.
+
+    J = diag(1/u'') D2 - diag(g'(u')) D1 is the Jacobian of the discrete
+    right-hand side f - g(D1 u) + log(D2 u), with D1 and D2 the stencils of
+    grad_central and second_central; ``score`` is g'(u').  Its interior
+    rows are tridiagonal.  The end rows are the exact rows of the one-sided
+    stencils, four entries wide; each is folded to two entries by
+    eliminating its outer two against the next two rows, and the returned
+    solve applies the same two multipliers to the right-hand side.  W then
+    maps quadratics to quadratics, so a quadratic potential stays quadratic
+    to roundoff.  The right-hand side is folded in place.
+    """
+    a = gamma_tau / (spacing * spacing) / d2u      # gamma tau a_i / h^2
+    b = (0.5 * gamma_tau / spacing) * score        # gamma tau b_i / (2 h)
+    lower = -a[1:] - b[1:]                         # row i + 1, column i
+    diag = 1.0 + 2.0 * a
+    upper = b[:-1] - a[:-1]                        # row i, column i + 1
+    if 0.0 in (upper[1], upper[2], lower[-2], lower[-3]):
+        raise StabilityError("the ROS2 end rows cannot be folded: a coupling vanished")
+    # row 0 on columns 0..3, folded against row 2 (column 3), then row 1 (column 2)
+    a0, b0 = float(a[0]), float(b[0])
+    w0, w1, w2, w3 = 1.0 - 2.0 * a0 - 3.0 * b0, 5.0 * a0 + 4.0 * b0, -4.0 * a0 - b0, a0
+    m3 = w3 / upper[2]
+    w1 -= m3 * lower[1]
+    w2 -= m3 * diag[2]
+    m2 = w2 / upper[1]
+    diag[0] = w0 - m2 * lower[0]
+    upper[0] = w1 - m2 * diag[1]
+    # row n - 1 on columns n - 1..n - 4, folded against row n - 3, then n - 2
+    an, bn = float(a[-1]), float(b[-1])
+    v0, v1, v2, v3 = 1.0 - 2.0 * an + 3.0 * bn, 5.0 * an - 4.0 * bn, -4.0 * an + bn, an
+    q3 = v3 / lower[-3]
+    v2 -= q3 * diag[-3]
+    v1 -= q3 * upper[-2]
+    q2 = v2 / lower[-2]
+    diag[-1] = v0 - q2 * upper[-1]
+    lower[-1] = v1 - q2 * diag[-2]
+    solver = Tridiagonal(lower, diag, upper)
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        rhs[0] -= m3 * rhs[2] + m2 * rhs[1]
+        rhs[-1] -= q3 * rhs[-3] + q2 * rhs[-2]
+        return solver.solve(rhs)
+
+    return solve
+
+
+def _ros2_increment(state: PmaState, u_vals: np.ndarray, du: np.ndarray, d2u: np.ndarray,
+                    h_cur: np.ndarray, potential: np.ndarray, tau: float) -> np.ndarray:
+    """tau (3/2 k1 + 1/2 k2): one ROS2 step of u' = F(u) = potential - h(u)
+    (Verwer, Spee, Blom & Hundsdorfer 1999), with gamma = 1 + 1/sqrt(2):
+
+        W k1 = F(u),  W k2 = F(u + tau k1) - 2 k1,  W = I - gamma tau J(u).
+
+    It is L-stable and second order for any W.  Raises ConvexityLost when
+    the stage u + tau k1 is not convex.
+    """
+    h_sp = state.grid.spacing
+    solve = _ros2_system(d2u, state.nu_spec.grad(du), ROS2_GAMMA * tau, h_sp)
+    k1 = solve(potential - h_cur)
+    stage = u_vals + tau * k1
+    d2_stage = second_central(stage, h_sp)
+    if not d2_stage.min() > 0.0:
+        raise ConvexityLost("the ROS2 stage potential lost convexity")
+    rhs = state.nu_spec.f(grad_central(stage, h_sp))
+    rhs -= np.log(d2_stage)                        # h at the stage
+    np.subtract(potential, rhs, out=rhs)
+    rhs -= 2.0 * k1
+    k2 = solve(rhs)
+    k1 *= 1.5 * tau
+    k1 += (0.5 * tau) * k2
+    return k1
+
+
+def _rebuild(state: PmaState, u_vals: np.ndarray, du: np.ndarray,
+             d2u: np.ndarray) -> tuple[np.ndarray, float]:
+    """Refresh du and d2u from u_vals by finite differences, in place, and
+    return the new h with the clamp magnitude.
+
+    Hessian samples below the floor are clamped, and du and u_vals are
+    rebuilt from the clamped d2u by double cumulative integration anchored
+    at the midpoint, so the clamp stays a local repair.
+    """
+    grid = state.grid
+    h_sp = grid.spacing
+    a_floor = state.a_floor
+    grad_central(u_vals, h_sp, out=du)
+    second_central(u_vals, h_sp, out=d2u)
+    low = d2u.min()
+    proj = 0.0
+    if low < a_floor:
+        proj = float(a_floor - low)
+        np.maximum(d2u, a_floor, out=d2u)
+        mid = grid.n // 2
+        du_new = np.concatenate(([0.0], np.cumsum(0.5 * h_sp * (d2u[1:] + d2u[:-1]))))
+        du[:] = du_new - du_new[mid] + du[mid]
+        u_new = np.concatenate(([0.0], np.cumsum(0.5 * h_sp * (du[1:] + du[:-1]))))
+        u_vals[:] = u_new - u_new[mid] + u_vals[mid]
+    if d2u.max() > state.b_cap:
+        raise ConvexityLost("Hessian samples exceeded the configured cap")
+    h_new = state.nu_spec.f(du)
+    h_new -= np.log(d2u)
+    return h_new, proj
+
+
+def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaState:
+    """Advance the flow by dt.
+
+    The CFL count ceil(dt / (CFL_FACTOR * h^2 * min u'')) picks the
+    integrator.  Up to EXPLICIT_MAX_SUBSTEPS, dt is cut into that many
+    equal explicit Euler substeps, or more if ``max_substep`` asks for
+    shorter ones.  Above it, dt is cut into equal ROS2 substeps (see
+    _ros2_increment) no longer than MAX_SUBSTEP or ``max_substep``; each
+    factors one tridiagonal matrix.  Refinement studies use ``max_substep``
+    to keep the trajectory error fixed while the diagnostic spacing varies.
+
+    After each substep the derivatives are rebuilt by finite differences
+    and the Hessian samples are clamped at the floor (the clamp magnitude
+    is recorded and should stay at zero on well-posed runs); samples above
+    the cap raise ConvexityLost.  At the end of the step, a sup-norm
+    variation that grew tenfold, or a transport constraint (the gradient
+    map pushing the density onto the target) that drifted beyond
+    PUSHFORWARD_TOL, raises StabilityError.  The new state records the
+    substep count and the drift.
     """
     if not math.isfinite(dt) or dt < 0:
         raise DomainError("dt must be finite and nonnegative")
@@ -170,11 +302,10 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
         return state
     grid = state.grid
     h_sp = grid.spacing
-    xs = grid.nodes
 
     # the h-free part of the first variation, once per step
     functional = state.functional
-    potential = functional.potential(xs)
+    potential = functional.potential(grid.nodes)
     entropic = functional.entropic
 
     def sup_variation(h):
@@ -184,45 +315,37 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
     h_cur = np.asarray(state.h)
     sup_rhs_prev = sup_variation(h_cur)
 
-    a_min_now = float(np.min(state.u.d2u))
-    dt_stable = CFL_FACTOR * h_sp * h_sp * a_min_now
-    if max_substep is not None:
-        dt_stable = min(dt_stable, max_substep)
-    n_sub = max(1, math.ceil(dt / dt_stable))
+    dt_stable = CFL_FACTOR * h_sp * h_sp * float(np.min(state.u.d2u))
+    explicit = math.ceil(dt / dt_stable) <= EXPLICIT_MAX_SUBSTEPS
+    if explicit:
+        if max_substep is not None:
+            dt_stable = min(dt_stable, max_substep)
+        n_sub = max(1, math.ceil(dt / dt_stable))
+    else:
+        longest = MAX_SUBSTEP if max_substep is None else min(MAX_SUBSTEP, max_substep)
+        n_sub = _substep_count(dt, longest)
     dt_sub = dt / n_sub
 
     # the substeps update u_vals, du and d2u in place; the buffers are new
-    # each step because the returned ConvexPotential makes them read-only
-    nu_f = state.nu_spec.f
-    a_floor = state.a_floor
-    du = np.empty_like(u_vals)
-    d2u = np.empty_like(u_vals)
+    # each step because the returned ConvexPotential makes them read-only,
+    # and du and d2u start as the state's for the first ROS2 Jacobian
+    du = np.array(state.u.du)
+    d2u = np.array(state.u.d2u)
     rhs = np.empty_like(u_vals)
     proj_mag = 0.0
     for _ in range(n_sub):
-        if entropic:
-            np.subtract(potential, h_cur, out=rhs)
+        if explicit or not entropic:
+            # a potential-only variation does not depend on u: ROS2 is Euler
+            if entropic:
+                np.subtract(potential, h_cur, out=rhs)
+            else:
+                rhs[:] = potential
+            rhs *= dt_sub
+            u_vals += rhs
         else:
-            rhs[:] = potential
-        rhs *= dt_sub
-        u_vals += rhs
-        grad_central(u_vals, h_sp, out=du)
-        second_central(u_vals, h_sp, out=d2u)
-        low = d2u.min()
-        if low < a_floor:
-            proj_mag = max(proj_mag, float(a_floor - low))
-            np.maximum(d2u, a_floor, out=d2u)
-            # rebuild gradient and value by double cumulative integration
-            # anchored at the midpoint so the clamp stays a local repair
-            mid = grid.n // 2
-            du_new = np.concatenate(([0.0], np.cumsum(0.5 * h_sp * (d2u[1:] + d2u[:-1]))))
-            du[:] = du_new - du_new[mid] + du[mid]
-            u_new = np.concatenate(([0.0], np.cumsum(0.5 * h_sp * (du[1:] + du[:-1]))))
-            u_vals[:] = u_new - u_new[mid] + u_vals[mid]
-        if d2u.max() > state.b_cap:
-            raise ConvexityLost("Hessian samples exceeded the configured cap")
-        h_cur = nu_f(du)
-        h_cur -= np.log(d2u)
+            u_vals += _ros2_increment(state, u_vals, du, d2u, h_cur, potential, dt_sub)
+        h_cur, proj = _rebuild(state, u_vals, du, d2u)
+        proj_mag = max(proj_mag, proj)
 
     sup_rhs_new = sup_variation(h_cur)
     if sup_rhs_new > 10.0 * sup_rhs_prev + 1e-8:
@@ -251,6 +374,8 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
         bounds=state.bounds.merged(float(np.min(d2u)), float(np.max(d2u)), t_next),
         rho_mass_error=abs(mass - 1.0),
         projection_magnitude=proj_mag,
+        substeps=n_sub,
+        transport_drift=drift,
     )
 
 
@@ -292,7 +417,7 @@ class FokkerPlanckSystem:
     trapezoid weights as cell widths, so the trapezoid mass is conserved,
     mu is stationary, and the inverse of the M-matrix W + dt_sub A keeps
     every value positive.  A step of dt runs ``substeps`` solves of length
-    dt_sub = dt / substeps <= FP_MAX_SUBSTEP, which bounds the first-order
+    dt_sub = dt / substeps <= MAX_SUBSTEP, which bounds the first-order
     time error whatever dt is.
     """
 
@@ -305,9 +430,7 @@ class FokkerPlanckSystem:
         if not math.isfinite(dt) or dt < 0:
             raise DomainError("dt must be finite and nonnegative")
         grid = mu.grid
-        # the 1e-9 keeps a dt that is a multiple of FP_MAX_SUBSTEP up to
-        # roundoff (0.1 / 1e-3 = 100.00000000000001) from taking one more solve
-        substeps = max(1, math.ceil(dt / FP_MAX_SUBSTEP - 1e-9))
+        substeps = _substep_count(dt, MAX_SUBSTEP)
         dpsi = -np.diff(mu.log_values)
         scale = dt / substeps / grid.spacing
         right = scale * _bernoulli(dpsi)     # dt_sub/h B(dpsi): rho_i leaving rightward

@@ -19,7 +19,8 @@ from sinkflow.grids import (
 )
 from sinkflow.pma import (
     CFL_FACTOR,
-    FP_MAX_SUBSTEP,
+    EXPLICIT_MAX_SUBSTEPS,
+    MAX_SUBSTEP,
     PUSHFORWARD_TOL,
     FokkerPlanckSystem,
     Functional,
@@ -241,13 +242,13 @@ class TestFokkerPlanckStep:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
     def test_long_step_splits_into_substeps(self):
-        # a step longer than FP_MAX_SUBSTEP runs equal sub-solves of one
+        # a step longer than MAX_SUBSTEP runs equal sub-solves of one
         # factored system, the same as as many short steps
         mu = discretize(MU_SPEC, GRID)
         rho = discretize(DensitySpec.gaussian(0.5, 0.25), GRID)
-        system = FokkerPlanckSystem.build(mu, 2.5 * FP_MAX_SUBSTEP)
+        system = FokkerPlanckSystem.build(mu, 2.5 * MAX_SUBSTEP)
         assert system.substeps == 3
-        short = FokkerPlanckSystem.build(mu, 2.5 * FP_MAX_SUBSTEP / 3)
+        short = FokkerPlanckSystem.build(mu, 2.5 * MAX_SUBSTEP / 3)
         assert short.substeps == 1
         assert FokkerPlanckSystem.build(mu, 0.1).substeps == 100
         want = rho
@@ -279,13 +280,13 @@ class TestFokkerPlanckStep:
 
     def test_first_order_in_dt(self):
         # the variance error halves with the solve length; a step twice
-        # FP_MAX_SUBSTEP splits into two solves and keeps the error of one
+        # MAX_SUBSTEP splits into two solves and keeps the error of one
         grid = Grid(-8.0, 8.0, 2048)
         mu = discretize(MU_SPEC, grid)
         rho = discretize(DensitySpec.gaussian(0.0, 0.25), grid)
         ref = scale_variance_fokker_planck(0.5, 0.5)
         errs = []
-        for dt in (2 * FP_MAX_SUBSTEP, FP_MAX_SUBSTEP, FP_MAX_SUBSTEP / 2, FP_MAX_SUBSTEP / 4):
+        for dt in (2 * MAX_SUBSTEP, MAX_SUBSTEP, MAX_SUBSTEP / 2, MAX_SUBSTEP / 4):
             *_, last = run_fokker_planck(rho, mu, dt, int(round(0.5 / dt)))
             errs.append(abs(last.variance() - ref))
         assert errs[0] == pytest.approx(errs[1], rel=1e-9)
@@ -477,13 +478,15 @@ def reference_step(state, dt, max_substep=None):
     rho_next = GridDensity(grid, raw / mass)
     pushed = pushforward_values_linear(rho_next, du)
     pushed /= grid.integrate(pushed)
-    if float(np.max(np.abs(pushed - state.nu.values))) > PUSHFORWARD_TOL:
+    drift = float(np.max(np.abs(pushed - state.nu.values)))
+    if drift > PUSHFORWARD_TOL:
         raise StabilityError("transport constraint drifted")
     t_next = state.t + dt
     return replace(
         state, t=t_next, u=u_next, h=h_cur, rho=rho_next,
         bounds=state.bounds.merged(float(np.min(d2u)), float(np.max(d2u)), t_next),
         rho_mass_error=abs(mass - 1.0), projection_magnitude=proj_mag,
+        substeps=n_sub, transport_drift=drift,
     )
 
 
@@ -496,6 +499,8 @@ def assert_same_flow_state(got, want):
     assert got.rho_mass_error == want.rho_mass_error
     assert got.bounds == want.bounds
     assert got.t == want.t
+    assert got.substeps == want.substeps
+    assert got.transport_drift == want.transport_drift
 
 
 class ReferenceSpec(DensitySpec):
@@ -533,13 +538,18 @@ def test_density_spec_f_unchanged_along_flow(nu_mean, nu_variance):
         assert_same_flow_state(got, want)
 
 
-def flattener_state():
-    return make_flow_state(GRID, MU_SPEC, MU_SPEC, ConvexPotential.quadratic(GRID),
-                           functional=Flattener(), a_floor=0.9)
+def flattener_state(grid=GRID, functional=Flattener()):
+    return make_flow_state(grid, MU_SPEC, MU_SPEC, ConvexPotential.quadratic(grid),
+                           functional=functional, a_floor=0.9)
+
+
+# a step the explicit path takes at each grid size: CFL counts 1 and 14
+EXPLICIT_DT = {256: 1e-3, 2048: 2e-4}
 
 
 class TestInPlaceSubsteps:
-    """The in-place substeps reproduce the allocating loops bit for bit."""
+    """The in-place explicit substeps reproduce the allocating loops bit for
+    bit."""
 
     @staticmethod
     def check_steps(state, dt, steps, max_substep=None):
@@ -552,11 +562,12 @@ class TestInPlaceSubsteps:
 
     @pytest.mark.parametrize("n", [256, 2048])
     def test_location(self, n):
-        self.check_steps(gaussian_flow_state(Grid(-8.0, 8.0, n), mean=0.5), 1e-3, 4)
+        self.check_steps(gaussian_flow_state(Grid(-8.0, 8.0, n), mean=0.5), EXPLICIT_DT[n], 4)
 
     @pytest.mark.parametrize("n", [256, 2048])
     def test_scale(self, n):
-        self.check_steps(gaussian_flow_state(Grid(-8.0, 8.0, n), variance=0.25), 1e-3, 4)
+        self.check_steps(gaussian_flow_state(Grid(-8.0, 8.0, n), variance=0.25),
+                         EXPLICIT_DT[n], 4)
 
     @pytest.mark.parametrize("functional", [Functional.entropy(), Functional.potential_energy()])
     def test_mirror_functionals(self, functional):
@@ -565,7 +576,8 @@ class TestInPlaceSubsteps:
         self.check_steps(state, 1e-3, 6)
 
     def test_clamp_branch(self):
-        last = self.check_steps(flattener_state(), 0.05, 2)
+        # n = 128 keeps dt = 0.05 explicit: CFL counts 13 and 15
+        last = self.check_steps(flattener_state(Grid(-8.0, 8.0, 128)), 0.05, 2)
         assert last.projection_magnitude > 0.0
 
     def test_max_substep(self):
@@ -583,3 +595,85 @@ class TestInPlaceSubsteps:
         object.__setattr__(rho, "values", vals)
         with np.errstate(all="ignore"), pytest.raises(StabilityError):
             fokker_planck_step(rho, FokkerPlanckSystem.build(mu, 1e-3))
+
+
+GRID_2048 = Grid(-8.0, 8.0, 2048)
+
+
+class TestRos2Step:
+    """Steps whose CFL count exceeds EXPLICIT_MAX_SUBSTEPS: ROS2 substeps."""
+
+    def test_switch_at_the_explicit_limit(self):
+        # u'' = 1, so the CFL count is ceil(dt / (CFL_FACTOR h^2))
+        state = gaussian_flow_state(GRID_2048, mean=0.5)
+        h = GRID_2048.spacing
+        at_limit = EXPLICIT_MAX_SUBSTEPS * CFL_FACTOR * h * h    # count 16
+        got = step(state, at_limit)
+        assert got.substeps == EXPLICIT_MAX_SUBSTEPS
+        assert_same_flow_state(got, reference_step(state, at_limit))
+        beyond = (EXPLICIT_MAX_SUBSTEPS + 0.5) * CFL_FACTOR * h * h  # count 17
+        assert step(state, beyond).substeps == 1
+
+    @pytest.mark.parametrize("mean, variance", [(0.5, 1.0), (0.0, 0.25)],
+                             ids=["location", "scale"])
+    def test_gaussian_potential_stays_quadratic(self, mean, variance):
+        # the exact end rows make W map quadratics to quadratics, so u stays
+        # quadratic, with u'' = 1 on the location run.  Second differences
+        # of values near 32 carry ~2e-10 of roundoff at this spacing, so
+        # u'' is read off a least-squares fit; that roundoff enters log u''
+        # at every step, and u gathers ~1e-10 of it over t = 0.5
+        state = gaussian_flow_state(GRID_2048, mean=mean, variance=variance)
+        xs = GRID_2048.nodes
+        for i, s in enumerate(run_flow(state, 1e-3, 500)):
+            if i % 50 == 0 and i > 0:
+                assert s.substeps == 1
+                fit = np.polyfit(xs, s.u.u, 2)
+                if variance == 1.0:
+                    assert abs(2.0 * fit[0] - 1.0) <= 1e-10
+                assert np.max(np.abs(s.u.u - np.polyval(fit, xs))) <= 1e-9
+
+    def test_second_order_in_the_substep(self):
+        # scale problem at n = 1024 to t = 0.05 with substeps 1e-3 ... 1.25e-4:
+        # the gap between runs at consecutive substeps falls four-fold
+        state = gaussian_flow_state(Grid(-8.0, 8.0, 1024), variance=0.25)
+        finals = []
+        for sub in (1e-3, 5e-4, 2.5e-4, 1.25e-4):
+            *_, last = run_flow(state, 1e-3, 50, max_substep=sub)
+            assert last.substeps == round(1e-3 / sub)
+            finals.append(last.u.u)
+        keep = state.grid.interior_slice()
+        gaps = [np.max(np.abs(a - b)[keep]) for a, b in zip(finals, finals[1:])]
+        assert gaps[0] / gaps[1] >= 3.5
+        assert gaps[1] / gaps[2] >= 3.5
+
+    def test_max_substep_splits_into_equal_substeps(self):
+        # one step of 1e-3 cut at 3e-4 runs four substeps of 2.5e-4, the same
+        # arithmetic as four steps of 2.5e-4 (CFL count 17 each)
+        state = gaussian_flow_state(GRID_2048, variance=0.25)
+        got = step(state, 1e-3, max_substep=3e-4)
+        assert got.substeps == 4
+        want = state
+        for _ in range(4):
+            want = step(want, 2.5e-4)
+            assert want.substeps == 1
+        assert np.array_equal(got.u.u, want.u.u)
+        assert np.array_equal(got.h, want.h)
+        assert np.array_equal(got.rho.values, want.rho.values)
+
+    def test_stage_losing_convexity_is_convexity_lost(self):
+        # a steeply concave variation turns u + tau k1 concave
+        crusher = Functional(lambda xs: -5e3 * xs**2, lambda xs: -1e4 * xs, entropic=True)
+        state = make_flow_state(GRID_2048, MU_SPEC, MU_SPEC,
+                                ConvexPotential.quadratic(GRID_2048), functional=crusher)
+        with pytest.raises(ConvexityLost, match="stage"):
+            step(state, 1e-3)
+
+    def test_clamp_branch(self):
+        # an entropic variation that flattens u drives u'' through the 0.9
+        # floor within 0.05; the ROS2 substeps clamp and rebuild
+        flattener = Functional(lambda xs: -(xs**2), lambda xs: -2.0 * xs, entropic=True)
+        state = flattener_state(GRID_2048, flattener)
+        moved = step(step(state, 0.05), 0.05)
+        assert moved.substeps == 50
+        assert moved.projection_magnitude > 0.0
+        assert float(np.min(moved.u.d2u)) >= 0.9
