@@ -424,77 +424,32 @@ def _scan_multipliers(a: np.ndarray) -> list[np.ndarray]:
     return levels
 
 
-def _pivot_loop(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """The LU pivots p_k = d_k - (l_{k-1} / p_{k-1}) u_{k-1}, one row at a time."""
-    lo, up = lower.tolist(), upper.tolist()
-    pivots = diag.tolist()
-    try:
-        for k in range(1, len(pivots)):
-            pivots[k] -= lo[k - 1] / pivots[k - 1] * up[k - 1]
-    except ZeroDivisionError:
-        raise StabilityError(f"tridiagonal pivot {k - 1} is zero") from None
-    return np.array(pivots)
-
-
-def _pivot_scan(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """The LU pivots by a log-depth Hillis-Steele scan of whole-array passes.
-
-    Row k maps the previous pivot p to d_k - l_{k-1} u_{k-1} / p, a Moebius
-    map; a run of rows composes to one map (a p + b) / (p + d), kept as
-    (a, b, d).  Row 0 is the constant map to d_0, so each prefix is the
-    constant map to its pivot, which is then its a.  The pivots agree with
-    the row loop's to roundoff, not bit for bit.
-    """
-    n = diag.size
-    a = np.array(diag, dtype=float)
-    b = np.zeros(n)
-    np.multiply(lower, upper, out=b[1:])
-    np.negative(b, out=b)
-    d = np.zeros(n)
-    s = 1
-    # a zero pivot sends its successors through a division by zero; the
-    # caller rejects the non-finite pivots that come out
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while s < n:
-            a0, b0, d0 = a[:-s], b[:-s], d[:-s]
-            la, lb, ld = a[s:], b[s:], d[s:]
-            r = 1.0 / (a0 + ld)
-            a = np.concatenate((a[:s], (la * a0 + lb) * r))
-            b = np.concatenate((b[:s], (la * b0 + lb * d0) * r))
-            d = np.concatenate((d[:s], (b0 + ld * d0) * r))
-            s *= 2
-        # one pass of the row recurrence on the scanned pivots makes each
-        # consistent with its predecessor to one rounding, as in the loop
-        a[1:] = diag[1:] - lower / a[:-1] * upper
-    return a
-
-
-# Rows from which the pivot scan beats the row loop.  Measured per
-# factorization, best of 15 x 100 in three runs: loop 0.05-0.07 /
-# 0.11-0.16 / 0.24-0.34 / 0.45-0.66 ms, scan 0.11-0.21 / 0.17-0.26 /
-# 0.21-0.34 / 0.32-0.48 ms at n = 256 / 512 / 1024 / 2048.  Below it the
-# pivots, and so every n <= 512 solve, are the loop's bit for bit.
-PIVOT_SCAN_MIN_ROWS = 1024
-
-
 class Tridiagonal:
     """A tridiagonal matrix factored once for repeated solves.
 
     The matrix has diagonal ``diag``, subdiagonal ``lower`` (row i + 1,
     column i) and superdiagonal ``upper`` (row i, column i + 1).  The LU
     elimination runs in order without pivoting, which is stable for
-    matrices diagonally dominant by rows or by columns.  Its pivots are a
-    nonlinear recurrence: from PIVOT_SCAN_MIN_ROWS rows on they come from a
-    log-depth scan (see _pivot_scan), below it from one Python loop.  A
-    zero or non-finite pivot raises StabilityError.  Each solve then runs
-    the forward and back substitution as two log-depth Hillis-Steele scans
-    of whole-array passes over the solver's own work buffer, whose views
+    matrices diagonally dominant by rows or by columns; its pivots are a
+    nonlinear recurrence and run in one Python loop, here.  A zero or
+    non-finite pivot raises StabilityError.  Each solve then runs the
+    forward and back substitution as two log-depth Hillis-Steele scans of
+    whole-array passes over the solver's own work buffer, whose views
     are cut once, so one solver serves one caller at a time.
     """
 
     def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
-        factor = _pivot_scan if diag.size >= PIVOT_SCAN_MIN_ROWS else _pivot_loop
-        pivots = factor(lower, diag, upper)
+        # p_k = d_k - (l_{k-1} / p_{k-1}) u_{k-1}, one row at a time
+        d = diag.tolist()
+        p = d[0]
+        pivots = [p]
+        try:
+            for lo, dk, up in zip(lower.tolist(), d[1:], upper.tolist()):
+                p = dk - lo / p * up
+                pivots.append(p)
+        except ZeroDivisionError:
+            raise StabilityError(f"tridiagonal pivot {len(pivots) - 1} is zero") from None
+        pivots = np.array(pivots)
         if not (np.all(np.isfinite(pivots)) and np.all(pivots != 0.0)):
             raise StabilityError("tridiagonal pivots are not finite and nonzero")
         self._inv_pivot = inv_pivot = 1.0 / pivots

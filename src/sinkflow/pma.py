@@ -46,9 +46,10 @@ PUSHFORWARD_TOL = 5e-3       # sup-norm drift allowed in the transport constrain
 DEFAULT_B_CAP = 1e6
 # The largest CFL count a flow step still takes explicitly, about where
 # the two integrators cost the same.  Measured per step on the Gaussian
-# runs at dt = 1e-3: a ROS2 step took 0.9-1.25 times the explicit step's
-# time at n = 1024 (count 17), about twice it at n = 256 and 512 (counts
-# 2-6), and 0.35-0.42 times it at n = 2048 (counts 66-120).
+# runs at dt = 1e-3 (2 shared Xeon CPUs): a ROS2 step took 1.08-1.15
+# times the explicit step's time at n = 1024 (count 17), 2.0-2.5 times at
+# n = 256 and 512 (counts 2-5), and 0.34-0.50 times at n = 2048 (counts
+# 66-68).
 EXPLICIT_MAX_SUBSTEPS = 16
 MAX_SUBSTEP = 1e-3           # longest ROS2 substep of a flow step, longest FP solve
 ROS2_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
@@ -167,6 +168,30 @@ def _substep_count(dt: float, longest: float) -> int:
     return max(1, math.ceil(dt / longest - 1e-9))
 
 
+def _eliminate_end(rows: list[list[float]]) -> tuple[list[float], list[float], int, int,
+                                                      list[float]]:
+    """Eliminate the outer two unknowns at one end of the ROS2 matrix.
+
+    ``rows`` holds the end row and the next two, on the four columns from
+    the end inwards.  The combination of the three rows that clears the
+    outer two columns is their cross product, whose entries are the 2 x 2
+    minors of those columns.  Returns the combined row on the inner two
+    columns, the combination, the two rows i and j with the largest minor,
+    and the inverse of their outer 2 x 2 block, row by row; the outer
+    unknowns are recovered from those two rows.
+    """
+    (p0, p1, _, _), (q0, q1, _, _), (r0, r1, _, _) = rows
+    mix = [q0 * r1 - r0 * q1, r0 * p1 - p0 * r1, p0 * q1 - q0 * p1]
+    k = max(range(3), key=lambda m: abs(mix[m]))
+    if not math.isfinite(mix[k]) or mix[k] == 0.0:
+        raise StabilityError("the ROS2 end rows are singular or not finite")
+    inner = [sum(m * row[c] for m, row in zip(mix, rows)) for c in (2, 3)]
+    i, j = (m for m in range(3) if m != k)
+    (ri0, ri1, _, _), (rj0, rj1, _, _) = rows[i], rows[j]
+    det = ri0 * rj1 - ri1 * rj0
+    return inner, mix, i, j, [rj1 / det, -ri1 / det, -rj0 / det, ri0 / det]
+
+
 def _ros2_system(d2u: np.ndarray, score: np.ndarray, gamma_tau: float,
                  spacing: float) -> Callable[[np.ndarray], np.ndarray]:
     """The solve of W k = r for the ROS2 matrix W = I - gamma_tau J.
@@ -175,43 +200,55 @@ def _ros2_system(d2u: np.ndarray, score: np.ndarray, gamma_tau: float,
     right-hand side f - g(D1 u) + log(D2 u), with D1 and D2 the stencils of
     grad_central and second_central; ``score`` is g'(u').  Its interior
     rows are tridiagonal.  The end rows are the exact rows of the one-sided
-    stencils, four entries wide; each is folded to two entries by
-    eliminating its outer two against the next two rows, and the returned
-    solve applies the same two multipliers to the right-hand side.  W then
-    maps quadratics to quadratics, so a quadratic potential stays quadratic
-    to roundoff.  The right-hand side is folded in place.
+    stencils, four entries wide, so W maps quadratics to quadratics and a
+    quadratic potential stays quadratic to roundoff.
+
+    At each end the outer two unknowns are eliminated with the outer three
+    rows (see _eliminate_end).  Their combination heads a tridiagonal
+    system for the inner n - 4 unknowns, and the outer two are recovered
+    after its solve.  Folding an end row alone into tridiagonal form is
+    not enough: the one-sided stencils extrapolate the interior ones, so
+    the folded matrix can have a leading pivot that vanishes on a
+    nonsingular W, exactly so on a uniform target over a uniform u''.
+    The three-row elimination picks its recovery rows by their minors, as
+    partial pivoting would.  The right-hand side is overwritten.
     """
+    n = d2u.size
     a = gamma_tau / (spacing * spacing) / d2u      # gamma tau a_i / h^2
     b = (0.5 * gamma_tau / spacing) * score        # gamma tau b_i / (2 h)
     lower = -a[1:] - b[1:]                         # row i + 1, column i
     diag = 1.0 + 2.0 * a
     upper = b[:-1] - a[:-1]                        # row i, column i + 1
-    if 0.0 in (upper[1], upper[2], lower[-2], lower[-3]):
-        raise StabilityError("the ROS2 end rows cannot be folded: a coupling vanished")
-    # row 0 on columns 0..3, folded against row 2 (column 3), then row 1 (column 2)
-    a0, b0 = float(a[0]), float(b[0])
-    w0, w1, w2, w3 = 1.0 - 2.0 * a0 - 3.0 * b0, 5.0 * a0 + 4.0 * b0, -4.0 * a0 - b0, a0
-    m3 = w3 / upper[2]
-    w1 -= m3 * lower[1]
-    w2 -= m3 * diag[2]
-    m2 = w2 / upper[1]
-    diag[0] = w0 - m2 * lower[0]
-    upper[0] = w1 - m2 * diag[1]
-    # row n - 1 on columns n - 1..n - 4, folded against row n - 3, then n - 2
-    an, bn = float(a[-1]), float(b[-1])
-    v0, v1, v2, v3 = 1.0 - 2.0 * an + 3.0 * bn, 5.0 * an - 4.0 * bn, -4.0 * an + bn, an
-    q3 = v3 / lower[-3]
-    v2 -= q3 * diag[-3]
-    v1 -= q3 * upper[-2]
-    q2 = v2 / lower[-2]
-    diag[-1] = v0 - q2 * upper[-1]
-    lower[-1] = v1 - q2 * diag[-2]
-    solver = Tridiagonal(lower, diag, upper)
+    a0, b0, an, bn = float(a[0]), float(b[0]), float(a[-1]), float(b[-1])
+    # the outer three rows at each end, on the four columns from the end inwards
+    head = [[1.0 - 2.0 * a0 - 3.0 * b0, 5.0 * a0 + 4.0 * b0, -4.0 * a0 - b0, a0],
+            [float(lower[0]), float(diag[1]), float(upper[1]), 0.0],
+            [0.0, float(lower[1]), float(diag[2]), float(upper[2])]]
+    tail = [[1.0 - 2.0 * an + 3.0 * bn, 5.0 * an - 4.0 * bn, -4.0 * an + bn, an],
+            [float(upper[-1]), float(diag[-2]), float(lower[-2]), 0.0],
+            [0.0, float(upper[-2]), float(diag[-3]), float(lower[-3])]]
+    (head_inner, *head_rest), (tail_inner, *tail_rest) = _eliminate_end(head), _eliminate_end(tail)
+    # the combined rows replace rows 2 and n - 3 of the inner system
+    diag[2], upper[2] = head_inner
+    diag[-3], lower[-3] = tail_inner
+    ends = [([0, 1, 2, 3], head, *head_rest), ([n - 1, n - 2, n - 3, n - 4], tail, *tail_rest)]
+    solver = Tridiagonal(lower[2:-2], diag[2:-2], upper[2:-2])
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        rhs[0] -= m3 * rhs[2] + m2 * rhs[1]
-        rhs[-1] -= q3 * rhs[-3] + q2 * rhs[-2]
-        return solver.solve(rhs)
+        outer = []
+        for cols, _, mix, _, _, _ in ends:
+            r = [float(rhs[c]) for c in cols[:3]]
+            rhs[cols[2]] = mix[0] * r[0] + mix[1] * r[1] + mix[2] * r[2]
+            outer.append(r)
+        k = np.empty_like(rhs)
+        k[2:-2] = solver.solve(rhs[2:-2])
+        for (cols, rows, _, i, j, inverse), r in zip(ends, outer):
+            y2, y3 = float(k[cols[2]]), float(k[cols[3]])
+            si = r[i] - rows[i][2] * y2 - rows[i][3] * y3
+            sj = r[j] - rows[j][2] * y2 - rows[j][3] * y3
+            k[cols[0]] = inverse[0] * si + inverse[1] * sj
+            k[cols[1]] = inverse[2] * si + inverse[3] * sj
+        return k
 
     return solve
 

@@ -111,16 +111,18 @@ class TestPrimalSde:
         assert abs(ens.mean() - cur.rho.mean()) <= 3 * se_m
         assert abs(ens.variance() - cur.rho.variance()) <= 3 * se_v
 
-    @pytest.mark.parametrize("mean, variance, n", [(0.5, 1.0, 512), (0.0, 0.25, 512),
-                                                   (0.5, 1.0, 2048), (0.0, 0.25, 2048)],
+    @pytest.mark.parametrize("mean, variance, n, bound",
+                             [(0.5, 1.0, 512, 1e-10), (0.0, 0.25, 512, 1e-10),
+                              (0.5, 1.0, 2048, 2e-9), (0.0, 0.25, 2048, 2e-9)],
                              ids=["location", "scale", "location-2048", "scale-2048"])
-    def test_node_drift_is_change_of_measure_form(self, mean, variance, n):
+    def test_node_drift_is_change_of_measure_form(self, mean, variance, n, bound):
         # h = g(u') - log u'' turns -f'/u'' - g'(u') + h'/u'' into
         # -f'/u'' + (1/u'')'; at t = 0.5 u is still quadratic, so the
         # stencils are exact and the two forms agree to roundoff.  That
         # roundoff is a second difference of u differenced once more, so it
-        # grows as h^-3: the bound is 1e-10 at n = 512.  At n = 2048 the
-        # steps are ROS2 solves.
+        # grows as h^-3.  At n = 2048 the steps are ROS2 solves; they read
+        # 7.6e-10 and 7.4e-10 there, the explicit stepper 5.3e-10 and
+        # 1.1e-9, and W end rows exact only on affine functions 3.5e-8.
         grid = Grid(-8.0, 8.0, n)
         state = gaussian_flow_state(grid, mean=mean, variance=variance)
         for _ in range(500):
@@ -130,7 +132,7 @@ class TestPrimalSde:
         former = (-state.mu_spec.grad(xs) + hp) / state.u.d2u - state.nu_spec.grad(state.u.du)
         drift, _ = sinkhorn_sde_coefficients(state, xs)
         keep = grid.interior_slice()
-        assert np.max(np.abs(drift[keep] - former[keep])) <= 1e-10 * (n / 512) ** 3
+        assert np.max(np.abs(drift[keep] - former[keep])) <= bound
 
     def test_time_mismatch_rejected(self):
         state = gaussian_flow_state(GRID, mean=0.5)

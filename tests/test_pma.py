@@ -22,6 +22,7 @@ from sinkflow.pma import (
     EXPLICIT_MAX_SUBSTEPS,
     MAX_SUBSTEP,
     PUSHFORWARD_TOL,
+    ROS2_GAMMA,
     FokkerPlanckSystem,
     Functional,
     continuity_residual,
@@ -35,6 +36,7 @@ from sinkflow.pma import (
     second_order_lot_gap,
     step,
     velocity,
+    _ros2_system,
 )
 from sinkflow.transport import ConvexPotential
 
@@ -659,6 +661,40 @@ class TestRos2Step:
         assert np.array_equal(got.u.u, want.u.u)
         assert np.array_equal(got.h, want.h)
         assert np.array_equal(got.rho.values, want.rho.values)
+
+    @pytest.mark.parametrize("hessian, score", [
+        (lambda xs: np.ones_like(xs), np.zeros_like),
+        (lambda xs: 1.2 + 0.5 * np.cos(xs), lambda xs: 4.0 * xs),
+        (lambda xs: 1.0 / (1.0 + 0.3 * (xs / 8.0) ** 2), np.zeros_like),
+    ], ids=["flat-target-uniform-hessian", "gaussian-target", "flat-target-curved-hessian"])
+    def test_system_solves_the_exact_jacobian(self, hessian, score):
+        # W = I - gamma tau J, with J built column by column from the
+        # stencils themselves; gamma tau / h^2 = 43, near the 28 of n = 2048
+        # at dt = 1e-3.  An end row folded alone into tridiagonal form has
+        # a zero pivot on the first case
+        grid = Grid(-8.0, 8.0, 256)
+        xs, h, n = grid.nodes, grid.spacing, grid.n
+        d2u, g1 = hessian(xs), score(xs)
+        eye = np.eye(n)
+        d1 = np.column_stack([grad_central(e, h) for e in eye])
+        d2 = np.column_stack([second_central(e, h) for e in eye])
+        gamma_tau = ROS2_GAMMA * 0.1
+        w = eye - gamma_tau * (d2 / d2u[:, None] - g1[:, None] * d1)
+        r = np.random.default_rng(3).standard_normal(n)
+        want = np.linalg.solve(w, r)
+        got = _ros2_system(d2u, g1, gamma_tau, h)(r.copy())
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    def test_flat_target_steps(self):
+        # a uniform target has g' = 0, so u = x^2/2 flows as u'' = 1 + t
+        # exactly: W keeps the x^2 coefficient, and the ROS2 weights sum it
+        # to tau per step
+        state = make_flow_state(GRID_2048, MU_SPEC, DensitySpec.uniform(-8.0, 8.0),
+                                ConvexPotential.quadratic(GRID_2048))
+        *_, last = run_flow(state, 1e-3, 200)
+        assert last.substeps == 1
+        fit = np.polyfit(GRID_2048.nodes, last.u.u, 2)
+        assert abs(2.0 * fit[0] - 1.2) <= 1e-10
 
     def test_stage_losing_convexity_is_convexity_lost(self):
         # a steeply concave variation turns u + tau k1 concave
