@@ -31,6 +31,7 @@ from .particles import (
     sinkhorn_sde_step,
 )
 from .pma import (
+    FokkerPlanckSystem,
     Functional,
     PmaState,
     _is_at,
@@ -296,7 +297,8 @@ def run_pma(config: ExperimentConfig) -> Report:
                 {"x": x, "density": d} for x, d in zip(s.rho.grid.nodes, s.rho.values)]
         rows.append({"t": s.t, "mean": s.rho.mean(), "variance": s.rho.variance(),
                      "kl": kl_divergence(s.rho, s.mu), "substeps": s.substeps,
-                     "transport_drift": s.transport_drift})
+                     "transport_drift": s.transport_drift,
+                     "derivative_growth": s.derivative_growth})
     if due:
         raise DomainError(f"no state reached the checkpoint t = {due[0]}")
     return Report(config.experiment, config.hash(), rows, verdicts, artifacts)
@@ -312,11 +314,12 @@ def run_fokker_planck_experiment(config: ExperimentConfig) -> Report:
     stride = max(1, steps // 200)
     due = [t for t in (0.5, 1.0) if t <= num["T"] + 1e-9]
     rows, verdicts = [], []
-    for i, d in enumerate(run_fokker_planck(discretize(problem.nu, grid),
-                                            discretize(problem.mu, grid), num["dt"], steps)):
+    system = FokkerPlanckSystem.build(discretize(problem.mu, grid), num["dt"])
+    for i, d in enumerate(run_fokker_planck(discretize(problem.nu, grid), system, steps)):
         verdicts += _checkpoint_verdicts(due, i * num["dt"], d, problem.fp_oracle, 0.01)
         if i % stride == 0 or i == steps:
-            rows.append({"t": i * num["dt"], "mean": d.mean(), "variance": d.variance()})
+            rows.append({"t": i * num["dt"], "mean": d.mean(), "variance": d.variance(),
+                         "solves": system.substeps if i else 0})
     if due:
         raise DomainError(f"no state reached the checkpoint t = {due[0]}")
     return Report(config.experiment, config.hash(), rows, verdicts)

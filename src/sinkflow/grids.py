@@ -2,9 +2,10 @@
 
 A :class:`GridDensity` is the discrete stand-in for a strictly positive
 density with finite second moment.  All quadrature is trapezoidal, all
-CDF/quantile machinery is the piecewise-linear generalized inverse, and
-every operation here is a pure function of immutable values (the
-tridiagonal solver alone keeps a work buffer between its solves).
+CDF/quantile machinery is the piecewise-linear generalized inverse,
+tridiagonal systems are solved by cyclic reduction, and every operation
+here is a pure function of immutable values (the tridiagonal solver
+alone keeps a work buffer between its solves).
 """
 
 from __future__ import annotations
@@ -407,79 +408,79 @@ def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
     return d
 
 
-def _scan_multipliers(a: np.ndarray) -> list[np.ndarray]:
-    """Multipliers of the Hillis-Steele scan solving x_i = a_i x_{i-1} + b_i
-    (with a_0 = 0): at offset s, the products a_i ... a_{i-s+1} for i >= s.
-    Passes whose products all vanish are dropped."""
-    a = a.copy()
-    levels = []
-    s = 1
-    while s < len(a):
-        m = a[s:].copy()
-        if not m.any():
-            break
-        levels.append(_readonly(m))
-        a[s:] = m * a[:-s]
-        s *= 2
-    return levels
-
-
 class Tridiagonal:
     """A tridiagonal matrix factored once for repeated solves.
 
     The matrix has diagonal ``diag``, subdiagonal ``lower`` (row i + 1,
-    column i) and superdiagonal ``upper`` (row i, column i + 1).  The LU
-    elimination runs in order without pivoting, which is stable for
-    matrices diagonally dominant by rows or by columns; its pivots are a
-    nonlinear recurrence and run in one Python loop, here.  A zero or
-    non-finite pivot raises StabilityError.  Each solve then runs the
-    forward and back substitution as two log-depth Hillis-Steele scans of
-    whole-array passes over the solver's own work buffer, whose views
-    are cut once, so one solver serves one caller at a time.
+    column i) and superdiagonal ``upper`` (row i, column i + 1).  It is
+    factored by cyclic reduction (Hockney 1965; Buzbee, Golub & Nielson
+    1970): padded with identity rows to 2^k - 1 rows, it is halved k - 1
+    times, each level eliminating its even rows from its odd ones in
+    whole-array passes over strided slices.  That is Gaussian elimination
+    without pivoting on the odd-even permuted matrix, stable for matrices
+    diagonally dominant by rows or by columns (Heller 1976).  A reduced
+    diagonal that is zero or not finite raises StabilityError.  Each solve
+    runs the levels down and back up over the solver's own work buffer,
+    whose views are cut once, so one solver serves one caller at a time.
     """
 
     def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
-        # p_k = d_k - (l_{k-1} / p_{k-1}) u_{k-1}, one row at a time
-        d = diag.tolist()
-        p = d[0]
-        pivots = [p]
-        try:
-            for lo, dk, up in zip(lower.tolist(), d[1:], upper.tolist()):
-                p = dk - lo / p * up
-                pivots.append(p)
-        except ZeroDivisionError:
-            raise StabilityError(f"tridiagonal pivot {len(pivots) - 1} is zero") from None
-        pivots = np.array(pivots)
-        if not (np.all(np.isfinite(pivots)) and np.all(pivots != 0.0)):
-            raise StabilityError("tridiagonal pivots are not finite and nonzero")
-        self._inv_pivot = inv_pivot = 1.0 / pivots
-        # forward substitution y_i = rhs_i - (l_{i-1} / p_{i-1}) y_{i-1}
-        mult = np.zeros(len(pivots))
-        np.divide(lower, pivots[:-1], out=mult[1:])
-        np.negative(mult[1:], out=mult[1:])
-        # back substitution x_i = y_i / p_i - (upper_i / p_i) x_{i+1}, a
-        # forward scan from the last row up
-        back = np.zeros(len(pivots))
-        back[:-1] = -upper * inv_pivot[:-1]
-        self._x = x = np.empty(len(pivots))
-        tmp = np.empty_like(x)
-        self._forward = [(m, x[:m.size], tmp[-m.size:], x[-m.size:])
-                         for m in _scan_multipliers(mult)]
-        self._backward = [(m[::-1].copy(), x[-m.size:], tmp[:m.size], x[:m.size])
-                          for m in _scan_multipliers(back[::-1])]
+        n = diag.size
+        size = 1 << n.bit_length()              # 2^k > n: 2^k - 1 rows hold the matrix
+        # the diagonal b and the negated off-diagonals -a and -c, row by row
+        b = np.ones(size - 1)
+        b[:n] = diag
+        na = np.zeros(size - 1)
+        np.negative(lower, out=na[1:n])
+        nc = np.zeros(size - 1)
+        np.negative(upper, out=nc[:n - 1])
+        self._n = n
+        self._x = x = np.zeros(size - 1)
+        tmp = np.empty(size // 2)
+        self._down, up, inverses = [], [], []
+        stride = 1
+        with np.errstate(all="ignore"):
+            while True:
+                level = x[stride - 1::stride]
+                even, odd, left, right = level[::2], level[1::2], level[:-1:2], level[2::2]
+                t = tmp[:odd.size]
+                inv = 1.0 / b[::2]
+                inverses.append(inv)
+                # an even row i gives x_i = (d_i - a_i x_{i-1} - c_i x_{i+1}) / b_i
+                up.append((inv, even, na[2::2] * inv[1:], right, nc[:-1:2] * inv[:-1], left,
+                           t, odd))
+                if not odd.size:
+                    break
+                # an odd row i adds alpha = -a_i / b_{i-1} times row i - 1 and
+                # beta = -c_i / b_{i+1} times row i + 1 to itself
+                alpha, beta = na[1::2] * inv[:-1], nc[1::2] * inv[1:]
+                self._down.append((alpha, left, beta, right, t, odd))
+                # the odd rows so reduced are the next level's
+                b = b[1::2] - alpha * nc[:-1:2] - beta * na[2::2]
+                na, nc = alpha * na[:-1:2], beta * nc[2::2]
+                stride *= 2
+        inverses = np.concatenate(inverses)
+        if not (np.all(np.isfinite(inverses)) and np.all(inverses != 0.0)):
+            raise StabilityError("a reduced tridiagonal diagonal is zero or not finite")
+        self._up = up[::-1]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The solution for ``rhs``, as a new array."""
-        x = self._x
-        x[:] = rhs
-        for m, src, t, dst in self._forward:
-            np.multiply(m, src, out=t)
-            dst += t
-        x *= self._inv_pivot
-        for m, src, t, dst in self._backward:
-            np.multiply(m, src, out=t)
-            dst += t
-        return x.copy()
+        n, x = self._n, self._x
+        x[:n] = rhs
+        x[n:] = 0.0         # the padding rows, whatever an earlier solve left there
+        for alpha, left, beta, right, t, odd in self._down:
+            np.multiply(alpha, left, out=t)
+            odd += t
+            np.multiply(beta, right, out=t)
+            odd += t
+        for inv, even, a_hat, right, c_hat, left, t, odd in self._up:
+            even *= inv
+            np.multiply(a_hat, odd, out=t)
+            right += t
+            np.multiply(c_hat, odd, out=t)
+            left += t
+        return x[:n].copy()
 
 
 def _spline_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -44,12 +44,13 @@ from .transport import ConvexPotential, HessianBoundsReport, legendre_transform,
 CFL_FACTOR = 0.25            # dt_sub <= CFL_FACTOR * h^2 * min(u'')
 PUSHFORWARD_TOL = 5e-3       # sup-norm drift allowed in the transport constraint
 DEFAULT_B_CAP = 1e6
-# The largest CFL count a flow step still takes explicitly, about where
-# the two integrators cost the same.  Measured per step on the Gaussian
-# runs at dt = 1e-3 (2 shared Xeon CPUs): a ROS2 step took 1.08-1.15
-# times the explicit step's time at n = 1024 (count 17), 2.0-2.5 times at
-# n = 256 and 512 (counts 2-5), and 0.34-0.50 times at n = 2048 (counts
-# 66-68).
+# The largest CFL count a flow step still takes explicitly.  Measured per
+# step on the Gaussian runs at dt = 1e-3 (2 shared Xeon CPUs), a ROS2
+# step takes 1.7-2.8 times the explicit step's time at n = 256 (count 2),
+# 1.4-1.9 times at n = 512 (count 5), 0.68-0.92 times at n = 1024 (count
+# 17) and 0.19-0.26 times at n = 2048 (count 66): the two cost the same
+# between counts 5 and 17, and every n <= 512 flow at dt = 1e-3 stays
+# explicit.
 EXPLICIT_MAX_SUBSTEPS = 16
 MAX_SUBSTEP = 1e-3           # longest ROS2 substep of a flow step, longest FP solve
 ROS2_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
@@ -125,6 +126,7 @@ class PmaState:
     projection_magnitude: float = 0.0
     substeps: int = 0            # substeps the last step took (0 at the start)
     transport_drift: float = 0.0 # its sup-norm transport-constraint drift
+    derivative_growth: float = 0.0  # its sup-norm variation, new over old (nan from 0)
 
     def __post_init__(self):
         object.__setattr__(self, "h", _readonly(self.h))
@@ -329,7 +331,7 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
     variation that grew tenfold, or a transport constraint (the gradient
     map pushing the density onto the target) that drifted beyond
     PUSHFORWARD_TOL, raises StabilityError.  The new state records the
-    substep count and the drift.
+    substep count, the drift and the variation's growth.
     """
     if not math.isfinite(dt) or dt < 0:
         raise DomainError("dt must be finite and nonnegative")
@@ -385,6 +387,7 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
         proj_mag = max(proj_mag, proj)
 
     sup_rhs_new = sup_variation(h_cur)
+    growth = sup_rhs_new / sup_rhs_prev if sup_rhs_prev > 0.0 else math.nan
     if sup_rhs_new > 10.0 * sup_rhs_prev + 1e-8:
         raise StabilityError(
             f"flow derivative grew from {sup_rhs_prev!r} to {sup_rhs_new!r} in one step"
@@ -413,6 +416,7 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
         projection_magnitude=proj_mag,
         substeps=n_sub,
         transport_drift=drift,
+        derivative_growth=growth,
     )
 
 
@@ -505,11 +509,10 @@ def fokker_planck_step(rho: GridDensity, system: FokkerPlanckSystem) -> GridDens
     return GridDensity(rho.grid, vals / mass_after)
 
 
-def run_fokker_planck(rho: GridDensity, mu: GridDensity, dt: float,
+def run_fokker_planck(rho: GridDensity, system: FokkerPlanckSystem,
                       steps: int) -> Iterator[GridDensity]:
-    """Yield rho, then the density after each of ``steps`` steps."""
+    """Yield rho, then the density after each of ``steps`` steps of the system."""
     yield rho
-    system = FokkerPlanckSystem.build(mu, dt)
     for _ in range(steps):
         rho = fokker_planck_step(rho, system)
         yield rho

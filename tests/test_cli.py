@@ -22,7 +22,7 @@ from sinkflow.experiments import (
     floor_steps,
     run_experiment,
 )
-from sinkflow.pma import run_fokker_planck
+from sinkflow.pma import FokkerPlanckSystem, run_fokker_planck
 from sinkflow.svgplot import emit_svg
 
 
@@ -275,6 +275,16 @@ class TestPmaCheckpoints:
             assert v["value"] == by_t[float(t)][name]
         assert report.passed()
 
+    def test_rows_report_the_step_health(self):
+        # the start row has taken no step; every later one reports its step's
+        # substeps, transport drift and variation growth
+        raw = {**self.RAW, "numerics": {"n": 128, "T": 0.5}}
+        first, *later = run_experiment(ExperimentConfig.from_dict(raw)).rows
+        assert [first[k] for k in ("substeps", "transport_drift", "derivative_growth")] == [0, 0, 0]
+        for row in later:
+            assert row["substeps"] >= 1
+            assert 0.0 < row["transport_drift"] <= 5e-3
+            assert 0.0 < row["derivative_growth"] <= 10.0
 
     @pytest.mark.parametrize("experiment", ["pma_run", "fokker_planck_run"])
     def test_checkpoint_between_steps_raises(self, experiment):
@@ -295,8 +305,8 @@ class TestPmaCheckpoints:
         assert 0.5 not in [round(r["t"], 9) for r in report.rows]
         problem = Problem.from_config(config)
         grid = config.grid()
-        hist = list(run_fokker_planck(discretize(problem.nu, grid),
-                                      discretize(problem.mu, grid), 1e-3, 1000))
+        system = FokkerPlanckSystem.build(discretize(problem.mu, grid), 1e-3)
+        hist = list(run_fokker_planck(discretize(problem.nu, grid), system, 1000))
         assert [v["check"] for v in report.verdicts] == VARIANCES
         assert [v["value"] for v in report.verdicts] == [hist[500].variance(),
                                                          hist[1000].variance()]
@@ -355,7 +365,10 @@ def test_fokker_planck_run_passes_at_a_coarse_dt(kind, dt):
     # first-order time error stays far inside the 1% verdicts
     cfg = ExperimentConfig.from_dict({"experiment": "fokker_planck_run", "problem": {"kind": kind},
                                       "numerics": {"n": 128, "T": 1.0, "dt": dt}})
-    assert run_experiment(cfg).passed()
+    report = run_experiment(cfg)
+    assert report.passed()
+    solves = round(dt / 1e-3)
+    assert [r["solves"] for r in report.rows] == [0] + [solves] * (len(report.rows) - 1)
 
 
 class TestCliCommands:

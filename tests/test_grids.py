@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
+from sinkflow import grids
 from sinkflow.errors import (
     DomainError,
     GridMismatch,
@@ -274,8 +275,10 @@ class TestCubicInterpolants:
 
 class TestTridiagonal:
     @pytest.mark.parametrize("dominance", ["rows", "columns"])
-    @pytest.mark.parametrize("n", [2, 3, 17, 1000])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 255, 256, 257, 1000, 2047, 2048, 2049])
     def test_matches_dense_solve(self, n, dominance):
+        # around 2^k - 1, where the padding to 2^k - 1 rows is empty or a
+        # whole level
         rng = np.random.default_rng(n)
         lower, upper = rng.uniform(-1.0, 1.0, (2, n - 1))
         off = np.abs(np.concatenate(([0.0], lower))) + np.abs(np.concatenate((upper, [0.0])))
@@ -297,25 +300,55 @@ class TestTridiagonal:
         assert first is not second and np.array_equal(first, second)
         assert np.array_equal(b, np.linspace(0.0, 1.0, n))
 
-    def test_pivots_follow_the_row_recurrence_bit_for_bit(self):
-        # the order of operations every n <= 512 verify artifact depends on
+    def test_solves_leave_nothing_behind(self):
+        # the work buffer and its padding rows carry nothing from one solve
+        # to the next, not even a non-finite right-hand side
         rng = np.random.default_rng(11)
         n = 300
         lower, upper = rng.uniform(-1.0, 1.0, (2, n - 1))
-        diag = 2.5 + rng.random(n)
-        pivots = diag.tolist()
-        for k in range(1, n):
-            pivots[k] -= lower[k - 1] / pivots[k - 1] * upper[k - 1]
-        got = Tridiagonal(lower, diag, upper)._inv_pivot
-        assert np.array_equal(got, 1.0 / np.array(pivots))
+        solver = Tridiagonal(lower, 2.5 + rng.random(n), upper)
+        b = rng.standard_normal(n)
+        kept = b.copy()
+        first = solver.solve(b)
+        with np.errstate(invalid="ignore"):
+            solver.solve(np.full(n, np.nan))
+            solver.solve(np.full(n, np.inf))
+        solver.solve(rng.standard_normal(n))
+        assert np.array_equal(solver.solve(b), first)
+        assert np.array_equal(b, kept)
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 2048])
     def test_singular_matrix_is_a_stability_error(self, n):
-        # all ones: the second pivot is 1 - 1 * 1 / 1 = 0, the last one at
-        # n = 2 and divided by at n = 3
-        ones = np.ones(n - 1)
+        # rows i and i + 1 equal, both [.., 0, 1, 2, 0, ..], in a matrix
+        # that is otherwise diagonally dominant
+        lower, diag, upper = np.full(n - 1, -1.0), np.full(n, 3.0), np.full(n - 1, -1.0)
+        i = n // 2 - 1
+        lower[i - 1:i] = 0.0
+        upper[i + 1:i + 2] = 0.0
+        diag[i], upper[i], lower[i], diag[i + 1] = 1.0, 2.0, 1.0, 2.0
+        a = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        assert np.array_equal(a[i], a[i + 1])
         with pytest.raises(StabilityError):
-            Tridiagonal(ones, np.ones(n), ones)
+            Tridiagonal(lower, diag, upper)
+
+    def test_spline_system_matches_dense_solve(self, monkeypatch):
+        # the not-a-knot system at n = 2048, whose end rows are not
+        # diagonally dominant
+        made = []
+
+        class Recording(Tridiagonal):
+            def __init__(self, lower, diag, upper):
+                super().__init__(lower, diag, upper)
+                made.append((self, np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)))
+
+        monkeypatch.setattr(grids, "Tridiagonal", Recording)
+        x = knots("nonuniform", 2048)
+        _spline_slopes(x, knot_values(x))
+        (solver, a), = made
+        assert abs(a[0, 0]) < abs(a[0, 1]) and abs(a[-1, -1]) < abs(a[-1, -2])
+        b = np.random.default_rng(5).standard_normal(2048)
+        want = np.linalg.solve(a, b)
+        assert np.max(np.abs(solver.solve(b) - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("row", [0, 1, 2])
     def test_nan_entry_is_a_stability_error(self, row):

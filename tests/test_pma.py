@@ -201,7 +201,7 @@ class TestFokkerPlanckStep:
     def test_location_moments(self):
         mu = discretize(MU_SPEC, GRID)
         rho = discretize(DensitySpec.gaussian(0.5, 1.0), GRID)
-        hist = list(run_fokker_planck(rho, mu, 1e-3, 1000))
+        hist = list(run_fokker_planck(rho, FokkerPlanckSystem.build(mu, 1e-3), 1000))
         final = hist[-1]
         assert abs(final.mean() - 0.5 * math.exp(-1.0)) <= 0.01 * 0.5 * math.exp(-1.0)
         assert abs(final.variance() - 1.0) <= 0.01
@@ -209,14 +209,14 @@ class TestFokkerPlanckStep:
     def test_scale_variance(self):
         mu = discretize(MU_SPEC, GRID)
         rho = discretize(DensitySpec.gaussian(0.0, 0.25), GRID)
-        hist = list(run_fokker_planck(rho, mu, 1e-3, 1000))
+        hist = list(run_fokker_planck(rho, FokkerPlanckSystem.build(mu, 1e-3), 1000))
         ref = scale_variance_fokker_planck(0.5, 1.0)
         assert abs(hist[-1].variance() - ref) <= 0.01 * ref
 
     def test_stationary_density_unchanged(self):
         # Scharfetter-Gummel fluxes vanish on mu itself, so only roundoff moves it
         mu = discretize(MU_SPEC, GRID)
-        hist = list(run_fokker_planck(mu, mu, 1e-3, 1000))
+        hist = list(run_fokker_planck(mu, FokkerPlanckSystem.build(mu, 1e-3), 1000))
         assert np.max(np.abs(hist[-1].values - mu.values)) <= 1e-12
 
     @pytest.mark.parametrize("n", [256, 2048])
@@ -265,7 +265,7 @@ class TestFokkerPlanckStep:
         system = FokkerPlanckSystem.build(mu, 1e-3)
         w = GRID.trapezoid_weights
         for rho in islice(run_fokker_planck(discretize(DensitySpec.gaussian(0.5, 0.25), GRID),
-                                            mu, 1e-3, 1000), 0, None, 100):
+                                            system, 1000), 0, None, 100):
             held = w * rho.values
             assert abs(w @ system.solver.solve(held) - held.sum()) <= 1e-12
 
@@ -289,7 +289,8 @@ class TestFokkerPlanckStep:
         ref = scale_variance_fokker_planck(0.5, 0.5)
         errs = []
         for dt in (2 * MAX_SUBSTEP, MAX_SUBSTEP, MAX_SUBSTEP / 2, MAX_SUBSTEP / 4):
-            *_, last = run_fokker_planck(rho, mu, dt, int(round(0.5 / dt)))
+            system = FokkerPlanckSystem.build(mu, dt)
+            *_, last = run_fokker_planck(rho, system, int(round(0.5 / dt)))
             errs.append(abs(last.variance() - ref))
         assert errs[0] == pytest.approx(errs[1], rel=1e-9)
         assert 1.8 <= errs[1] / errs[2] <= 2.2
@@ -308,7 +309,7 @@ class TestFokkerPlanckStep:
     def test_fp_continuity_residual_law(self):
         mu = discretize(MU_SPEC, GRID)
         rho = discretize(DensitySpec.gaussian(0.5, 1.0), GRID)
-        hist = list(run_fokker_planck(rho, mu, 1e-3, 501))
+        hist = list(run_fokker_planck(rho, FokkerPlanckSystem.build(mu, 1e-3), 501))
         prev, nxt = hist[500], hist[501]
         flux_div = grad_central(prev.values * fp_velocity(prev, mu), GRID.spacing)
         resid = (nxt.values - prev.values) / 1e-3 + flux_div
@@ -401,7 +402,7 @@ class TestKlDecay:
         states = list(islice(run_flow(state, 1e-3, 1000), 0, None, 100))
         mu = discretize(MU_SPEC, GRID)
         rho_fp = discretize(DensitySpec.gaussian(0.0, eta * eta), GRID)
-        fp_hist = list(run_fokker_planck(rho_fp, mu, 1e-3, 1000))
+        fp_hist = list(run_fokker_planck(rho_fp, FokkerPlanckSystem.build(mu, 1e-3), 1000))
         kl_s = kl_divergence(states[-1].rho, mu)
         kl_f = kl_divergence(fp_hist[-1], mu)
         assert kl_s < kl_f
@@ -488,7 +489,7 @@ def reference_step(state, dt, max_substep=None):
         state, t=t_next, u=u_next, h=h_cur, rho=rho_next,
         bounds=state.bounds.merged(float(np.min(d2u)), float(np.max(d2u)), t_next),
         rho_mass_error=abs(mass - 1.0), projection_magnitude=proj_mag,
-        substeps=n_sub, transport_drift=drift,
+        substeps=n_sub, transport_drift=drift, derivative_growth=sup_rhs_new / sup_rhs_prev,
     )
 
 
@@ -503,6 +504,7 @@ def assert_same_flow_state(got, want):
     assert got.t == want.t
     assert got.substeps == want.substeps
     assert got.transport_drift == want.transport_drift
+    assert got.derivative_growth == want.derivative_growth
 
 
 class ReferenceSpec(DensitySpec):
