@@ -288,8 +288,10 @@ def run_pma(config: ExperimentConfig) -> Report:
     stride = config.output["snapshot_stride"]
     due = [t for t in (0.5, 1.0) if t <= num["T"] + 1e-9]
     rows, artifacts, verdicts = [], {}, []
+    factorizations = 0                  # W factorizations since the last row, thinned steps' too
     for i, s in enumerate(run_flow(problem.flow_state(config.grid()), num["dt"], steps)):
         verdicts += _checkpoint_verdicts(due, s.t, s.rho, problem.oracle, 0.02)
+        factorizations += s.factorizations
         if i % keep and i != steps:
             continue
         if stride > 0 and len(rows) % stride == 0:
@@ -298,7 +300,11 @@ def run_pma(config: ExperimentConfig) -> Report:
         rows.append({"t": s.t, "mean": s.rho.mean(), "variance": s.rho.variance(),
                      "kl": kl_divergence(s.rho, s.mu), "substeps": s.substeps,
                      "transport_drift": s.transport_drift,
-                     "derivative_growth": s.derivative_growth})
+                     "derivative_growth": s.derivative_growth,
+                     "factorizations": factorizations,
+                     "hessian_min": s.bounds.a_min_observed,
+                     "hessian_max": s.bounds.b_max_observed})
+        factorizations = 0
     if due:
         raise DomainError(f"no state reached the checkpoint t = {due[0]}")
     return Report(config.experiment, config.hash(), rows, verdicts, artifacts)
@@ -338,7 +344,8 @@ def run_sinkhorn_experiment(config: ExperimentConfig) -> Report:
         kl = kl_divergence(state.mu, state.rho)
         kls.append(kl)
         rows.append({"k": state.k, "mean": state.rho.mean(),
-                     "variance": state.rho.variance(), "kl_mu_rho": kl})
+                     "variance": state.rho.variance(), "kl_mu_rho": kl,
+                     "mass_drift": state.mass_drift})
     decreasing = all(b < a + 1e-12 for a, b in zip(kls, kls[1:]))
     verdicts = [_verdict("kl(mu||rho_k) decreasing", kls[-1], "monotone", decreasing)]
     return Report(config.experiment, config.hash(), rows, verdicts)

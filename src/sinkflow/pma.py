@@ -6,7 +6,12 @@ diffusivity 1/u'', so an explicit step must be cut into CFL substeps whose
 count grows as 1/h^2.  A step whose CFL count is at most
 EXPLICIT_MAX_SUBSTEPS runs that many explicit Euler substeps; a stiffer
 step runs second-order Rosenbrock (ROS2) substeps of at most MAX_SUBSTEP,
-each one tridiagonal factorization and two solves.  The same stepper
+each two solves with a factored tridiagonal W.  ROS2 is second order for
+any W, so the state carries its factored W from step to step, and a
+substep refactors only when W's entries at the current state have moved
+from the factored ones by more than W_DRIFT_TOL (see Ros2Factor); on the
+n = 2048 Gaussian runs (dt = 1e-3, T = 0.5) that is 1 factorization for the
+location flow and 13-14 for the scale flow.  The same stepper
 drives the relative-entropy flow and the other first-variation
 functionals.  The plain Fokker-Planck equation, the unmirrored gradient
 flow of the same relative entropy, is stepped for comparison runs by
@@ -18,7 +23,7 @@ residual diagnostics the acceptance suite checks are here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -45,15 +50,21 @@ CFL_FACTOR = 0.25            # dt_sub <= CFL_FACTOR * h^2 * min(u'')
 PUSHFORWARD_TOL = 5e-3       # sup-norm drift allowed in the transport constraint
 DEFAULT_B_CAP = 1e6
 # The largest CFL count a flow step still takes explicitly.  Measured per
-# step on the Gaussian runs at dt = 1e-3 (2 shared Xeon CPUs), a ROS2
-# step takes 1.7-2.8 times the explicit step's time at n = 256 (count 2),
-# 1.4-1.9 times at n = 512 (count 5), 0.68-0.92 times at n = 1024 (count
-# 17) and 0.19-0.26 times at n = 2048 (count 66): the two cost the same
-# between counts 5 and 17, and every n <= 512 flow at dt = 1e-3 stays
-# explicit.
+# step over 100 steps of the Gaussian runs at dt = 1e-3 (2 shared Xeon
+# CPUs), a ROS2 step on the lagged W takes 1.05-1.8 times the explicit
+# step's time at n = 256 (count 2), 1.12-1.31 times at n = 512 (count 5),
+# 0.55-0.63 times at n = 1024 (count 17) and 0.17-0.19 times at n = 2048
+# (count 66): the two cost the same between counts 5 and 17, and every
+# n <= 512 flow at dt = 1e-3 stays explicit.
 EXPLICIT_MAX_SUBSTEPS = 16
 MAX_SUBSTEP = 1e-3           # longest ROS2 substep of a flow step, longest FP solve
 ROS2_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
+# The largest row drift of W's entries from the factored ones that a ROS2
+# substep still solves with (see Ros2Factor.fits).  At 5% the n = 2048
+# scale flow (eta = 0.4926, dt = 1e-3) refactors 14 times in 500 steps,
+# and its variance error at t = 0.5 reads -1.374e-5 against -1.283e-5
+# with a new W every substep; the location flow factors once.
+W_DRIFT_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -127,6 +138,8 @@ class PmaState:
     substeps: int = 0            # substeps the last step took (0 at the start)
     transport_drift: float = 0.0 # its sup-norm transport-constraint drift
     derivative_growth: float = 0.0  # its sup-norm variation, new over old (nan from 0)
+    factorizations: int = 0      # ROS2 matrices it factored (0: explicit, or W reused)
+    ros2: Ros2Factor | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "h", _readonly(self.h))
@@ -194,16 +207,23 @@ def _eliminate_end(rows: list[list[float]]) -> tuple[list[float], list[float], i
     return inner, mix, i, j, [rj1 / det, -ri1 / det, -rj0 / det, ri0 / det]
 
 
-def _ros2_system(d2u: np.ndarray, score: np.ndarray, gamma_tau: float,
-                 spacing: float) -> Callable[[np.ndarray], np.ndarray]:
+def _ros2_entries(d2u: np.ndarray, score: np.ndarray, gamma_tau: float,
+                  spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    """W's interior entries a = gamma_tau / (h^2 u'') and b = gamma_tau g'(u') / (2 h):
+    row i of W = I - gamma_tau J is (-a_i - b_i, 1 + 2 a_i, b_i - a_i)."""
+    return gamma_tau / (spacing * spacing) / d2u, (0.5 * gamma_tau / spacing) * score
+
+
+def _ros2_system(a: np.ndarray, b: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The solve of W k = r for the ROS2 matrix W = I - gamma_tau J.
 
     J = diag(1/u'') D2 - diag(g'(u')) D1 is the Jacobian of the discrete
     right-hand side f - g(D1 u) + log(D2 u), with D1 and D2 the stencils of
-    grad_central and second_central; ``score`` is g'(u').  Its interior
-    rows are tridiagonal.  The end rows are the exact rows of the one-sided
-    stencils, four entries wide, so W maps quadratics to quadratics and a
-    quadratic potential stays quadratic to roundoff.
+    grad_central and second_central; a and b are W's entries from
+    _ros2_entries.  Its interior rows are tridiagonal.  The end rows are the
+    exact rows of the one-sided stencils, four entries wide, so W maps
+    quadratics to quadratics and a quadratic potential stays quadratic to
+    roundoff.
 
     At each end the outer two unknowns are eliminated with the outer three
     rows (see _eliminate_end).  Their combination heads a tridiagonal
@@ -215,9 +235,7 @@ def _ros2_system(d2u: np.ndarray, score: np.ndarray, gamma_tau: float,
     The three-row elimination picks its recovery rows by their minors, as
     partial pivoting would.  The right-hand side is overwritten.
     """
-    n = d2u.size
-    a = gamma_tau / (spacing * spacing) / d2u      # gamma tau a_i / h^2
-    b = (0.5 * gamma_tau / spacing) * score        # gamma tau b_i / (2 h)
+    n = a.size
     lower = -a[1:] - b[1:]                         # row i + 1, column i
     diag = 1.0 + 2.0 * a
     upper = b[:-1] - a[:-1]                        # row i, column i + 1
@@ -255,18 +273,49 @@ def _ros2_system(d2u: np.ndarray, score: np.ndarray, gamma_tau: float,
     return solve
 
 
-def _ros2_increment(state: PmaState, u_vals: np.ndarray, du: np.ndarray, d2u: np.ndarray,
-                    h_cur: np.ndarray, potential: np.ndarray, tau: float) -> np.ndarray:
+@dataclass(frozen=True)
+class Ros2Factor:
+    """A factored ROS2 matrix W, with the gamma_tau and the entries a and b
+    (see _ros2_entries) it was built from.
+
+    ROS2 is second order for any W (a W-method; Steihaug & Wolfbrandt
+    1979), so a factor serves later substeps until it no longer fits them.
+    Its solve keeps no state between calls, so states may share it.
+    """
+
+    gamma_tau: float
+    a: np.ndarray
+    b: np.ndarray
+    solve: Callable[[np.ndarray], np.ndarray]
+
+    @classmethod
+    def build(cls, gamma_tau: float, a: np.ndarray, b: np.ndarray) -> "Ros2Factor":
+        return cls(gamma_tau, _readonly(a), _readonly(b), _ros2_system(a, b))
+
+    def fits(self, gamma_tau: float, a: np.ndarray, b: np.ndarray) -> bool:
+        """Whether W's entries a and b at gamma_tau are this factor's, up to
+        a drift of at most W_DRIFT_TOL in every row: 2|a - a_ref| +
+        2|b - b_ref| against the factored diagonal 1 + 2 a_ref."""
+        if gamma_tau != self.gamma_tau:
+            return False
+        drift = np.abs(a - self.a)
+        drift += np.abs(b - self.b)
+        drift /= 0.5 + self.a
+        return bool(drift.max() <= W_DRIFT_TOL)     # false on a nan
+
+
+def _ros2_increment(state: PmaState, solve: Callable[[np.ndarray], np.ndarray],
+                    u_vals: np.ndarray, h_cur: np.ndarray, potential: np.ndarray,
+                    tau: float) -> np.ndarray:
     """tau (3/2 k1 + 1/2 k2): one ROS2 step of u' = F(u) = potential - h(u)
     (Verwer, Spee, Blom & Hundsdorfer 1999), with gamma = 1 + 1/sqrt(2):
 
-        W k1 = F(u),  W k2 = F(u + tau k1) - 2 k1,  W = I - gamma tau J(u).
+        W k1 = F(u),  W k2 = F(u + tau k1) - 2 k1,  W = I - gamma tau J(u),
 
-    It is L-stable and second order for any W.  Raises ConvexityLost when
-    the stage u + tau k1 is not convex.
+    where ``solve`` solves with W.  It is L-stable and second order for any
+    W.  Raises ConvexityLost when the stage u + tau k1 is not convex.
     """
     h_sp = state.grid.spacing
-    solve = _ros2_system(d2u, state.nu_spec.grad(du), ROS2_GAMMA * tau, h_sp)
     k1 = solve(potential - h_cur)
     stage = u_vals + tau * k1
     d2_stage = second_central(stage, h_sp)
@@ -280,6 +329,29 @@ def _ros2_increment(state: PmaState, u_vals: np.ndarray, du: np.ndarray, d2u: np
     k1 *= 1.5 * tau
     k1 += (0.5 * tau) * k2
     return k1
+
+
+def _ros2_substep(state: PmaState, factor: Ros2Factor | None, u_vals: np.ndarray,
+                  du: np.ndarray, d2u: np.ndarray, h_cur: np.ndarray, potential: np.ndarray,
+                  tau: float) -> tuple[np.ndarray, Ros2Factor, int]:
+    """One ROS2 increment (see _ros2_increment) with ``factor`` while it fits
+    W at the current state, else with a new factorization.  A stage that
+    loses convexity on a reused factor is retried once on a new one; on a
+    new one it raises.  Returns the increment, the factor it used and the
+    number of factorizations made."""
+    gamma_tau = ROS2_GAMMA * tau
+    a, b = _ros2_entries(d2u, state.nu_spec.grad(du), gamma_tau, state.grid.spacing)
+    fresh = factor is None or not factor.fits(gamma_tau, a, b)
+    if fresh:
+        factor = Ros2Factor.build(gamma_tau, a, b)
+    try:
+        increment = _ros2_increment(state, factor.solve, u_vals, h_cur, potential, tau)
+    except ConvexityLost:
+        if fresh:
+            raise
+        factor, fresh = Ros2Factor.build(gamma_tau, a, b), True
+        increment = _ros2_increment(state, factor.solve, u_vals, h_cur, potential, tau)
+    return increment, factor, int(fresh)
 
 
 def _rebuild(state: PmaState, u_vals: np.ndarray, du: np.ndarray,
@@ -321,8 +393,10 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
     equal explicit Euler substeps, or more if ``max_substep`` asks for
     shorter ones.  Above it, dt is cut into equal ROS2 substeps (see
     _ros2_increment) no longer than MAX_SUBSTEP or ``max_substep``; each
-    factors one tridiagonal matrix.  Refinement studies use ``max_substep``
-    to keep the trajectory error fixed while the diagnostic spacing varies.
+    solves with the factored W the state carries while that still fits
+    (see Ros2Factor.fits), else factors a new one.  Refinement studies use
+    ``max_substep`` to keep the trajectory error fixed while the
+    diagnostic spacing varies.
 
     After each substep the derivatives are rebuilt by finite differences
     and the Hessian samples are clamped at the floor (the clamp magnitude
@@ -331,7 +405,8 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
     variation that grew tenfold, or a transport constraint (the gradient
     map pushing the density onto the target) that drifted beyond
     PUSHFORWARD_TOL, raises StabilityError.  The new state records the
-    substep count, the drift and the variation's growth.
+    substep count, the drift, the variation's growth, the number of W
+    factorizations and the last factored W.
     """
     if not math.isfinite(dt) or dt < 0:
         raise DomainError("dt must be finite and nonnegative")
@@ -372,6 +447,7 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
     d2u = np.array(state.u.d2u)
     rhs = np.empty_like(u_vals)
     proj_mag = 0.0
+    factor, factorizations = state.ros2, 0
     for _ in range(n_sub):
         if explicit or not entropic:
             # a potential-only variation does not depend on u: ROS2 is Euler
@@ -382,7 +458,10 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
             rhs *= dt_sub
             u_vals += rhs
         else:
-            u_vals += _ros2_increment(state, u_vals, du, d2u, h_cur, potential, dt_sub)
+            increment, factor, built = _ros2_substep(state, factor, u_vals, du, d2u, h_cur,
+                                                     potential, dt_sub)
+            u_vals += increment
+            factorizations += built
         h_cur, proj = _rebuild(state, u_vals, du, d2u)
         proj_mag = max(proj_mag, proj)
 
@@ -417,6 +496,8 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
         substeps=n_sub,
         transport_drift=drift,
         derivative_growth=growth,
+        factorizations=factorizations,
+        ros2=factor,
     )
 
 

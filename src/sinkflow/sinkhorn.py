@@ -350,6 +350,7 @@ class SinkhornState:
     nu: GridDensity
     u_prev: np.ndarray | None = None
     v_prev: np.ndarray | None = None
+    mass_drift: float = 0.0      # |mass - 1| of the last step's unnormalized marginal
 
     def __post_init__(self):
         object.__setattr__(self, "u", _readonly(self.u))
@@ -371,19 +372,21 @@ def s_step(state: SinkhornState) -> SinkhornState:
 
     The marginal comes from the potential increment before gauge fixing, so
     its normalization against the first marginal is exact by construction;
-    the constructor still enforces the 1e-8 contract.
+    the constructor still enforces the 1e-8 contract.  The new state
+    records the drift |mass - 1| of the marginal before it is normalized.
     """
     u_next_raw = u_operator(state.v, state.nu, state.eps, state.mu.grid)
     log_rho = (u_next_raw - state.u) / state.eps + state.mu.log_values
     rho_vals = np.exp(log_rho)
     mass = state.mu.grid.integrate(rho_vals)
-    if abs(mass - 1.0) > NORMALIZATION_TOL:
+    drift = abs(mass - 1.0)
+    if drift > NORMALIZATION_TOL:
         raise NumericOverflow(f"iterate marginal mass {mass!r} drifted beyond tolerance")
     rho = GridDensity(state.mu.grid, rho_vals / mass)
     u_next = u_next_raw - u_next_raw[state.mu.grid.n // 2]
     v_next = v_operator(u_next, state.mu, state.eps, state.nu.grid)
     return replace(state, k=state.k + 1, u=u_next, v=v_next, rho=rho,
-                   u_prev=state.u, v_prev=state.v)
+                   u_prev=state.u, v_prev=state.v, mass_drift=drift)
 
 
 @dataclass(frozen=True)

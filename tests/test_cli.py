@@ -22,7 +22,7 @@ from sinkflow.experiments import (
     floor_steps,
     run_experiment,
 )
-from sinkflow.pma import FokkerPlanckSystem, run_fokker_planck
+from sinkflow.pma import FokkerPlanckSystem, run_flow, run_fokker_planck
 from sinkflow.svgplot import emit_svg
 
 
@@ -205,6 +205,7 @@ class TestExecute:
         report = run_experiment(cfg)
         assert report.passed()
         assert report.rows[0]["k"] == 1
+        assert all(0.0 <= row["mass_drift"] <= 1e-8 for row in report.rows)
 
     def test_density_snapshots_emitted(self, tmp_path):
         cfg = ExperimentConfig.from_dict({
@@ -277,14 +278,36 @@ class TestPmaCheckpoints:
 
     def test_rows_report_the_step_health(self):
         # the start row has taken no step; every later one reports its step's
-        # substeps, transport drift and variation growth
+        # substeps, transport drift, variation growth and W factorizations
+        # (none on this explicit run), and the Hessian window so far
         raw = {**self.RAW, "numerics": {"n": 128, "T": 0.5}}
         first, *later = run_experiment(ExperimentConfig.from_dict(raw)).rows
-        assert [first[k] for k in ("substeps", "transport_drift", "derivative_growth")] == [0, 0, 0]
-        for row in later:
+        health = ("substeps", "transport_drift", "derivative_growth", "factorizations")
+        assert [first[k] for k in health] == [0, 0, 0, 0]
+        assert first["hessian_min"] == first["hessian_max"] == 1.0
+        for prev, row in zip([first, *later], later):
             assert row["substeps"] >= 1
             assert 0.0 < row["transport_drift"] <= 5e-3
             assert 0.0 < row["derivative_growth"] <= 10.0
+            assert row["factorizations"] == 0
+            assert row["hessian_min"] <= prev["hessian_min"]
+            assert row["hessian_max"] >= prev["hessian_max"]
+
+    def test_rows_report_the_ros2_factorizations(self):
+        # n = 1024 takes ROS2 steps (CFL count 17 and more): the first step
+        # factors W, and later ones refactor only as u'' drifts.  The rows
+        # keep every other step, and each counts the factorizations since
+        # the row before it, so none is lost
+        raw = {"experiment": "pma_run", "problem": {"kind": "gaussian_scale"},
+               "numerics": {"n": 1024, "T": 0.5}}
+        config = ExperimentConfig.from_dict(raw)
+        rows = run_experiment(config).rows
+        states = run_flow(Problem.from_config(config).flow_state(config.grid()), 1e-3, 500)
+        counts = [row["factorizations"] for row in rows]
+        assert len(counts) == 251 and counts[:2] == [0, 1]
+        assert sum(counts) == sum(s.factorizations for s in states)
+        assert 1 < sum(counts) < 50
+        assert rows[-1]["hessian_min"] < 1.0 == rows[-1]["hessian_max"]
 
     @pytest.mark.parametrize("experiment", ["pma_run", "fokker_planck_run"])
     def test_checkpoint_between_steps_raises(self, experiment):

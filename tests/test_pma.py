@@ -17,6 +17,7 @@ from sinkflow.grids import (
     pushforward_values_linear,
     second_central,
 )
+import sinkflow.pma as pma
 from sinkflow.pma import (
     CFL_FACTOR,
     EXPLICIT_MAX_SUBSTEPS,
@@ -25,6 +26,7 @@ from sinkflow.pma import (
     ROS2_GAMMA,
     FokkerPlanckSystem,
     Functional,
+    Ros2Factor,
     continuity_residual,
     dual_pma_residual,
     fokker_planck_step,
@@ -36,6 +38,7 @@ from sinkflow.pma import (
     second_order_lot_gap,
     step,
     velocity,
+    _ros2_entries,
     _ros2_system,
 )
 from sinkflow.transport import ConvexPotential
@@ -505,6 +508,7 @@ def assert_same_flow_state(got, want):
     assert got.substeps == want.substeps
     assert got.transport_drift == want.transport_drift
     assert got.derivative_growth == want.derivative_growth
+    assert got.factorizations == want.factorizations
 
 
 class ReferenceSpec(DensitySpec):
@@ -604,6 +608,21 @@ class TestInPlaceSubsteps:
 GRID_2048 = Grid(-8.0, 8.0, 2048)
 
 
+def crusher_state():
+    """A steeply concave entropic variation: every ROS2 stage loses convexity."""
+    crusher = Functional(lambda xs: -5e3 * xs**2, lambda xs: -1e4 * xs, entropic=True)
+    return make_flow_state(GRID_2048, MU_SPEC, MU_SPEC, ConvexPotential.quadratic(GRID_2048),
+                           functional=crusher)
+
+
+def count_factorizations(monkeypatch):
+    """A list that gains one entry per ROS2 factorization."""
+    built = []
+    real = pma._ros2_system
+    monkeypatch.setattr(pma, "_ros2_system", lambda a, b: built.append(1) or real(a, b))
+    return built
+
+
 class TestRos2Step:
     """Steps whose CFL count exceeds EXPLICIT_MAX_SUBSTEPS: ROS2 substeps."""
 
@@ -684,7 +703,7 @@ class TestRos2Step:
         w = eye - gamma_tau * (d2 / d2u[:, None] - g1[:, None] * d1)
         r = np.random.default_rng(3).standard_normal(n)
         want = np.linalg.solve(w, r)
-        got = _ros2_system(d2u, g1, gamma_tau, h)(r.copy())
+        got = _ros2_system(*_ros2_entries(d2u, g1, gamma_tau, h))(r.copy())
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
     def test_flat_target_steps(self):
@@ -698,13 +717,13 @@ class TestRos2Step:
         fit = np.polyfit(GRID_2048.nodes, last.u.u, 2)
         assert abs(2.0 * fit[0] - 1.2) <= 1e-10
 
-    def test_stage_losing_convexity_is_convexity_lost(self):
-        # a steeply concave variation turns u + tau k1 concave
-        crusher = Functional(lambda xs: -5e3 * xs**2, lambda xs: -1e4 * xs, entropic=True)
-        state = make_flow_state(GRID_2048, MU_SPEC, MU_SPEC,
-                                ConvexPotential.quadratic(GRID_2048), functional=crusher)
+    def test_stage_losing_convexity_is_convexity_lost(self, monkeypatch):
+        # a steeply concave variation turns u + tau k1 concave; on a newly
+        # factored W that raises at once, with no retry
+        built = count_factorizations(monkeypatch)
         with pytest.raises(ConvexityLost, match="stage"):
-            step(state, 1e-3)
+            step(crusher_state(), 1e-3)
+        assert len(built) == 1
 
     def test_clamp_branch(self):
         # an entropic variation that flattens u drives u'' through the 0.9
@@ -715,3 +734,83 @@ class TestRos2Step:
         assert moved.substeps == 50
         assert moved.projection_magnitude > 0.0
         assert float(np.min(moved.u.d2u)) >= 0.9
+
+
+def fitted_factor(state, tau=1e-3, d2u_scale=1.0):
+    """The ROS2 factor of W at the state's own u'' (times ``d2u_scale``) for
+    substeps of tau."""
+    gamma_tau = ROS2_GAMMA * tau
+    return Ros2Factor.build(gamma_tau, *_ros2_entries(
+        d2u_scale * state.u.d2u, state.nu_spec.grad(state.u.du), gamma_tau, state.grid.spacing))
+
+
+class TestLaggedW:
+    """A ROS2 substep reuses the factored W its state carries while W's
+    entries at the current state stay within W_DRIFT_TOL of it."""
+
+    def test_location_flow_factors_once(self):
+        # u'' = 1 keeps a fixed, and b moves 1e-3 of the diagonal in 50 steps
+        counts = [s.factorizations for s in run_flow(
+            gaussian_flow_state(GRID_2048, mean=0.5), 1e-3, 50)]
+        assert counts == [0, 1] + [0] * 49
+
+    def test_stale_factor_is_refactored(self):
+        # a factor for u'' four times the state's fails the drift rule, so the
+        # step runs exactly as from a state that carries none
+        state = gaussian_flow_state(GRID_2048, variance=0.25)
+        got = step(replace(state, ros2=fitted_factor(state, d2u_scale=4.0)), 1e-3)
+        want = step(state, 1e-3)
+        assert got.factorizations == 1
+        assert_same_flow_state(got, want)
+
+    def test_new_substep_length_refactors(self):
+        # a substep 1% shorter moves W's entries by 1%, within the drift
+        # rule; the factor is still rebuilt for the new gamma_tau
+        moved = step(gaussian_flow_state(GRID_2048, mean=0.5), 1e-3)
+        assert step(moved, 1e-3).factorizations == 0
+        assert step(moved, 0.99e-3).factorizations == 1
+        halved = step(moved, 1e-3, max_substep=5e-4)
+        assert (halved.substeps, halved.factorizations) == (2, 1)
+        assert halved.ros2.gamma_tau == ROS2_GAMMA * 5e-4
+
+    def test_convexity_lost_on_a_reused_factor_refactors(self):
+        # a carried factor whose entries fit but whose solve scales by 1e4:
+        # the scale problem's variation has curvature -3, so the stage
+        # u'' = 1 - 3e-3 * 1e4 < 0, and the substep retries on a new factor
+        state = gaussian_flow_state(GRID_2048, variance=0.25)
+        fit = fitted_factor(state)
+        bogus = replace(fit, solve=lambda r: 1e4 * r)
+        got = step(replace(state, ros2=bogus), 1e-3)
+        assert got.factorizations == 1
+        assert_same_flow_state(got, step(state, 1e-3))
+
+    def test_convexity_lost_after_the_retry_raises(self, monkeypatch):
+        # the crusher's stage is concave on any W: the reused factor fails,
+        # and so does the one retry on a new factor
+        state = crusher_state()
+        state = replace(state, ros2=fitted_factor(state))
+        built = count_factorizations(monkeypatch)
+        with pytest.raises(ConvexityLost, match="stage"):
+            step(state, 1e-3)
+        assert len(built) == 1
+
+    def test_shared_factor_carries_nothing_over(self):
+        # two states share one factor; stepping one of them in between does
+        # not change what the other steps to
+        *_, start = run_flow(gaussian_flow_state(GRID_2048, variance=0.25), 1e-3, 20)
+        first = step(start, 1e-3)
+        assert first.factorizations == 0 and first.ros2 is start.ros2
+        step(step(first, 1e-3), 1e-3)
+        assert_same_flow_state(step(start, 1e-3), first)
+
+    def test_second_order_over_a_scale_run(self):
+        # n = 512, dt = 0.05 to t = 0.5 with substeps 1e-3, 5e-4 and 2.5e-4:
+        # 13, 11 and 9 factorizations, and the variance error falls 3.91x per
+        # halving, as with a new W every substep
+        state = gaussian_flow_state(GRID, variance=0.25)
+        errors = []
+        for sub in (1e-3, 5e-4, 2.5e-4):
+            *_, last = run_flow(state, 0.05, 10, max_substep=sub)
+            errors.append(last.rho.variance() - scale_variance_entropic(0.5, last.t))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.6 <= coarse / fine <= 4.4

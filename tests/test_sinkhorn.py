@@ -216,9 +216,13 @@ class TestTwoStep:
 
     def test_marginal_normalized_every_step(self):
         st = initial_state(quad_u0(), MU, NU, NU, 0.1)
+        assert st.mass_drift == 0.0
         for _ in range(5):
+            log_rho = (u_operator(st.v, NU, 0.1, GRID) - st.u) / 0.1 + MU.log_values
             st = s_step(st)
             assert abs(GRID.integrate(st.rho.values) - 1.0) < 1e-8
+            # the step records the drift of the marginal it normalized
+            assert st.mass_drift == abs(GRID.integrate(np.exp(log_rho)) - 1.0) < 1e-8
 
     def test_kl_to_target_decreases(self):
         st = initial_state(quad_u0(), MU, NU, NU, 0.1)
