@@ -288,10 +288,12 @@ def run_pma(config: ExperimentConfig) -> Report:
     stride = config.output["snapshot_stride"]
     due = [t for t in (0.5, 1.0) if t <= num["T"] + 1e-9]
     rows, artifacts, verdicts = [], {}, []
-    factorizations = 0                  # W factorizations since the last row, thinned steps' too
+    # W factorizations and the largest clamp since the last row, thinned steps' too
+    factorizations, clamp = 0, 0.0
     for i, s in enumerate(run_flow(problem.flow_state(config.grid()), num["dt"], steps)):
         verdicts += _checkpoint_verdicts(due, s.t, s.rho, problem.oracle, 0.02)
         factorizations += s.factorizations
+        clamp = max(clamp, s.projection_magnitude)
         if i % keep and i != steps:
             continue
         if stride > 0 and len(rows) % stride == 0:
@@ -303,8 +305,8 @@ def run_pma(config: ExperimentConfig) -> Report:
                      "derivative_growth": s.derivative_growth,
                      "factorizations": factorizations,
                      "hessian_min": s.bounds.a_min_observed,
-                     "hessian_max": s.bounds.b_max_observed})
-        factorizations = 0
+                     "hessian_max": s.bounds.b_max_observed, "clamp": clamp})
+        factorizations, clamp = 0, 0.0
     if due:
         raise DomainError(f"no state reached the checkpoint t = {due[0]}")
     return Report(config.experiment, config.hash(), rows, verdicts, artifacts)

@@ -6,18 +6,20 @@ diffusivity 1/u'', so an explicit step must be cut into CFL substeps whose
 count grows as 1/h^2.  A step whose CFL count is at most
 EXPLICIT_MAX_SUBSTEPS runs that many explicit Euler substeps; a stiffer
 step runs second-order Rosenbrock (ROS2) substeps of at most MAX_SUBSTEP,
-each two solves with a factored tridiagonal W.  ROS2 is second order for
-any W, so the state carries its factored W from step to step, and a
-substep refactors only when W's entries at the current state have moved
-from the factored ones by more than W_DRIFT_TOL (see Ros2Factor); on the
-n = 2048 Gaussian runs (dt = 1e-3, T = 0.5) that is 1 factorization for the
-location flow and 13-14 for the scale flow.  The same stepper
-drives the relative-entropy flow and the other first-variation
-functionals.  The plain Fokker-Planck equation, the unmirrored gradient
-flow of the same relative entropy, is stepped for comparison runs by
-backward Euler with Scharfetter-Gummel fluxes: one tridiagonal system
-factored per run, and one solve per step of at most MAX_SUBSTEP.  The
-residual diagnostics the acceptance suite checks are here too.
+each two solves with W = I - gamma tau J, factored as its tridiagonal
+interior and the 2 x 2 Schur complement of its two end unknowns.  ROS2 is
+second order for any W, so the state carries its factored W from step to
+step, and a substep refactors only when W's entries at the current state
+have moved from the factored ones by more than W_DRIFT_TOL (see
+Ros2Factor); on the n = 2048 Gaussian runs (dt = 1e-3, T = 0.5) that is 1
+factorization for the location flow and 13-14 for the scale flow.  The
+same stepper drives the relative-entropy flow and the other
+first-variation functionals.  The plain Fokker-Planck equation, the
+unmirrored gradient flow of the same relative entropy, is stepped for
+comparison runs by backward Euler with Scharfetter-Gummel fluxes: one
+tridiagonal system factored per run, and one solve per step of at most
+MAX_SUBSTEP.  The residual diagnostics the acceptance suite checks are
+here too.
 """
 
 from __future__ import annotations
@@ -178,33 +180,9 @@ def make_flow_state(
 
 def _substep_count(dt: float, longest: float) -> int:
     """Equal substeps of at most ``longest`` covering dt; the 1e-9 keeps a dt
-    that is a multiple of ``longest`` up to roundoff (0.1 / 1e-3 =
-    100.00000000000001) from taking one more."""
+    that is a multiple of ``longest`` up to roundoff (1.1 / 0.1 =
+    11.000000000000002) from taking one more."""
     return max(1, math.ceil(dt / longest - 1e-9))
-
-
-def _eliminate_end(rows: list[list[float]]) -> tuple[list[float], list[float], int, int,
-                                                      list[float]]:
-    """Eliminate the outer two unknowns at one end of the ROS2 matrix.
-
-    ``rows`` holds the end row and the next two, on the four columns from
-    the end inwards.  The combination of the three rows that clears the
-    outer two columns is their cross product, whose entries are the 2 x 2
-    minors of those columns.  Returns the combined row on the inner two
-    columns, the combination, the two rows i and j with the largest minor,
-    and the inverse of their outer 2 x 2 block, row by row; the outer
-    unknowns are recovered from those two rows.
-    """
-    (p0, p1, _, _), (q0, q1, _, _), (r0, r1, _, _) = rows
-    mix = [q0 * r1 - r0 * q1, r0 * p1 - p0 * r1, p0 * q1 - q0 * p1]
-    k = max(range(3), key=lambda m: abs(mix[m]))
-    if not math.isfinite(mix[k]) or mix[k] == 0.0:
-        raise StabilityError("the ROS2 end rows are singular or not finite")
-    inner = [sum(m * row[c] for m, row in zip(mix, rows)) for c in (2, 3)]
-    i, j = (m for m in range(3) if m != k)
-    (ri0, ri1, _, _), (rj0, rj1, _, _) = rows[i], rows[j]
-    det = ri0 * rj1 - ri1 * rj0
-    return inner, mix, i, j, [rj1 / det, -ri1 / det, -rj0 / det, ri0 / det]
 
 
 def _ros2_entries(d2u: np.ndarray, score: np.ndarray, gamma_tau: float,
@@ -214,73 +192,32 @@ def _ros2_entries(d2u: np.ndarray, score: np.ndarray, gamma_tau: float,
     return gamma_tau / (spacing * spacing) / d2u, (0.5 * gamma_tau / spacing) * score
 
 
-def _ros2_system(a: np.ndarray, b: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The solve of W k = r for the ROS2 matrix W = I - gamma_tau J.
+@dataclass(frozen=True)
+class Ros2Factor:
+    """The ROS2 matrix W = I - gamma_tau J, factored, with the gamma_tau and
+    the entries a and b (see _ros2_entries) it was built from.
 
     J = diag(1/u'') D2 - diag(g'(u')) D1 is the Jacobian of the discrete
     right-hand side f - g(D1 u) + log(D2 u), with D1 and D2 the stencils of
-    grad_central and second_central; a and b are W's entries from
-    _ros2_entries.  Its interior rows are tridiagonal.  The end rows are the
-    exact rows of the one-sided stencils, four entries wide, so W maps
-    quadratics to quadratics and a quadratic potential stays quadratic to
-    roundoff.
+    grad_central and second_central.  Its interior rows are tridiagonal.
+    The end rows are the exact rows of the one-sided stencils, four entries
+    wide, so W maps quadratics to quadratics and a quadratic potential
+    stays quadratic to roundoff.
 
-    At each end the outer two unknowns are eliminated with the outer three
-    rows (see _eliminate_end).  Their combination heads a tridiagonal
-    system for the inner n - 4 unknowns, and the outer two are recovered
-    after its solve.  Folding an end row alone into tridiagonal form is
-    not enough: the one-sided stencils extrapolate the interior ones, so
-    the folded matrix can have a leading pivot that vanishes on a
-    nonsingular W, exactly so on a uniform target over a uniform u''.
-    The three-row elimination picks its recovery rows by their minors, as
-    partial pivoting would.  The right-hand side is overwritten.
-    """
-    n = a.size
-    lower = -a[1:] - b[1:]                         # row i + 1, column i
-    diag = 1.0 + 2.0 * a
-    upper = b[:-1] - a[:-1]                        # row i, column i + 1
-    a0, b0, an, bn = float(a[0]), float(b[0]), float(a[-1]), float(b[-1])
-    # the outer three rows at each end, on the four columns from the end inwards
-    head = [[1.0 - 2.0 * a0 - 3.0 * b0, 5.0 * a0 + 4.0 * b0, -4.0 * a0 - b0, a0],
-            [float(lower[0]), float(diag[1]), float(upper[1]), 0.0],
-            [0.0, float(lower[1]), float(diag[2]), float(upper[2])]]
-    tail = [[1.0 - 2.0 * an + 3.0 * bn, 5.0 * an - 4.0 * bn, -4.0 * an + bn, an],
-            [float(upper[-1]), float(diag[-2]), float(lower[-2]), 0.0],
-            [0.0, float(upper[-2]), float(diag[-3]), float(lower[-3])]]
-    (head_inner, *head_rest), (tail_inner, *tail_rest) = _eliminate_end(head), _eliminate_end(tail)
-    # the combined rows replace rows 2 and n - 3 of the inner system
-    diag[2], upper[2] = head_inner
-    diag[-3], lower[-3] = tail_inner
-    ends = [([0, 1, 2, 3], head, *head_rest), ([n - 1, n - 2, n - 3, n - 4], tail, *tail_rest)]
-    solver = Tridiagonal(lower[2:-2], diag[2:-2], upper[2:-2])
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        outer = []
-        for cols, _, mix, _, _, _ in ends:
-            r = [float(rhs[c]) for c in cols[:3]]
-            rhs[cols[2]] = mix[0] * r[0] + mix[1] * r[1] + mix[2] * r[2]
-            outer.append(r)
-        k = np.empty_like(rhs)
-        k[2:-2] = solver.solve(rhs[2:-2])
-        for (cols, rows, _, i, j, inverse), r in zip(ends, outer):
-            y2, y3 = float(k[cols[2]]), float(k[cols[3]])
-            si = r[i] - rows[i][2] * y2 - rows[i][3] * y3
-            sj = r[j] - rows[j][2] * y2 - rows[j][3] * y3
-            k[cols[0]] = inverse[0] * si + inverse[1] * sj
-            k[cols[1]] = inverse[2] * si + inverse[3] * sj
-        return k
-
-    return solve
-
-
-@dataclass(frozen=True)
-class Ros2Factor:
-    """A factored ROS2 matrix W, with the gamma_tau and the entries a and b
-    (see _ros2_entries) it was built from.
+    The end unknowns E = {0, n - 1} are solved through their Schur
+    complement.  The interior block W_II (rows and columns 1..n-2) is
+    tridiagonal and factored once.  W_IE has one entry per column, so
+    Z = W_II^-1 W_IE takes two interior solves, and S = W_EE - W_EI Z is
+    2 x 2.  Since det W = det W_II det S, S is singular only when W is; a
+    singular or non-finite S raises StabilityError.  The solve of W k = r
+    is one interior solve y = W_II^-1 r_I, the 2 x 2 solve
+    S k_E = r_E - W_EI y and k_I = y - Z k_E; it overwrites r with k and
+    returns it.
 
     ROS2 is second order for any W (a W-method; Steihaug & Wolfbrandt
     1979), so a factor serves later substeps until it no longer fits them.
-    Its solve keeps no state between calls, so states may share it.
+    The interior solver reuses one work buffer, so a factor serves one
+    caller at a time, as Tridiagonal says.
     """
 
     gamma_tau: float
@@ -290,7 +227,41 @@ class Ros2Factor:
 
     @classmethod
     def build(cls, gamma_tau: float, a: np.ndarray, b: np.ndarray) -> "Ros2Factor":
-        return cls(gamma_tau, _readonly(a), _readonly(b), _ros2_system(a, b))
+        lower = -a[1:] - b[1:]                     # row i + 1, column i
+        upper = b[:-1] - a[:-1]                    # row i, column i + 1
+        interior = Tridiagonal(lower[1:-1], 1.0 + 2.0 * a[1:-1], upper[1:-1])
+        a0, b0, an, bn = float(a[0]), float(b[0]), float(a[-1]), float(b[-1])
+        # W_EI: row 0 on columns 1..3, row n - 1 on columns n - 4..n - 2
+        head = np.array([5.0 * a0 + 4.0 * b0, -4.0 * a0 - b0, a0])
+        tail = np.array([an, -4.0 * an + bn, 5.0 * an - 4.0 * bn])
+        e = np.zeros(a.size - 2)
+        e[0] = lower[0]
+        z0 = interior.solve(e)                     # the columns of Z
+        e[0], e[-1] = 0.0, upper[-1]
+        z1 = interior.solve(e)
+        with np.errstate(all="ignore"):            # a non-finite end row raises below
+            s00 = 1.0 - 2.0 * a0 - 3.0 * b0 - float(head @ z0[:3])
+            s01 = -float(head @ z1[:3])
+            s10 = -float(tail @ z0[-3:])
+            s11 = 1.0 - 2.0 * an + 3.0 * bn - float(tail @ z1[-3:])
+        det = s00 * s11 - s01 * s10
+        if not (math.isfinite(det) and det != 0.0):
+            raise StabilityError("the ROS2 end Schur complement is singular or not finite")
+        i00, i01, i10, i11 = s11 / det, -s01 / det, -s10 / det, s00 / det
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            y = interior.solve(rhs[1:-1])
+            r0, rn = rhs[0] - head @ y[:3], rhs[-1] - tail @ y[-3:]
+            k0, kn = i00 * r0 + i01 * rn, i10 * r0 + i11 * rn
+            rhs[0], rhs[-1] = k0, kn
+            k = rhs[1:-1]
+            np.multiply(z0, -k0, out=k)
+            k += y
+            np.multiply(z1, kn, out=y)
+            k -= y
+            return rhs
+
+        return cls(gamma_tau, _readonly(a), _readonly(b), solve)
 
     def fits(self, gamma_tau: float, a: np.ndarray, b: np.ndarray) -> bool:
         """Whether W's entries a and b at gamma_tau are this factor's, up to
@@ -431,13 +402,10 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
 
     dt_stable = CFL_FACTOR * h_sp * h_sp * float(np.min(state.u.d2u))
     explicit = math.ceil(dt / dt_stable) <= EXPLICIT_MAX_SUBSTEPS
-    if explicit:
-        if max_substep is not None:
-            dt_stable = min(dt_stable, max_substep)
-        n_sub = max(1, math.ceil(dt / dt_stable))
-    else:
-        longest = MAX_SUBSTEP if max_substep is None else min(MAX_SUBSTEP, max_substep)
-        n_sub = _substep_count(dt, longest)
+    longest = dt_stable if explicit else MAX_SUBSTEP
+    if max_substep is not None:
+        longest = min(longest, max_substep)
+    n_sub = _substep_count(dt, longest)
     dt_sub = dt / n_sub
 
     # the substeps update u_vals, du and d2u in place; the buffers are new

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -276,15 +277,28 @@ class TestPmaCheckpoints:
             assert v["value"] == by_t[float(t)][name]
         assert report.passed()
 
-    def test_rows_report_the_step_health(self):
+    def test_rows_report_the_step_health(self, monkeypatch):
         # the start row has taken no step; every later one reports its step's
         # substeps, transport drift, variation growth and W factorizations
-        # (none on this explicit run), and the Hessian window so far
+        # (none on this explicit run), the Hessian window so far, and the
+        # largest clamp since the row before it.  The rows keep every other
+        # step; steps 3 and 4 are made to report a clamp, and the row of
+        # step 4 keeps the larger one of the thinned step 3
+        real = experiments.run_flow
+
+        def clamping(*args, **kwargs):
+            marks = {3: 0.25, 4: 0.125}
+            for i, s in enumerate(real(*args, **kwargs)):
+                yield replace(s, projection_magnitude=marks[i]) if i in marks else s
+
+        monkeypatch.setattr(experiments, "run_flow", clamping)
         raw = {**self.RAW, "numerics": {"n": 128, "T": 0.5}}
         first, *later = run_experiment(ExperimentConfig.from_dict(raw)).rows
-        health = ("substeps", "transport_drift", "derivative_growth", "factorizations")
-        assert [first[k] for k in health] == [0, 0, 0, 0]
+        health = ("substeps", "transport_drift", "derivative_growth", "factorizations", "clamp")
+        assert [first[k] for k in health] == [0, 0, 0, 0, 0]
         assert first["hessian_min"] == first["hessian_max"] == 1.0
+        assert [row["clamp"] for row in later[:3]] == [0.0, 0.25, 0.0]
+        assert all(row["clamp"] == 0.0 for row in later[3:])
         for prev, row in zip([first, *later], later):
             assert row["substeps"] >= 1
             assert 0.0 < row["transport_drift"] <= 5e-3

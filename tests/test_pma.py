@@ -17,7 +17,6 @@ from sinkflow.grids import (
     pushforward_values_linear,
     second_central,
 )
-import sinkflow.pma as pma
 from sinkflow.pma import (
     CFL_FACTOR,
     EXPLICIT_MAX_SUBSTEPS,
@@ -39,7 +38,6 @@ from sinkflow.pma import (
     step,
     velocity,
     _ros2_entries,
-    _ros2_system,
 )
 from sinkflow.transport import ConvexPotential
 
@@ -615,11 +613,28 @@ def crusher_state():
                            functional=crusher)
 
 
+JACOBIAN_PROFILES = {
+    "flat-target-uniform-hessian": (lambda xs: np.ones_like(xs), np.zeros_like),
+    "gaussian-target": (lambda xs: 1.2 + 0.5 * np.cos(xs), lambda xs: 4.0 * xs),
+    "flat-target-curved-hessian": (lambda xs: 1.0 / (1.0 + 0.3 * (xs / 8.0) ** 2), np.zeros_like),
+}
+
+
+def dense_w(a, b):
+    """The dense W = I - gamma_tau J for W's entries a and b (see
+    _ros2_entries): gamma_tau J = diag(a) h^2 D2 - diag(b) 2h D1, with the
+    stencils of second_central and grad_central at unit spacing."""
+    eye = np.eye(a.size)
+    d1 = np.column_stack([grad_central(e, 1.0) for e in eye])
+    d2 = np.column_stack([second_central(e, 1.0) for e in eye])
+    return eye - a[:, None] * d2 + 2.0 * b[:, None] * d1
+
+
 def count_factorizations(monkeypatch):
     """A list that gains one entry per ROS2 factorization."""
     built = []
-    real = pma._ros2_system
-    monkeypatch.setattr(pma, "_ros2_system", lambda a, b: built.append(1) or real(a, b))
+    real = Ros2Factor.build
+    monkeypatch.setattr(Ros2Factor, "build", lambda *args: built.append(1) or real(*args))
     return built
 
 
@@ -683,28 +698,55 @@ class TestRos2Step:
         assert np.array_equal(got.h, want.h)
         assert np.array_equal(got.rho.values, want.rho.values)
 
-    @pytest.mark.parametrize("hessian, score", [
-        (lambda xs: np.ones_like(xs), np.zeros_like),
-        (lambda xs: 1.2 + 0.5 * np.cos(xs), lambda xs: 4.0 * xs),
-        (lambda xs: 1.0 / (1.0 + 0.3 * (xs / 8.0) ** 2), np.zeros_like),
-    ], ids=["flat-target-uniform-hessian", "gaussian-target", "flat-target-curved-hessian"])
-    def test_system_solves_the_exact_jacobian(self, hessian, score):
+    @pytest.mark.parametrize("hessian, score, n", [
+        pytest.param(*case, n, id=name if n == 256 else f"{name}-n{n}")
+        for name, case in JACOBIAN_PROFILES.items() for n in (16, 256, 2048)])
+    def test_system_solves_the_exact_jacobian(self, hessian, score, n):
         # W = I - gamma tau J, with J built column by column from the
         # stencils themselves; gamma tau / h^2 = 43, near the 28 of n = 2048
-        # at dt = 1e-3.  An end row folded alone into tridiagonal form has
-        # a zero pivot on the first case
-        grid = Grid(-8.0, 8.0, 256)
-        xs, h, n = grid.nodes, grid.spacing, grid.n
+        # at dt = 1e-3.  An end row folded alone into tridiagonal form has a
+        # zero pivot on the first case
+        grid = Grid(-8.0, 8.0, n)
+        xs, h = grid.nodes, grid.spacing
         d2u, g1 = hessian(xs), score(xs)
-        eye = np.eye(n)
-        d1 = np.column_stack([grad_central(e, h) for e in eye])
-        d2 = np.column_stack([second_central(e, h) for e in eye])
-        gamma_tau = ROS2_GAMMA * 0.1
-        w = eye - gamma_tau * (d2 / d2u[:, None] - g1[:, None] * d1)
+        gamma_tau = 43.0 * h * h
+        w = dense_w(*_ros2_entries(d2u, g1, gamma_tau, h))
         r = np.random.default_rng(3).standard_normal(n)
         want = np.linalg.solve(w, r)
-        got = _ros2_system(*_ros2_entries(d2u, g1, gamma_tau, h))(r.copy())
+        got = Ros2Factor.build(gamma_tau, *_ros2_entries(d2u, g1, gamma_tau, h)).solve(r.copy())
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    def test_random_end_profiles_solve_to_the_condition_number(self):
+        # 300 profiles at n = 64: gamma tau / h^2 log-uniform in [0.1, 1e4],
+        # log u'' quadratic in the node index, and a score that is zero on
+        # half of them and affine with |b_i| up to 2 a_i on the other half.
+        # Each solve is within 5 cond_2(W) eps of a dense solve
+        rng = np.random.default_rng(2026)
+        n, gamma_tau = 64, 1.0
+        offset = np.arange(n) - 0.5 * (n - 1)
+        for k in range(300):
+            ratio = 10.0 ** rng.uniform(-1.0, 4.0)
+            log_d2u = rng.uniform(-0.1, 0.1) * offset + rng.uniform(-0.01, 0.01) * offset**2 / 2
+            a = ratio / np.exp(log_d2u)
+            b = np.zeros(n)
+            if k % 2:
+                shape = rng.uniform(-1.0, 1.0) + rng.uniform(-1.0, 1.0) * offset / offset[-1]
+                b = rng.uniform(0.0, 2.0) * shape / np.max(np.abs(shape) / a)
+            w = dense_w(a, b)
+            r = rng.standard_normal(n)
+            want = np.linalg.solve(w, r)
+            got = Ros2Factor.build(gamma_tau, a, b).solve(r.copy())
+            error = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert error <= 5.0 * np.linalg.cond(w) * np.finfo(float).eps, k
+
+    @pytest.mark.parametrize("entry, index", [("a", 0), ("b", -1), ("a", 32)],
+                             ids=["head", "tail", "interior"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_are_a_stability_error(self, entry, index, bad):
+        entries = {"a": np.full(64, 40.0), "b": np.linspace(-20.0, 20.0, 64)}
+        entries[entry][index] = bad
+        with pytest.raises(StabilityError):
+            Ros2Factor.build(1.0, entries["a"], entries["b"])
 
     def test_flat_target_steps(self):
         # a uniform target has g' = 0, so u = x^2/2 flows as u'' = 1 + t
