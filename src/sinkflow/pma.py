@@ -359,8 +359,8 @@ def _rebuild(state: PmaState, u_vals: np.ndarray, du: np.ndarray,
 def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaState:
     """Advance the flow by dt.
 
-    The CFL count ceil(dt / (CFL_FACTOR * h^2 * min u'')) picks the
-    integrator.  Up to EXPLICIT_MAX_SUBSTEPS, dt is cut into that many
+    The CFL count, _substep_count(dt, CFL_FACTOR * h^2 * min u''), picks
+    the integrator.  Up to EXPLICIT_MAX_SUBSTEPS, dt is cut into that many
     equal explicit Euler substeps, or more if ``max_substep`` asks for
     shorter ones.  Above it, dt is cut into equal ROS2 substeps (see
     _ros2_increment) no longer than MAX_SUBSTEP or ``max_substep``; each
@@ -401,7 +401,7 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
     sup_rhs_prev = sup_variation(h_cur)
 
     dt_stable = CFL_FACTOR * h_sp * h_sp * float(np.min(state.u.d2u))
-    explicit = math.ceil(dt / dt_stable) <= EXPLICIT_MAX_SUBSTEPS
+    explicit = _substep_count(dt, dt_stable) <= EXPLICIT_MAX_SUBSTEPS
     longest = dt_stable if explicit else MAX_SUBSTEP
     if max_substep is not None:
         longest = min(longest, max_substep)

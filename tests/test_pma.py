@@ -620,14 +620,14 @@ JACOBIAN_PROFILES = {
 }
 
 
-def dense_w(a, b):
-    """The dense W = I - gamma_tau J for W's entries a and b (see
-    _ros2_entries): gamma_tau J = diag(a) h^2 D2 - diag(b) 2h D1, with the
-    stencils of second_central and grad_central at unit spacing."""
-    eye = np.eye(a.size)
-    d1 = np.column_stack([grad_central(e, 1.0) for e in eye])
-    d2 = np.column_stack([second_central(e, 1.0) for e in eye])
-    return eye - a[:, None] * d2 + 2.0 * b[:, None] * d1
+def dense_w(d2u, g1, gamma_tau, h):
+    """The dense W = I - gamma_tau (diag(1/u'') D2 - diag(g') D1), with J
+    built column by column from the stencils of second_central and
+    grad_central at spacing h."""
+    eye = np.eye(d2u.size)
+    d1 = np.column_stack([grad_central(e, h) for e in eye])
+    d2 = np.column_stack([second_central(e, h) for e in eye])
+    return eye - gamma_tau * (d2 / d2u[:, None] - g1[:, None] * d1)
 
 
 def count_factorizations(monkeypatch):
@@ -649,6 +649,8 @@ class TestRos2Step:
         got = step(state, at_limit)
         assert got.substeps == EXPLICIT_MAX_SUBSTEPS
         assert_same_flow_state(got, reference_step(state, at_limit))
+        # a dt past the limit by roundoff alone keeps the count and the branch
+        assert step(state, at_limit * (1.0 + 1e-12)).substeps == EXPLICIT_MAX_SUBSTEPS
         beyond = (EXPLICIT_MAX_SUBSTEPS + 0.5) * CFL_FACTOR * h * h  # count 17
         assert step(state, beyond).substeps == 1
 
@@ -710,11 +712,16 @@ class TestRos2Step:
         xs, h = grid.nodes, grid.spacing
         d2u, g1 = hessian(xs), score(xs)
         gamma_tau = 43.0 * h * h
-        w = dense_w(*_ros2_entries(d2u, g1, gamma_tau, h))
+        w = dense_w(d2u, g1, gamma_tau, h)
         r = np.random.default_rng(3).standard_normal(n)
         want = np.linalg.solve(w, r)
         got = Ros2Factor.build(gamma_tau, *_ros2_entries(d2u, g1, gamma_tau, h)).solve(r.copy())
-        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+        bound = 1e-11
+        if n == 16:
+            # the worst conditioned W (cond_2 5e5 on the curved case): there
+            # W's own roundoff moves the dense solve by 1.3e-11
+            bound = 5.0 * np.linalg.cond(w) * np.finfo(float).eps
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
     def test_random_end_profiles_solve_to_the_condition_number(self):
         # 300 profiles at n = 64: gamma tau / h^2 log-uniform in [0.1, 1e4],
@@ -732,7 +739,8 @@ class TestRos2Step:
             if k % 2:
                 shape = rng.uniform(-1.0, 1.0) + rng.uniform(-1.0, 1.0) * offset / offset[-1]
                 b = rng.uniform(0.0, 2.0) * shape / np.max(np.abs(shape) / a)
-            w = dense_w(a, b)
+            # at h = 1 and gamma tau = 1, u'' = 1/a and g' = 2b give W's entries a, b
+            w = dense_w(1.0 / a, 2.0 * b, gamma_tau, 1.0)
             r = rng.standard_normal(n)
             want = np.linalg.solve(w, r)
             got = Ros2Factor.build(gamma_tau, a, b).solve(r.copy())
