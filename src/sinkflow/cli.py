@@ -5,7 +5,8 @@ Subcommands:
 * ``run <config.json>`` - execute one experiment described by a JSON config
 * ``tabulate <kind>``   - emit a CSV of a closed-form flow: t,mean,variance
   for the measure-valued kinds, t,value for the Euclidean ODE kinds
-* ``verify``            - run the standard acceptance battery
+* ``verify``            - run the standard acceptance battery, printing each
+  experiment's verdicts and wall time
 
 The output root defaults to the SINKFLOW_OUT environment variable (falling
 back to the current directory); ``--seed`` overrides the config seed.  Exit
@@ -80,7 +81,7 @@ def _cmd_verify(args) -> int:
     combined = verify_battery(_out_root(args), profile=args.profile, seed=args.seed)
     for name, entry in combined["experiments"].items():
         status = "pass" if entry["passed"] else "FAIL"
-        print(f"[{status}] {name}")
+        print(f"[{status}] {name} ({entry['wall_s']:.2f} s)")
         for v in entry["verdicts"]:
             mark = "ok " if v["pass"] else "BAD"
             print(f"    {mark} {v['check']}: {v['value']!r} (tolerance {v['tolerance']})")

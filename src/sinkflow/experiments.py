@@ -637,7 +637,9 @@ def verify_battery(outdir: str | Path, profile: str = "full", seed: int | None =
 
     ``profile='quick'`` shrinks grids and particle counts for smoke checks;
     ``'full'`` matches the documented acceptance settings.  Any other
-    profile raises :class:`DomainError` before anything runs.
+    profile raises :class:`DomainError` before anything runs.  Each
+    experiment's entry carries ``wall_s``, the seconds its run and artifacts
+    took; only ``files`` holds checksums.
     """
     if profile not in ("quick", "full"):
         raise DomainError(f"profile must be 'quick' or 'full', got {profile!r}")
@@ -669,11 +671,13 @@ def verify_battery(outdir: str | Path, profile: str = "full", seed: int | None =
         raw.setdefault("numerics", {})
         raw["numerics"] = {**base_numerics, **raw["numerics"]}
         config = ExperimentConfig.from_dict(raw)
+        clock = time.perf_counter()
         report, manifest = execute(config, out)
         combined["experiments"][f"{config.experiment}:{config.hash()[:8]}"] = {
             "config_hash": manifest["config_hash"],
             "passed": report.passed(),
             "verdicts": report.verdicts,
+            "wall_s": time.perf_counter() - clock,
         }
         combined["files"].update(manifest["files"])
         combined["all_passed"] = combined["all_passed"] and report.passed()

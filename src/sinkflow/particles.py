@@ -12,9 +12,11 @@ Markov chain's two conditionals, j = 0 (the dual coordinate given the
 position) and j = 1 (the new position given it), invert their CDF with
 substream j when they do not draw by rejection: the product coupling at
 step 0, a kernel that is not concave, and rows still unaccepted after
-REJECTION_ROUNDS rounds.  Rejection round r of conditional j proposes
-with substream REJECTION_SUBSTREAM + 4 r + 2 j and accepts with the next
-one.  The start ensemble is drawn from substream 7 of step 0.
+REJECTION_ROUNDS rounds.  A kernel's CDF is inverted on the chunk sums of
+:mod:`sinkflow.sinkhorn`'s log-kernel layer, then on one chunk's nodes.
+Rejection round r of conditional j proposes with substream
+REJECTION_SUBSTREAM + 4 r + 2 j and accepts with the next one.  The start
+ensemble is drawn from substream 7 of step 0.
 """
 
 from __future__ import annotations
@@ -176,7 +178,7 @@ def _draw_conditional(kernel: _LogKernel, p: np.ndarray, seed: int, step: int,
             rounds += 1
     if rows.size:
         u = uniform_block(seed, step, p.size, substream=conditional)
-        out[rows], _ = _kernel_draw(kernel, p[rows], u[rows])
+        out[rows] = _kernel_draw(kernel, p[rows], u[rows])
     return out, rounds
 
 

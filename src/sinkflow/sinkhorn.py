@@ -12,13 +12,13 @@ than approximately:
 Potentials are gauge-fixed by subtracting the midpoint value after each
 step; all derived quantities are invariant to that additive constant.
 
-Both operators, and the Markov-chain sampler in :mod:`sinkflow.particles`,
-evaluate their kernels through one log-kernel layer (``_log_kernel``): when
-the log-weights are concave, each kernel row is evaluated only on a band
-around its maximum, with a full-width pass for any row whose band edges
-are not negligible.  The chain draws from a concave kernel by rejection
-from a per-row envelope instead (``_kernel_reject``), at O(1) expected
-cost per row.
+Both operators, and the Markov-chain sampler in :mod:`sinkflow.particles`
+when it inverts a CDF, evaluate their kernels through one log-kernel layer
+(``_kernel_chunks``): on the uniform grid exp(p z_j / eps) is geometric in
+j, so every row is summed at full width as a few stabilized chunk sums,
+whose products go to BLAS.  The chain draws from a concave kernel by
+rejection from a per-row envelope instead (``_kernel_reject``), at O(1)
+expected cost per row.
 """
 
 from __future__ import annotations
@@ -27,19 +27,18 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, NumericOverflow
 from .grids import Grid, GridDensity, _readonly
 from .transport import ConvexPotential, legendre_transform
 
 NORMALIZATION_TOL = 1e-8
-# A kernel row is evaluated only where it lies within this many log-units of
-# its maximum; each dropped entry is below e^-40 of the largest, so a row of
-# n <= 2048 entries loses less than 1e-14 of its mass.
-BAND_LOG_UNITS = 40.0
-# entries per evaluated block: small enough to stay in the per-core cache
-_BLOCK_ENTRIES = 1 << 16
+# the chunked kernel's factors span at most e^(+-this), so any entry lost to
+# underflow is below e^-625 of its row's largest (see _kernel_chunks)
+_LATTICE_LOG_UNITS = 60.0
+# multiply-adds per chunk-sum product: OpenBLAS runs a gemm this small on one
+# thread whatever its thread setting, so a row's sums never depend on it
+_PRODUCT_MADDS = 1 << 18
 # rows per block of rejection proposals: keeps the per-row envelope arrays
 # at a few hundred kB whatever the number of particles
 _PROPOSAL_ROWS = 1 << 13
@@ -47,25 +46,13 @@ _PROPOSAL_ROWS = 1 << 13
 _CONCAVITY_TOL = 1e-12
 
 
-def _log_weights(grid: Grid) -> np.ndarray:
-    return np.log(grid.trapezoid_weights)
-
-
-def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    a = np.asarray(arr, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise NumericOverflow(f"{what} contains non-finite entries")
-    return a
-
-
 class _LogKernel(NamedTuple):
     """Rows r_i(j) = p_i z_j / eps + a_j over the uniform nodes z of a grid.
 
-    ``width`` is the number of columns each row is evaluated on.  When ``a``
-    is concave every row is, its maximum moves right as p grows (x*y is
-    supermodular), and ``slopes`` = -diff(a) is nondecreasing, so
-    ``searchsorted`` on it finds each row's peak column; otherwise
-    ``slopes`` is None and every row runs at full width.
+    When ``a`` is concave every row is, its maximum moves right as p grows
+    (x*y is supermodular), and ``slopes`` = -diff(a) is nondecreasing, so
+    ``searchsorted`` on it finds each row's peak column (the rejection
+    draw's envelope reads it); otherwise ``slopes`` is None.
     """
 
     nodes: np.ndarray
@@ -73,112 +60,150 @@ class _LogKernel(NamedTuple):
     a: np.ndarray
     scale: float
     slopes: np.ndarray | None
-    width: int
 
 
 def _log_kernel(grid: Grid, a: np.ndarray, eps: float) -> _LogKernel:
-    """Kernel with log-weights ``a`` on ``grid``, and the band its rows need.
-
-    The band is as wide as the row peaking at a's own maximum needs to fall
-    BAND_LOG_UNITS below that maximum on both sides, bounded from the
-    slopes alone, so it holds for every row with the same curvature.
-    """
-    n = a.size
+    """Kernel with log-weights ``a`` on ``grid``, with its slopes when a is concave."""
     slopes = -np.diff(a)
-    if np.any(np.diff(slopes) < -_CONCAVITY_TOL * max(1.0, float(np.max(np.abs(a))))):
-        return _LogKernel(grid.nodes, grid.spacing, a, 1.0 / eps, None, n)
-    j = int(np.argmax(a))
-    right = slopes[j:] - slopes[j] if j < n - 1 else slopes[:0]
-    left = slopes[j - 1] - slopes[:j][::-1] if j > 0 else slopes[:0]
-    half = max(_columns_to_fall(right), _columns_to_fall(left))
-    return _LogKernel(grid.nodes, grid.spacing, a, 1.0 / eps, slopes, min(n, 2 * half + 1))
+    concave = not np.any(np.diff(slopes) < -_CONCAVITY_TOL * max(1.0, float(np.max(np.abs(a)))))
+    return _LogKernel(grid.nodes, grid.spacing, a, 1.0 / eps, slopes if concave else None)
 
 
-def _columns_to_fall(rise: np.ndarray) -> int:
-    """Columns until the running sum of slope increments reaches BAND_LOG_UNITS."""
-    fall = np.cumsum(rise)
-    return int(np.searchsorted(fall, BAND_LOG_UNITS)) + 1
+def _chunking(n: int) -> tuple[int, int, int]:
+    """Chunk size m (a power of two within sqrt 2 of sqrt n), chunk count, and
+    rows per product: at most _PRODUCT_MADDS multiply-adds and n rows."""
+    m = 1 << (n.bit_length() // 2)
+    count = -(-n // m)
+    return m, count, min(n, _PRODUCT_MADDS // (m * count))
 
 
-def _kernel_rows(kernel: _LogKernel, p: np.ndarray, reduce):
-    """Apply ``reduce`` to exp(r_i - max r_i) for every output point p_i.
+def _kernel_chunks(kernel: _LogKernel, p: np.ndarray, reduce) -> np.ndarray:
+    """Apply ``reduce`` to the chunk sums of exp(r_i - M_i) at every output point p_i.
 
-    Each row is first evaluated on its band of ``kernel.width`` columns
-    around its peak; a row whose band edges are not BAND_LOG_UNITS below
-    its maximum is evaluated again at full width, the same code with the
-    band set to all columns.  ``reduce(dens, peak, lo, rows)`` receives a
-    block of rows (indices ``rows`` into p) whose columns start at ``lo``
-    and returns one value per row.  Returns the values and a mask of the
-    rows that kept their band.
+    The columns split into chunks of m around their mid nodes zmid_c, so
+    z_j = zmid_c + h k' with |k'| <= (m - 1) / 2.  Row i takes the
+    reference rho = D round(pe_i / D) on a lattice of step
+    D = 4 L / (h (m - 1)), L = _LATTICE_LOG_UNITS, and d = pe_i - rho.  Then
+
+        exp(r_i(j) - M_i) = F_ic V_ik A_kc,
+        A_kc = exp(a_j + rho z_j - top_c) <= 1,  V_ik = exp(d h k'),
+        F_ic = exp(d zmid_c + top_c - M_i) <= 1,
+
+    with top_c the chunk's maximum of a_j + rho z_j and M_i = max_c of
+    d zmid_c + top_c.  Since |d h k'| <= L every factor and partial sum is
+    finite, and an entry lost to underflow is below e^-(745 - 2L) of its
+    row's largest, whatever a is.  The chunk sums sum_k A_kc V_ik are one
+    (nch x m).(m x B) product per block of B rows sharing rho; the last
+    block of each reference is padded, so every product has one shape and
+    a row's sums do not depend on the rows evaluated with it.  Rows run
+    along the last axis of every array, so per-row reductions are
+    elementwise across rows.
+
+    ``reduce(sums, peak, rows)`` receives a block of rows (indices ``rows``
+    into p), their (nch x rows) chunk sums and M_i, and returns one value
+    per row.
     """
-    n = kernel.a.size
+    m, count, block = _chunking(kernel.a.size)
+    h = kernel.spacing
+    # padded columns carry no mass: nodes by the grid's own formula, a by -inf
+    z = (kernel.nodes[0] + h * np.arange(count * m)).reshape(count, m)
+    a = np.concatenate([kernel.a, np.full(count * m - kernel.a.size, -np.inf)]).reshape(count, m)
+    offsets = h * (np.arange(m)[:, None] - 0.5 * (m - 1))
+    mids = z[:, :1] - offsets[0]
+    lattice = 4.0 * _LATTICE_LOG_UNITS / (h * (m - 1))
     pe = np.asarray(p, dtype=float) * kernel.scale
+    ref = np.rint(pe / lattice)
+    order = np.argsort(ref, kind="stable")
+    bounds = np.flatnonzero(np.diff(ref[order])) + 1
     out = np.empty(pe.size)
-    rows = np.arange(pe.size)
-    banded = np.zeros(pe.size, dtype=bool)
-    if kernel.width < n:
-        peak = np.searchsorted(kernel.slopes, pe * kernel.spacing)
-        lo = np.clip(peak - kernel.width // 2, 0, n - kernel.width)
-        banded = _evaluate_rows(kernel, pe, lo, kernel.width, rows, reduce, out)
-        rows = np.flatnonzero(~banded)
-    if rows.size:
-        _evaluate_rows(kernel, pe, np.zeros(pe.size, dtype=np.intp), n, rows, reduce, out)
-    return out, banded
+    # one product shape: columns past a short block's own keep earlier values
+    factors = np.zeros((m, block))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first, stop in zip([0, *bounds], [*bounds, pe.size]):
+            rho = lattice * ref[order[first]]
+            weights = a + rho * z
+            top = weights.max(axis=1, keepdims=True)
+            weights -= top
+            np.exp(weights, out=weights)
+            for start in range(first, stop, block):
+                rows = order[start:min(start + block, stop)]
+                d = pe[rows] - rho
+                own = factors[:, :rows.size]
+                np.multiply(offsets, d, out=own)
+                np.exp(own, out=own)
+                sums = (weights @ factors)[:, :rows.size]
+                expo = mids * d
+                expo += top
+                peak = expo.max(axis=0)
+                expo -= peak
+                sums *= np.exp(expo, out=expo)
+                out[rows] = reduce(sums, peak, rows)
+    return out
 
 
-def _evaluate_rows(kernel, pe, lo, width, rows, reduce, out) -> np.ndarray:
-    """Evaluate ``rows`` on columns lo + [0, width) block by block, in place.
+def _kernel_lse(kernel: _LogKernel, p: np.ndarray) -> np.ndarray:
+    """Row log-sum-exp: log sum_j exp(r_i(j)) at every output point.
 
-    Returns, per output point, whether nothing outside its columns can
-    come within BAND_LOG_UNITS of its maximum (True for rows not visited).
+    The chunk sums are added by cumsum, which runs in chunk order for any
+    number of rows (sum would go pairwise for a single row).
     """
-    n = kernel.a.size
-    node_windows = sliding_window_view(kernel.nodes, width)
-    weight_windows = sliding_window_view(kernel.a, width)
-    kept = np.ones(pe.size, dtype=bool)
-    block = max(1, _BLOCK_ENTRIES // width)
-    for start in range(0, rows.size, block):
-        ids = rows[start:start + block]
-        first = lo[ids]
-        buf = node_windows[first]
-        buf *= pe[ids, None]
-        buf += weight_windows[first]
-        peak = buf.max(axis=1)
-        buf -= peak[:, None]
-        kept[ids] = ~(((first > 0) & (buf[:, 0] > -BAND_LOG_UNITS))
-                      | ((first + width < n) & (buf[:, -1] > -BAND_LOG_UNITS)))
-        np.exp(buf, out=buf)
-        out[ids] = reduce(buf, peak, first, ids)
-    return kept
+    out = _kernel_chunks(kernel, p,
+                         lambda sums, peak, rows: peak + np.log(np.cumsum(sums, axis=0)[-1]))
+    if not np.all(np.isfinite(out)):
+        raise NumericOverflow("kernel row sum is not finite")
+    return out
 
 
-def _kernel_lse(kernel: _LogKernel, p: np.ndarray):
-    """Row log-sum-exp: log sum_j exp(r_i(j)) at every output point."""
-    return _kernel_rows(kernel, p, lambda dens, peak, lo, rows: peak + np.log(dens.sum(axis=1)))
-
-
-def _kernel_draw(kernel: _LogKernel, p: np.ndarray, uniforms: np.ndarray):
+def _kernel_draw(kernel: _LogKernel, p: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """One draw per row from the density exp(r_i) on the nodes.
 
-    The CDF is the trapezoid cumulative, inverted linearly inside the cell
-    that uniform i selects, so draws spread continuously between nodes.
+    Cell c carries the trapezoid mass e_c + e_{c+1}, and the CDF is
+    inverted linearly inside the cell that uniform i selects, so draws
+    spread continuously between nodes.  The chunk is picked first, from
+    the cumulative mass over chunks: a chunk's cells (those starting on its
+    nodes) carry twice its node sum less its first node, plus the next
+    chunk's first node or, for the last chunk, less the grid's last node.
+    The cell is then picked from the chunk's m + 1 node values.  A uniform
+    of 1/2 or more is placed by the mass above it, summed from the upper
+    end, so the roundoff of the chunk sums moves a draw by at most their
+    relative error times the mass beyond it over the density there.
     """
-    nodes, h = kernel.nodes, kernel.spacing
+    n, h = kernel.a.size, kernel.spacing
+    m, count, _ = _chunking(n)
+    z = kernel.nodes[0] + h * np.arange(count * m + 1)
+    a = np.concatenate([kernel.a, np.full(count * m + 1 - n, -np.inf)])
+    edges = np.append(np.arange(0, n, m), n - 1)[:, None]
+    after = np.where(np.arange(count) < count - 1, 1.0, -1.0)[:, None]
+    steps = np.arange(m + 1)[:, None]
+    pe = np.asarray(p, dtype=float) * kernel.scale
 
-    def reduce(dens, _peak, lo, rows):
-        cdf = dens[:, 1:] + dens[:, :-1]
-        cdf *= 0.5 * h
-        np.cumsum(cdf, axis=1, out=cdf)
-        cdf /= cdf[:, -1:]
-        u = uniforms[rows]
-        idx = np.minimum(np.count_nonzero(cdf < u[:, None], axis=1), cdf.shape[1] - 1)
-        at = np.arange(idx.size)
-        hi = cdf[at, idx]
-        below = np.where(idx > 0, cdf[at, idx - 1], 0.0)
-        frac = np.where(hi > below, (u - below) / np.maximum(hi - below, 1e-300), 0.5)
-        return nodes[lo + idx] + np.clip(frac, 0.0, 1.0) * h
+    def reduce(sums, peak, rows):
+        pr, u, at = pe[rows], uniforms[rows], np.arange(rows.size)
+        edge = np.exp(z[edges] * pr + a[edges] - peak)
+        # chunk c's mass in row c + 1, between rows of zeros: below[c] is the
+        # mass of the chunks before c, above[c + 2] that of the chunks after
+        mass = np.zeros((count + 2, rows.size))
+        np.maximum(2.0 * sums - edge[:-1] + after * edge[1:], 0.0, out=mass[1:-1])
+        below, above = np.cumsum(mass, axis=0), np.cumsum(mass[::-1], axis=0)[::-1]
+        upper = u >= 0.5
+        low, high = u * below[-1], (1.0 - u) * above[0]
+        chunk = np.where(upper, np.count_nonzero(above[1:-1] >= high, axis=0) - 1,
+                         np.minimum(np.count_nonzero(below[1:-1] < low, axis=0), count - 1))
+        cols = chunk * m + steps
+        node = np.exp(z[cols] * pr + a[cols] - peak)
+        cdf = node[1:] + node[:-1]
+        cdf[cols[:-1] >= n - 1] = 0.0
+        np.cumsum(cdf, axis=0, out=cdf)
+        last = np.minimum(m, n - 1 - chunk * m) - 1
+        target = np.where(upper, cdf[last, at] - high + above[chunk + 2, at],
+                          low - below[chunk, at])
+        idx = np.minimum(np.count_nonzero(cdf < target, axis=0), last)
+        hi = cdf[idx, at]
+        lo = np.where(idx > 0, cdf[idx - 1, at], 0.0)
+        frac = np.where(hi > lo, (target - lo) / np.maximum(hi - lo, 1e-300), 0.5)
+        return z[cols[idx, at]] + np.clip(frac, 0.0, 1.0) * h
 
-    return _kernel_rows(kernel, p, reduce)
+    return _kernel_chunks(kernel, p, reduce)
 
 
 class _Envelope(NamedTuple):
@@ -310,10 +335,13 @@ def _kernel_reject(kernel: _LogKernel, p: np.ndarray, rows: np.ndarray,
 def _smooth(potential, marginal: GridDensity, eps: float, out_grid: Grid | None) -> np.ndarray:
     if eps <= 0:
         raise DomainError("eps must be positive")
-    potential = _check_finite(potential, "potential")
-    a = marginal.log_values + _log_weights(marginal.grid) - potential / eps
-    values, _ = _kernel_lse(_log_kernel(marginal.grid, a, eps), (out_grid or marginal.grid).nodes)
-    return eps * values
+    potential = np.asarray(potential, dtype=float)
+    if not np.all(np.isfinite(potential)):
+        raise NumericOverflow("potential contains non-finite entries")
+    grid = marginal.grid
+    a = marginal.log_values + np.log(grid.trapezoid_weights) - potential / eps
+    return eps * _kernel_lse(_LogKernel(grid.nodes, grid.spacing, a, 1.0 / eps, None),
+                             (out_grid or grid).nodes)
 
 
 def v_operator(u, mu: GridDensity, eps: float, y_grid: Grid | None = None) -> np.ndarray:

@@ -492,6 +492,20 @@ class TestCliCommands:
         rows = (tmp_path / "tabulate_euclid_quadratic.csv").read_text().splitlines()
         assert rows == ["t,value", "0,1", f"1,{math.exp(-1.0):.17g}", f"2,{math.exp(-2.0):.17g}"]
 
+    def test_verify_prints_and_records_wall_times(self, tmp_path, capsys):
+        # each experiment line ends with its wall time, and the combined
+        # manifest records it beside the verdicts, outside the checksums
+        main(["--output", str(tmp_path), "--seed", "7", "verify", "--profile", "quick"])
+        combined = json.loads((tmp_path / "verify_manifest.json").read_text())
+        lines = [line.split("] ", 1)[1] for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("[")]
+        experiments_run = combined["experiments"]
+        assert len(experiments_run) == 10
+        assert sorted(lines) == sorted(f"{name} ({entry['wall_s']:.2f} s)"
+                                       for name, entry in experiments_run.items())
+        assert all(entry["wall_s"] > 0 for entry in experiments_run.values())
+        assert all(name.endswith((".json", ".csv", ".svg")) for name in combined["files"])
+
     @pytest.mark.parametrize("profile", ["Quick", "", "fast"])
     def test_verify_rejects_unknown_profile(self, tmp_path, profile):
         out = tmp_path / "out"

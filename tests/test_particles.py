@@ -357,7 +357,8 @@ def _sample_conditional_rows(log_core, nodes, uniforms):
     """Dense inverse-CDF sample per row of a batch of grid conditionals.
 
     The reference for the inversion sampler: the CDF of :func:`_cell_cdf`
-    over the whole row, inverted linearly inside the selected cell.
+    over the whole row, inverted linearly inside the selected cell, in the
+    precision of ``log_core``.
     """
     cdf = _cell_cdf(log_core, nodes)
     h = nodes[1] - nodes[0]
@@ -370,23 +371,37 @@ def _sample_conditional_rows(log_core, nodes, uniforms):
     return nodes[idx] + np.clip(frac, 0.0, 1.0) * h
 
 
-def _conditional_log_core(sk, conditional, p):
+def _conditional_log_core(sk, conditional, p, dtype=float):
     """Log conditionals of the chain at points p, over full rows: the dual
     coordinate given x (conditional 0), the new x given y (conditional 1)."""
     if conditional == 0:
-        return (np.outer(p, sk.nu.grid.nodes) - sk.v_prev[None, :]) / sk.eps \
-            + sk.nu.log_values[None, :], sk.nu.grid.nodes
-    return (np.outer(p, sk.mu.grid.nodes) - sk.u[None, :]) / sk.eps \
-        + sk.mu.log_values[None, :], sk.mu.grid.nodes
+        marginal, potential = sk.nu, sk.v_prev
+    else:
+        marginal, potential = sk.mu, sk.u
+    nodes, potential = marginal.grid.nodes.astype(dtype), potential.astype(dtype)
+    log_core = (np.outer(np.asarray(p, dtype=dtype), nodes) - potential[None, :]) / sk.eps \
+        + np.log(marginal.values.astype(dtype))[None, :]
+    return log_core, nodes
+
+
+def extended_inversion(sk, conditional, p, uniforms):
+    """Draws of one chain conditional by dense inversion in extended
+    precision, 256 rows at a time: the law's reference to well below the
+    roundoff of any float64 evaluation of it."""
+    out = np.empty(len(p))
+    for start in range(0, len(p), 256):
+        rows = slice(start, start + 256)
+        log_core, nodes = _conditional_log_core(sk, conditional, p[rows], np.longdouble)
+        out[rows] = _sample_conditional_rows(log_core, nodes, uniforms[rows].astype(np.longdouble))
+    return out
 
 
 def dense_chain_positions(e, sk):
-    """One chain step on full-width conditional tables by inversion (after
-    step zero): the chain's draws when neither kernel is concave."""
+    """One chain step by dense inversion of both conditionals (after step
+    zero): the chain's draws when neither kernel is concave."""
     u1 = uniform_block(e.seed, e.step_count, e.positions.size, substream=0)
     u2 = uniform_block(e.seed, e.step_count, e.positions.size, substream=1)
-    y = _sample_conditional_rows(*_conditional_log_core(sk, 0, e.positions), u1)
-    return _sample_conditional_rows(*_conditional_log_core(sk, 1, y), u2)
+    return extended_inversion(sk, 1, extended_inversion(sk, 0, e.positions, u1), u2)
 
 
 LAW_POINTS = (-1.5, 0.0, 0.8, 2.5)
@@ -443,6 +458,23 @@ class TestChainLaw:
             distances, _ = law_distances(sk, conditional)
             assert max(distances) <= LAW_BOUND
 
+    @pytest.mark.parametrize("n,eps", [(64, 1e-3), (512, 0.5), (512, 0.05), (2048, 0.1)])
+    def test_inversion_matches_the_extended_dense_inversion(self, n, eps):
+        # the chunked inversion every row takes when rejection gives up, at
+        # rows one node wide over many lattice references up to wide rows
+        sk = chain_state(Grid(-8.0, 8.0, n), eps)
+        kernel = _log_kernel(sk.mu.grid, sk.mu.log_values - sk.u / eps, eps)
+        p = np.linspace(-3.0, 3.0, 3001)
+        u = uniform_block(5, 1, p.size)
+        got = sinkhorn._kernel_draw(kernel, p, u)
+        assert np.max(np.abs(got - extended_inversion(sk, 1, p, u))) <= 1e-12
+        # and a row's draw does not depend on the rows drawn with it
+        alone = [sinkhorn._kernel_draw(kernel, p[i:i + 1], u[i:i + 1])[0]
+                 for i in range(0, p.size, 97)]
+        assert np.array_equal(alone, got[::97])
+        assert np.array_equal(sinkhorn._kernel_draw(kernel, p[40:169], u[40:169]), got[40:169])
+        assert np.array_equal(sinkhorn._kernel_draw(kernel, p[::-1], u[::-1]), got[::-1])
+
     def test_envelope_without_its_upper_tail_fails(self, monkeypatch):
         envelope = sinkhorn._rejection_envelope
 
@@ -467,7 +499,7 @@ class TestChainLaw:
 class TestMarkovChain:
     def test_non_concave_kernels_invert_like_the_dense_reference(self):
         # two-bump marginals make both conditionals' log-weights non-concave,
-        # so every row is drawn by full-width inversion
+        # so every row is drawn by inversion
         bumps = np.exp(-(GRID.nodes - 2.0) ** 2 / 0.5) + np.exp(-(GRID.nodes + 2.0) ** 2 / 0.5)
         mu = GridDensity.from_unnormalized(GRID, bumps)
         nu = GridDensity.from_unnormalized(GRID, np.roll(bumps, 16))

@@ -6,10 +6,14 @@ from scipy.special import logsumexp
 
 from sinkflow.closed_form import sinkhorn_gaussian_iterates
 from sinkflow.grids import DensitySpec, Grid, discretize, kl_divergence
+from sinkflow.errors import NumericOverflow
 from sinkflow.sinkhorn import (
+    _LATTICE_LOG_UNITS,
+    _chunking,
     _kernel_lse,
     _logsumexp,
     _log_kernel,
+    _LogKernel,
     coupling,
     initial_state,
     ipfp_marginal_view,
@@ -74,9 +78,16 @@ def kernel_of(potential, marginal, eps):
     return _log_kernel(marginal.grid, a, eps)
 
 
+def lattice_references(grid, points, eps):
+    """The distinct lattice references the kernel layer gives these rows."""
+    m, _, _ = _chunking(grid.n)
+    lattice = 4.0 * _LATTICE_LOG_UNITS / (grid.spacing * (m - 1))
+    return np.unique(np.rint(np.asarray(points) / eps / lattice)).size
+
+
 class TestLogKernelLayer:
-    @pytest.mark.parametrize("n", [256, 2048])
-    @pytest.mark.parametrize("eps", [0.5, 0.1, 0.05, 0.01])
+    @pytest.mark.parametrize("n", [64, 256, 2048])
+    @pytest.mark.parametrize("eps", [50.0, 0.5, 0.1, 0.05, 0.01, 1e-3])
     def test_operators_match_dense_formula(self, n, eps):
         grid = Grid(-8.0, 8.0, n)
         mu = discretize(MU_SPEC, grid)
@@ -85,11 +96,15 @@ class TestLogKernelLayer:
         v = v_operator(u, mu, eps)
         assert np.max(np.abs(v - dense_operator(u, mu, eps))) <= 1e-12
         assert np.max(np.abs(u_operator(v, nu, eps) - dense_operator(v, nu, eps))) <= 1e-12
-        # log-concave marginals and convex potentials: every row keeps its band
-        for pot, marg in ((u, mu), (v, nu)):
-            kernel = kernel_of(pot, marg, eps)
-            assert kernel.width < n
-            assert _kernel_lse(kernel, grid.nodes)[1].all()
+
+    @pytest.mark.parametrize("n,eps", [(64, 1e-3), (256, 0.01), (2048, 1e-3)])
+    def test_rows_spanning_many_lattice_references(self, n, eps):
+        # rows whose slopes p / eps lie far apart take different references
+        grid = Grid(-8.0, 8.0, n)
+        assert lattice_references(grid, grid.nodes, eps) >= 3
+        mu = discretize(MU_SPEC, grid)
+        u = 0.5 * grid.nodes**2 + np.sin(grid.nodes)
+        assert np.max(np.abs(v_operator(u, mu, eps) - dense_operator(u, mu, eps))) <= 1e-12
 
     @pytest.mark.parametrize("eps", [0.5, 0.1, 0.05, 0.01])
     def test_off_grid_output_points(self, eps):
@@ -98,24 +113,51 @@ class TestLogKernelLayer:
         ygrid = Grid(-2.0, 2.0, GRID.n)
         got = v_operator(u, MU, eps, ygrid)
         assert np.max(np.abs(got - dense_operator(u, MU, eps, ygrid))) <= 1e-12
-        assert _kernel_lse(kernel_of(u, MU, eps), ygrid.nodes)[1].all()
 
     def test_non_convex_potential_runs_at_full_width(self):
         u = random_smooth_potentials(1, seed=3)[0] + 0.5 * np.sin(3.0 * GRID.nodes)
-        kernel = kernel_of(u, MU, 0.1)
-        assert kernel.slopes is None and kernel.width == GRID.n
-        assert not _kernel_lse(kernel, GRID.nodes)[1].any()
+        assert kernel_of(u, MU, 0.1).slopes is None
         for op, marg in ((v_operator, MU), (u_operator, NU)):
             assert np.max(np.abs(op(u, marg, 0.1) - dense_operator(u, marg, 0.1))) <= 1e-12
 
-    def test_rows_failing_the_band_edge_check(self):
-        # convex, but flattening in the tails: rows peaking there need more
-        # columns than the row through the log-weights' own maximum
+    @pytest.mark.parametrize("eps", [0.1, 1e-3])
+    def test_non_convex_potential_at_off_grid_points(self, eps):
+        # output points off the nodes, some beyond the grid's ends
+        u = 0.5 * GRID.nodes**2 + 2.0 * np.sin(3.0 * GRID.nodes)
+        ygrid = Grid(-9.3, 8.7, 301)
+        assert lattice_references(GRID, ygrid.nodes, eps) >= (3 if eps < 0.01 else 1)
+        for op, marg in ((v_operator, MU), (u_operator, NU)):
+            got = op(u, marg, eps, ygrid)
+            assert np.max(np.abs(got - dense_operator(u, marg, eps, ygrid))) <= 1e-12
+
+    def test_convex_potential_flattening_in_the_tails(self):
+        # rows peaking in the tails, where the kernel is flatter, are as wide
+        # as the grid
         u = 4.0 * np.log(np.cosh(GRID.nodes))
-        banded = _kernel_lse(kernel_of(u, MU, 0.1), GRID.nodes)[1]
-        assert 0 < banded.sum() < GRID.n
         for op, marg in ((v_operator, MU), (u_operator, NU)):
             assert np.max(np.abs(op(u, marg, 0.1) - dense_operator(u, marg, 0.1))) <= 1e-12
+
+    @pytest.mark.parametrize("n,eps", [(256, 0.1), (2048, 0.1), (2048, 1e-3)])
+    def test_rows_do_not_depend_on_the_rows_evaluated_with_them(self, n, eps):
+        # every product has one shape, so a row's value is bit-exact whether
+        # it is evaluated alone, among 129 rows or in reverse order
+        grid = Grid(-8.0, 8.0, n)
+        mu = discretize(MU_SPEC, grid)
+        kernel = kernel_of(0.5 * grid.nodes**2, mu, eps)
+        full = _kernel_lse(kernel, grid.nodes)
+        alone = [_kernel_lse(kernel, grid.nodes[i:i + 1])[0] for i in range(0, n, n // 128)]
+        assert np.array_equal(alone, full[::n // 128])
+        assert np.array_equal(_kernel_lse(kernel, grid.nodes[7:136]), full[7:136])
+        assert np.array_equal(_kernel_lse(kernel, grid.nodes[::-1]), full[::-1])
+
+    def test_non_finite_row_sum_raises(self):
+        # log-weights that overflowed: a NaN, or a chunk with no finite entry
+        a = np.log(GRID.trapezoid_weights)
+        a[100] = np.nan
+        for weights in (a, np.full(GRID.n, -np.inf)):
+            kernel = _LogKernel(GRID.nodes, GRID.spacing, weights, 10.0, None)
+            with pytest.raises(NumericOverflow):
+                _kernel_lse(kernel, GRID.nodes)
 
 
 class TestOperators:
@@ -162,21 +204,20 @@ class TestOperators:
             assert gap_out <= gap_in * (1 + 1e-9) + 1e-12
 
     def test_row_partition_independence(self):
-        # each output point is its own reduction over its own band: the two
+        # each output point is its own reduction over its own row: the two
         # halves of the nodes, and the nodes in reverse order, evaluated as
         # separate row sets must reproduce the full evaluation exactly
         u = quad_u0()
         full = v_operator(u, MU, 0.1)
         kernel = kernel_of(u, MU, 0.1)
         halves = np.concatenate([
-            0.1 * _kernel_lse(kernel, GRID.nodes[:GRID.n // 2])[0],
-            0.1 * _kernel_lse(kernel, GRID.nodes[GRID.n // 2:])[0],
+            0.1 * _kernel_lse(kernel, GRID.nodes[:GRID.n // 2]),
+            0.1 * _kernel_lse(kernel, GRID.nodes[GRID.n // 2:]),
         ])
         assert np.array_equal(full, halves)
-        assert np.array_equal(full, 0.1 * _kernel_lse(kernel, GRID.nodes[::-1])[0][::-1])
+        assert np.array_equal(full, 0.1 * _kernel_lse(kernel, GRID.nodes[::-1])[::-1])
 
     def test_non_finite_potential_rejected(self):
-        from sinkflow.errors import NumericOverflow
         bad = quad_u0()
         bad = bad.copy()
         bad[3] = np.nan
