@@ -81,7 +81,7 @@ def _cmd_verify(args) -> int:
     combined = verify_battery(_out_root(args), profile=args.profile, seed=args.seed)
     for name, entry in combined["experiments"].items():
         status = "pass" if entry["passed"] else "FAIL"
-        print(f"[{status}] {name} ({entry['wall_s']:.2f} s)")
+        print(f"[{status}] {name} ({float(entry['wall_s']):.2f} s)")
         for v in entry["verdicts"]:
             mark = "ok " if v["pass"] else "BAD"
             print(f"    {mark} {v['check']}: {v['value']!r} (tolerance {v['tolerance']})")

@@ -639,7 +639,9 @@ def verify_battery(outdir: str | Path, profile: str = "full", seed: int | None =
     ``'full'`` matches the documented acceptance settings.  Any other
     profile raises :class:`DomainError` before anything runs.  Each
     experiment's entry carries ``wall_s``, the seconds its run and artifacts
-    took; only ``files`` holds checksums.
+    took, as a fixed-width decimal string (12 characters below 10^5 s), so
+    the manifest's size does not depend on timing; only ``files`` holds
+    checksums.
     """
     if profile not in ("quick", "full"):
         raise DomainError(f"profile must be 'quick' or 'full', got {profile!r}")
@@ -677,7 +679,7 @@ def verify_battery(outdir: str | Path, profile: str = "full", seed: int | None =
             "config_hash": manifest["config_hash"],
             "passed": report.passed(),
             "verdicts": report.verdicts,
-            "wall_s": time.perf_counter() - clock,
+            "wall_s": f"{time.perf_counter() - clock:012.6f}",
         }
         combined["files"].update(manifest["files"])
         combined["all_passed"] = combined["all_passed"] and report.passed()

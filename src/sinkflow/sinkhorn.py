@@ -71,10 +71,11 @@ def _log_kernel(grid: Grid, a: np.ndarray, eps: float) -> _LogKernel:
 
 def _chunking(n: int) -> tuple[int, int, int]:
     """Chunk size m (a power of two within sqrt 2 of sqrt n), chunk count, and
-    rows per product: at most _PRODUCT_MADDS multiply-adds and n rows."""
+    rows per product: at most _PRODUCT_MADDS multiply-adds and n rows, and at
+    least one row, which alone exceeds that bound past 2^18 nodes."""
     m = 1 << (n.bit_length() // 2)
     count = -(-n // m)
-    return m, count, min(n, _PRODUCT_MADDS // (m * count))
+    return m, count, max(1, min(n, _PRODUCT_MADDS // (m * count)))
 
 
 def _kernel_chunks(kernel: _LogKernel, p: np.ndarray, reduce) -> np.ndarray:
@@ -340,8 +341,7 @@ def _smooth(potential, marginal: GridDensity, eps: float, out_grid: Grid | None)
         raise NumericOverflow("potential contains non-finite entries")
     grid = marginal.grid
     a = marginal.log_values + np.log(grid.trapezoid_weights) - potential / eps
-    return eps * _kernel_lse(_LogKernel(grid.nodes, grid.spacing, a, 1.0 / eps, None),
-                             (out_grid or grid).nodes)
+    return eps * _kernel_lse(_log_kernel(grid, a, eps), (out_grid or grid).nodes)
 
 
 def v_operator(u, mu: GridDensity, eps: float, y_grid: Grid | None = None) -> np.ndarray:

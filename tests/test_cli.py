@@ -494,16 +494,18 @@ class TestCliCommands:
 
     def test_verify_prints_and_records_wall_times(self, tmp_path, capsys):
         # each experiment line ends with its wall time, and the combined
-        # manifest records it beside the verdicts, outside the checksums
+        # manifest records it beside the verdicts, outside the checksums, at
+        # one width, so the manifest's size does not depend on the timing
         main(["--output", str(tmp_path), "--seed", "7", "verify", "--profile", "quick"])
         combined = json.loads((tmp_path / "verify_manifest.json").read_text())
         lines = [line.split("] ", 1)[1] for line in capsys.readouterr().out.splitlines()
                  if line.startswith("[")]
         experiments_run = combined["experiments"]
         assert len(experiments_run) == 10
-        assert sorted(lines) == sorted(f"{name} ({entry['wall_s']:.2f} s)"
-                                       for name, entry in experiments_run.items())
-        assert all(entry["wall_s"] > 0 for entry in experiments_run.values())
+        walls = [entry["wall_s"] for entry in experiments_run.values()]
+        assert sorted(lines) == sorted(f"{name} ({float(wall):.2f} s)"
+                                       for name, wall in zip(experiments_run, walls))
+        assert all(len(wall) == 12 and float(wall) > 0 for wall in walls)
         assert all(name.endswith((".json", ".csv", ".svg")) for name in combined["files"])
 
     @pytest.mark.parametrize("profile", ["Quick", "", "fast"])

@@ -150,6 +150,18 @@ class TestLogKernelLayer:
         assert np.array_equal(_kernel_lse(kernel, grid.nodes[7:136]), full[7:136])
         assert np.array_equal(_kernel_lse(kernel, grid.nodes[::-1]), full[::-1])
 
+    def test_grid_past_the_product_bound(self):
+        # past 2^18 nodes one row's product alone exceeds the multiply-add
+        # bound, so every block holds one row
+        grid = Grid(-8.0, 8.0, (1 << 18) + 1)
+        assert _chunking(grid.n)[2] == 1
+        mu = discretize(MU_SPEC, grid)
+        u = 0.5 * grid.nodes**2
+        p = np.array([-3.7, 0.25, 2.0])
+        core = (np.outer(p, grid.nodes) - u) / 0.1 + np.log(mu.values * grid.trapezoid_weights)
+        got = 0.1 * _kernel_lse(kernel_of(u, mu, 0.1), p)
+        assert np.max(np.abs(got - 0.1 * logsumexp(core, axis=1))) <= 1e-12
+
     def test_non_finite_row_sum_raises(self):
         # log-weights that overflowed: a NaN, or a chunk with no finite entry
         a = np.log(GRID.trapezoid_weights)
