@@ -16,6 +16,7 @@ import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -206,6 +207,12 @@ def _ks_tolerance(factor: float, count: int) -> float:
     return tol
 
 
+def _states_at(states: Iterable[PmaState], times) -> list[PmaState]:
+    """The states of a stream stamped at one of the times (see _is_at), so
+    a run holds those states only."""
+    return [s for s in states if any(_is_at(s.t, t) for t in times)]
+
+
 def _checkpoint_verdicts(due: list, stamp: float, rho: GridDensity, oracle, rel: float) -> list:
     """Mean (when the reference mean is nonzero) and variance of rho against
     the Gaussian oracle, each within the relative tolerance rel, if rho's
@@ -359,8 +366,9 @@ def run_eps_limit(config: ExperimentConfig) -> Report:
     Shares the initial potential between both, runs floor(T/eps) two-step
     iterations per eps, and tabulates the squared quantile distance to the
     flow state at the matching time, with successive ratios and the fitted
-    log-log slope.  Raises DomainError when no flow state lies at a
-    matching time (when dt does not divide it).
+    log-log slope.  The flow is streamed and keeps only its states at those
+    times.  Raises DomainError when no flow state lies at a matching time
+    (when dt does not divide it).
     """
     num = config.numerics
     grid = config.grid()
@@ -369,7 +377,7 @@ def run_eps_limit(config: ExperimentConfig) -> Report:
     ks = [_iterations(num["T"], e) for e in eps_list]
     t_targets = [k * e for k, e in zip(ks, eps_list)]
     steps_needed = int(round(max(t_targets) / num["dt"])) + 1
-    states = list(run_flow(problem.flow_state(grid), num["dt"], steps_needed))
+    states = _states_at(run_flow(problem.flow_state(grid), num["dt"], steps_needed), t_targets)
 
     rows = []
     for eps, k, t_k in zip(eps_list, ks, t_targets):
@@ -422,11 +430,14 @@ def run_laplace_estimate(config: ExperimentConfig) -> Report:
 
 
 def run_metric_derivative(config: ExperimentConfig) -> Report:
+    """LOT metric derivative of the flow at t0 = 0.5 against its velocity
+    norm; the flow is streamed and keeps only its states at t0 and
+    t0 + delta."""
     num = config.numerics
     state = Problem.from_config(config).flow_state(config.grid())
     t0, deltas = 0.5, (0.1, 0.05, 0.025)
     steps = _steps(t0 + max(deltas), num["dt"])
-    states = list(run_flow(state, num["dt"], steps))
+    states = _states_at(run_flow(state, num["dt"], steps), [t0] + [t0 + d for d in deltas])
     table = metric_derivative_lot(states, t0, deltas)
     rows = [dict(r) for r in table]
     ratio = table[-1]["ratio"]
@@ -491,7 +502,8 @@ def run_diffusion(config: ExperimentConfig) -> Report:
                  abs(ens.variance() - current.rho.variance()) <= 3 * se_var),
     ]
     # frozen-mirror dual run started at the target must stay at the target;
-    # the start state is immutable, so it serves as the frozen mirror
+    # the start state is immutable, so it serves as the frozen mirror and
+    # builds its dual coefficient tables once for every step
     dual = ParticleEnsemble.from_density(state.nu, count, seed + 1)
     for _ in range(steps):
         dual = dual_sde_step(dual, state, num["dt"])

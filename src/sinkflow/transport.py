@@ -8,6 +8,7 @@ diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,13 +71,21 @@ class ConvexPotential:
             object.__setattr__(self, name, arr)
             if arr.shape != (self.grid.n,):
                 raise DomainError(f"{name} must be sampled at every node")
-            if not np.all(np.isfinite(arr)):
-                raise DomainError(f"{name} must be finite")
-        if float(np.min(self.d2u)) < self.floor:
-            raise ConvexityLost(
-                f"second derivative dips to {float(np.min(self.d2u))!r} below floor {self.floor}"
-            )
-        if np.any(np.diff(self.du) <= 0.0):
+        u, du, d2u = self.u, self.du, self.d2u
+        if not np.isfinite(u).all():
+            raise DomainError("u must be finite")
+        # a nan fails every comparison, and a strictly increasing du is
+        # finite when its end values are
+        increasing = bool((du[1:] > du[:-1]).all())
+        if not ((increasing and math.isfinite(du[0]) and math.isfinite(du[-1]))
+                or np.isfinite(du).all()):
+            raise DomainError("du must be finite")
+        low, high = float(d2u.min()), float(d2u.max())     # nan when a sample is
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise DomainError("d2u must be finite")
+        if low < self.floor:
+            raise ConvexityLost(f"second derivative dips to {low!r} below floor {self.floor}")
+        if not increasing:
             raise ConvexityLost("gradient must be strictly increasing")
 
     @classmethod

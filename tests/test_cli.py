@@ -23,7 +23,15 @@ from sinkflow.experiments import (
     floor_steps,
     run_experiment,
 )
-from sinkflow.pma import FokkerPlanckSystem, run_flow, run_fokker_planck
+from sinkflow.pma import (
+    FokkerPlanckSystem,
+    metric_derivative_lot,
+    run_flow,
+    run_fokker_planck,
+    second_order_lot_gap,
+)
+from sinkflow.sinkhorn import s_step
+from sinkflow.transport import w2_distance
 from sinkflow.svgplot import emit_svg
 
 
@@ -370,6 +378,54 @@ class TestStreamingRunners:
             tracemalloc.stop()
         assert report.passed()
         assert peak <= 2**20
+
+    @pytest.mark.parametrize("experiment, bound", [("eps_limit", 2**20),
+                                                   ("metric_derivative", 2 * 2**20)])
+    def test_trajectory_runners_hold_only_the_states_they_read(self, experiment, bound):
+        # holding all 1,001 (eps_limit) or 601 (metric_derivative) states of
+        # the n = 512 run peaked at 21.2 and 12.6 MB; kept at their read
+        # times, 0.5 and 1.3 MB (the latter with first-call allocations).
+        # eps_limit's ratio verdicts are red by design (see README), so the
+        # peak alone is judged
+        raw = {"experiment": experiment, "problem": {"kind": "gaussian_location"},
+               "numerics": {"n": 512}}
+        config = ExperimentConfig.from_dict(raw)
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+    @pytest.mark.parametrize("experiment", ["eps_limit", "metric_derivative"])
+    def test_trajectory_runners_match_the_full_trajectory(self, experiment):
+        # the streamed rows equal the rows computed from every state of the
+        # run, each read at its index round(t / dt)
+        raw = {"experiment": experiment, "problem": {"kind": "gaussian_location"},
+               "numerics": {"n": 256}}
+        config = ExperimentConfig.from_dict(raw)
+        problem = Problem.from_config(config)
+        grid, dt = config.grid(), config.numerics["dt"]
+        states = list(run_flow(problem.flow_state(grid), dt, 1001))
+        at = {round(s.t / dt): s for s in states}
+        if experiment == "eps_limit":
+            want = []
+            for eps in config.numerics["eps_list"]:
+                k = floor_steps(config.numerics["T"], eps)
+                sk = problem.sinkhorn_state(grid, eps)
+                for _ in range(k):
+                    sk = s_step(sk)
+                flow_at = at[round(k * eps / dt)]
+                want.append({"eps": eps, "k": k, "t": k * eps,
+                             "w2_squared": w2_distance(sk.rho, flow_at.rho) ** 2})
+        else:
+            t0, deltas = 0.5, (0.1, 0.05, 0.025)
+            window = [at[round(t / dt)] for t in (t0, *(t0 + d for d in deltas))]
+            want = metric_derivative_lot(window, t0, deltas)
+            gap, base = second_order_lot_gap(window, t0, deltas[-1])
+            want.append({"second_order_gap": gap, "first_order_gap": base})
+        assert run_experiment(config).rows[:len(want)] == want
 
 
 MOMENTS_BOTH = ["mean(t=0.5)", "variance(t=0.5)", "mean(t=1.0)", "variance(t=1.0)"]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -336,6 +337,18 @@ class TestMirrorLangevin:
         a = dual_sde_step(e0, state, 1e-3)
         b = dual_sde_step(e0, state, 1e-3)
         assert np.array_equal(a.positions, b.positions)
+
+    def test_node_tables_are_built_once_per_state(self):
+        # a state builds its tables on first use and keeps them; steps on one
+        # state draw what steps on a copy that rebuilds them draw, bit for bit
+        u = ConvexPotential.from_callable(GRID, *LOG_COSH_MIRROR)
+        frozen = make_flow_state(GRID, STD_SPEC, STD_SPEC, u)
+        assert frozen.dual_tables is frozen.dual_tables
+        kept = rebuilt = ParticleEnsemble.from_density(frozen.nu, 1000, seed=4)
+        for _ in range(5):
+            kept = dual_sde_step(kept, frozen, 1e-3)
+            rebuilt = dual_sde_step(rebuilt, replace(frozen), 1e-3)
+        assert np.array_equal(kept.positions, rebuilt.positions)
 
 
 def _cell_cdf(log_core, nodes):

@@ -136,7 +136,7 @@ class TestStep:
         # invariant monitored inside step(); re-verify explicitly here
         from sinkflow.grids import pushforward_values_linear
         s = location_run[300]
-        pushed = pushforward_values_linear(s.rho, s.u.du)
+        pushed = pushforward_values_linear(GRID, s.rho.log_values, s.u.du)
         pushed /= GRID.integrate(pushed)
         assert np.max(np.abs(pushed - s.nu.values)) < 5e-3
 
@@ -480,7 +480,7 @@ def reference_step(state, dt, max_substep=None):
     raw = np.exp(-h_cur)
     mass = grid.integrate(raw)
     rho_next = GridDensity(grid, raw / mass)
-    pushed = pushforward_values_linear(rho_next, du)
+    pushed = pushforward_values_linear(grid, -h_cur - math.log(mass), du)
     pushed /= grid.integrate(pushed)
     drift = float(np.max(np.abs(pushed - state.nu.values)))
     if drift > PUSHFORWARD_TOL:
