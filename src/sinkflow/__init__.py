@@ -40,7 +40,6 @@ from .grids import (  # noqa: F401
 )
 from .transport import (  # noqa: F401
     ConvexPotential,
-    HessianBoundsReport,
     legendre_transform,
     lot_distance,
     w2_distance,

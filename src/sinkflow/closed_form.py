@@ -11,10 +11,11 @@ mirror ODE examples.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError
+from .errors import DomainError, NumericOverflow
 from .grids import GaussianMeasure
 
 
@@ -49,15 +50,26 @@ class ClosedFormFlow:
                 raise DomainError("location flows need a nonzero shift")
 
 
+def _entropic_shrink(eta: float, t: float) -> float:
+    """s = 1 - sigma_S(t) of the entropic scale flow from N(0, eta^2), formed
+    with q = exp(-2t/eta), which underflows where exp(2t/eta) overflows."""
+    q = math.exp(-2.0 * t / eta)
+    return 2.0 * (1.0 - eta) * q / ((eta + 1.0) + (1.0 - eta) * q)
+
+
+def _fokker_planck_deficit(eta: float, t: float) -> float:
+    """1 - sigma_F(t)^2 for the Fokker-Planck scale flow from N(0, eta^2)."""
+    return (1.0 - eta * eta) * math.exp(-2.0 * t)
+
+
 def scale_variance_entropic(eta: float, t: float) -> float:
     """Variance of the entropic scale flow started at N(0, eta^2)."""
-    s = 2.0 * (1.0 - eta) / (math.exp(2.0 * t / eta) * (eta + 1.0) + (1.0 - eta))
-    return (1.0 - s) ** 2
+    return (1.0 - _entropic_shrink(eta, t)) ** 2
 
 
 def scale_variance_fokker_planck(eta: float, t: float) -> float:
     """Variance of the Fokker-Planck scale flow started at N(0, eta^2)."""
-    return 1.0 - (1.0 - eta * eta) * math.exp(-2.0 * t)
+    return 1.0 - _fokker_planck_deficit(eta, t)
 
 
 def evaluate(flow: ClosedFormFlow, t: float):
@@ -143,15 +155,20 @@ def deficit_ratio(eta: float, t: float) -> tuple[float, float]:
 
     Returns ``(lhs, rhs)`` with lhs = (1 - sigma_F^2)/(1 - sigma_S^2) and
     rhs = ((1+eta)^2/4) exp(2t(1/eta - 1)); the entropic flow always wins,
-    i.e. lhs >= rhs.
+    i.e. lhs >= rhs.  The entropic deficit 1 - (1 - s)^2 is formed as
+    s (2 - s), which keeps its digits at small s.  A deficit below the
+    normal double range or an rhs above it raises NumericOverflow.
     """
     if not 0.0 < eta < 1.0:
         raise DomainError("eta must lie in (0, 1)")
     if t <= 0.0:
         raise DomainError("t must be positive")
-    lhs = (1.0 - scale_variance_fokker_planck(eta, t)) / (1.0 - scale_variance_entropic(eta, t))
-    rhs = (1.0 + eta) ** 2 / 4.0 * math.exp(2.0 * t * (1.0 / eta - 1.0))
-    return lhs, rhs
+    s = _entropic_shrink(eta, t)
+    fokker_planck, entropic = _fokker_planck_deficit(eta, t), s * (2.0 - s)
+    exponent = 2.0 * t * (1.0 / eta - 1.0)
+    if min(fokker_planck, entropic) < sys.float_info.min or exponent > math.log(sys.float_info.max):
+        raise NumericOverflow(f"deficit ratio at eta = {eta}, t = {t} is beyond the double range")
+    return fokker_planck / entropic, (1.0 + eta) ** 2 / 4.0 * math.exp(exponent)
 
 
 # mirror function u and its second derivative for the 1-D ODE examples,

@@ -295,12 +295,14 @@ def run_pma(config: ExperimentConfig) -> Report:
     stride = config.output["snapshot_stride"]
     due = [t for t in (0.5, 1.0) if t <= num["T"] + 1e-9]
     rows, artifacts, verdicts = [], {}, []
-    # W factorizations and the largest clamp since the last row, thinned steps' too
-    factorizations, clamp = 0, 0.0
+    # W factorizations and the largest clamp since the last row, thinned steps'
+    # too, and the u'' range since the start
+    factorizations, clamp, hessian_min, hessian_max = 0, 0.0, math.inf, -math.inf
     for i, s in enumerate(run_flow(problem.flow_state(config.grid()), num["dt"], steps)):
         verdicts += _checkpoint_verdicts(due, s.t, s.rho, problem.oracle, 0.02)
         factorizations += s.factorizations
         clamp = max(clamp, s.projection_magnitude)
+        hessian_min, hessian_max = min(hessian_min, s.hessian_min), max(hessian_max, s.hessian_max)
         if i % keep and i != steps:
             continue
         if stride > 0 and len(rows) % stride == 0:
@@ -311,8 +313,7 @@ def run_pma(config: ExperimentConfig) -> Report:
                      "transport_drift": s.transport_drift,
                      "derivative_growth": s.derivative_growth,
                      "factorizations": factorizations,
-                     "hessian_min": s.bounds.a_min_observed,
-                     "hessian_max": s.bounds.b_max_observed, "clamp": clamp})
+                     "hessian_min": hessian_min, "hessian_max": hessian_max, "clamp": clamp})
         factorizations, clamp = 0, 0.0
     if due:
         raise DomainError(f"no state reached the checkpoint t = {due[0]}")

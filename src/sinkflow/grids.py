@@ -225,26 +225,20 @@ class GridDensity:
 
 @dataclass(frozen=True)
 class DensitySpec:
-    """Functional form of a density proportional to exp(-f).
+    """Functional form of a density exp(-f), normalized on the line.
 
-    ``log_norm`` is the log of the full-line integral of exp(-f); with the
-    default 0 the spec is taken as already normalized on the line.  ``grad``
-    and ``hess`` are f' and f'' and must stay finite (bounded f'' is the
-    discrete stand-in for the bounded-derivative assumption the flow
-    operators rely on).  Each callable returns a new array, which
-    :meth:`f` may hand back as it is.
+    ``grad`` and ``hess`` are f' and f'' and must stay finite (bounded f''
+    is the discrete stand-in for the bounded-derivative assumption the flow
+    operators rely on).  Each callable returns a new array, which :meth:`f`
+    hands back as it is.
     """
 
     log_density_neg: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
-    log_norm: float = 0.0
 
     def f(self, x) -> np.ndarray:
-        out = self.log_density_neg(np.asarray(x, dtype=float))
-        if self.log_norm:
-            out = out + self.log_norm
-        return out
+        return self.log_density_neg(np.asarray(x, dtype=float))
 
     @classmethod
     def gaussian(cls, mean: float, variance: float) -> "DensitySpec":
@@ -562,7 +556,7 @@ def pushforward_monotone(
     if t[-1] > target.upper:
         lost += 1.0 - np.interp(np.interp(target.upper, t, xs), xs, cdf)
     if lost > TRUNCATION_TOL:
-        raise TruncationError(f"pushforward loses mass {lost!r} outside the target domain")
+        raise TruncationError(f"pushforward loses mass {float(lost)!r} outside the target domain")
 
     # Quantile-composed maps flatten into plateaus once the CDF they were
     # built from saturates; the derivative underflows there and the change
@@ -587,7 +581,7 @@ def pushforward_monotone(
     clipped_mass = cdf[first] + 1.0 - cdf[last]
     if clipped_mass > TRUNCATION_TOL:
         raise NonMonotoneMap(
-            f"map slopes collapse over {clipped_mass!r} of the source mass"
+            f"map slopes collapse over {float(clipped_mass)!r} of the source mass"
         )
     xs_c, t_c = xs[core], t[core]
     t_prime = grad_central4(t_c, d.grid.spacing)

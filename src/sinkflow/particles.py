@@ -27,9 +27,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, ParticleEscape
-from .grids import (Grid, GridDensity, _readonly, cdf_values, grad_central, lerp, locate,
-                    quantile)
+from .grids import Grid, GridDensity, _readonly, cdf_values, lerp, locate, quantile
 from .pma import (
+    NodeTables,
     PmaState,
     _is_at,
     inverse_gradient_map,  # noqa: F401 - unused here; perfbench/check_counts.py checks the tracer patches it
@@ -85,69 +85,38 @@ def _check_domain(x: np.ndarray, grid: Grid) -> None:
         raise ParticleEscape("particle left the extended grid domain")
 
 
-def _euler_maruyama(e: ParticleEnsemble, grid: Grid, dt: float,
-                    drift: np.ndarray, diffusion: np.ndarray,
+def _euler_maruyama(e: ParticleEnsemble, tables: NodeTables, dt: float,
                     zero_noise: bool) -> ParticleEnsemble:
+    """One Euler-Maruyama step with the coefficients read from ``tables``."""
     if dt <= 0:
         raise DomainError("dt must be positive")
     x = e.positions
+    drift, diffusion = tables.at(x)
     if zero_noise:
         x_new = x + dt * drift
     else:
         z = noise_block(e.seed, e.step_count, x.size)
         x_new = x + dt * drift + math.sqrt(dt) * diffusion * z
-    _check_domain(x_new, grid)
+    _check_domain(x_new, tables.grid)
     return replace(e, positions=x_new, t=e.t + dt, step_count=e.step_count + 1)
-
-
-def sinkhorn_sde_coefficients(state: PmaState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drift and diffusion at points ``x``, read from a flow state.
-
-    The mirrored diffusion's drift is -f'/u'' - g'(u') + h'/u''.  By the
-    change of measure h = g(u') - log u'' its last two terms collapse to
-    (1/u'')', so the drift is -f'/u'' + (1/u'')' and the diffusion
-    sqrt(2/u''): neither reads the target.  Both are tabulated on the grid
-    nodes and read at the points with one locate and two lerps; points
-    beyond the grid take the end-node values.
-    """
-    grid = state.grid
-    d2u = state.u.d2u
-    drift = grad_central(1.0 / d2u, grid.spacing) - state.mu_spec.grad(grid.nodes) / d2u
-    at = locate(grid, x)
-    return lerp(at, drift), lerp(at, np.sqrt(2.0 / d2u))
 
 
 def sinkhorn_sde_step(
     e: ParticleEnsemble, pma: PmaState, dt: float, zero_noise: bool = False
 ) -> ParticleEnsemble:
-    """One Euler-Maruyama step of the mirrored diffusion along a flow state."""
+    """One Euler-Maruyama step of the mirrored diffusion along a flow state,
+    with the coefficients of PmaState.sde_tables."""
     if not _is_at(pma.t, e.t):
         raise DomainError(f"flow state time {pma.t} does not match ensemble time {e.t}")
-    drift, diffusion = sinkhorn_sde_coefficients(pma, e.positions)
-    return _euler_maruyama(e, pma.grid, dt, drift, diffusion, zero_noise)
-
-
-def dual_sde_coefficients(state: PmaState, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drift and diffusion of the dual-coordinate diffusion at points ``y``.
-
-    Drift -h'(w'(y)), diffusion sqrt(2 u''(w'(y))) with w the conjugate
-    potential; with the mirror frozen this process leaves the target
-    marginal invariant.  Both are read from the state's tables (see
-    PmaState.dual_tables), built once per state, at the points with one
-    locate and two lerps; points beyond the range of u' take the end-node
-    values.
-    """
-    tables = state.dual_tables
-    at = locate(tables.grid, y)
-    return lerp(at, tables.drift), lerp(at, tables.diffusion)
+    return _euler_maruyama(e, pma.sde_tables, dt, zero_noise)
 
 
 def dual_sde_step(
     e: ParticleEnsemble, pma: PmaState, dt: float, zero_noise: bool = False
 ) -> ParticleEnsemble:
-    """One Euler-Maruyama step of the dual-coordinate diffusion."""
-    drift, diffusion = dual_sde_coefficients(pma, e.positions)
-    return _euler_maruyama(e, pma.dual_tables.grid, dt, drift, diffusion, zero_noise)
+    """One Euler-Maruyama step of the dual-coordinate diffusion, with the
+    coefficients of PmaState.dual_tables."""
+    return _euler_maruyama(e, pma.dual_tables, dt, zero_noise)
 
 
 def _draw_conditional(kernel: _LogKernel, p: np.ndarray, seed: int, step: int,

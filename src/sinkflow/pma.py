@@ -49,7 +49,7 @@ from .grids import (
     pushforward_values_linear,
     second_central,
 )
-from .transport import ConvexPotential, HessianBoundsReport, legendre_transform, lot_distance
+from .transport import ConvexPotential, legendre_transform, lot_distance
 
 CFL_FACTOR = 0.25            # dt_sub <= CFL_FACTOR * h^2 * min(u'')
 PUSHFORWARD_TOL = 5e-3       # sup-norm drift allowed in the transport constraint
@@ -122,13 +122,17 @@ class VelocityField:
         return float(np.sqrt(self.grid.integrate(self.values**2 * rho.values)))
 
 
-class DualTables(NamedTuple):
-    """The dual-coordinate diffusion's coefficients on n uniform nodes over
-    the range of u', where dual positions live."""
+class NodeTables(NamedTuple):
+    """A diffusion's drift and diffusion coefficients at the nodes of a grid."""
 
     grid: Grid
-    drift: np.ndarray         # -h'(w'(y))
-    diffusion: np.ndarray     # sqrt(2 u''(w'(y)))
+    drift: np.ndarray
+    diffusion: np.ndarray
+
+    def at(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both at points ``x``; points beyond the grid take end-node values."""
+        where = locate(self.grid, x)
+        return lerp(where, self.drift), lerp(where, self.diffusion)
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,8 @@ class PmaState:
 
     ``potential`` is the functional's h-free part at the nodes, evaluated
     once per run, and ``sup_variation`` the sup norm of the first variation
-    at h, which the next step compares its own against.
+    at h, which the next step compares its own against.  ``hessian_min``
+    and ``hessian_max`` are the smallest and largest u'' samples.
     """
 
     t: float
@@ -151,7 +156,8 @@ class PmaState:
     functional: Functional
     potential: np.ndarray
     sup_variation: float
-    bounds: HessianBoundsReport
+    hessian_min: float
+    hessian_max: float
     a_floor: float
     b_cap: float = DEFAULT_B_CAP
     rho_mass_error: float = 0.0
@@ -171,14 +177,29 @@ class PmaState:
         return self.u.grid
 
     @cached_property
-    def dual_tables(self) -> DualTables:
-        """The frozen-mirror dual SDE's drift and diffusion, tabulated once
-        per state by pulling each node y back through w' = (u')^-1."""
+    def sde_tables(self) -> NodeTables:
+        """The mirrored diffusion's coefficients at the grid nodes.
+
+        Its drift is -f'/u'' - g'(u') + h'/u''.  By the change of measure
+        h = g(u') - log u'' the last two terms collapse to (1/u'')', so the
+        drift is -f'/u'' + (1/u'')' and the diffusion sqrt(2/u''): neither
+        reads the target.
+        """
+        grid, d2u = self.grid, self.u.d2u
+        drift = grad_central(1.0 / d2u, grid.spacing) - self.mu_spec.grad(grid.nodes) / d2u
+        return NodeTables(grid, drift, np.sqrt(2.0 / d2u))
+
+    @cached_property
+    def dual_tables(self) -> NodeTables:
+        """The dual-coordinate diffusion's drift -h'(w'(y)) and diffusion
+        sqrt(2 u''(w'(y))), w the conjugate potential, on n uniform nodes y
+        over the range of u', each pulled back through w' = (u')^-1; with
+        the mirror frozen this process leaves the target invariant."""
         u = self.u
         ys = Grid(u.du[0], u.du[-1], u.grid.n)
         at = locate(u.grid, inverse_gradient_map(u, ys.nodes))
         drift = -lerp(at, grad_central(self.h, u.grid.spacing))
-        return DualTables(ys, drift, np.sqrt(2.0 * lerp(at, u.d2u)))
+        return NodeTables(ys, drift, np.sqrt(2.0 * lerp(at, u.d2u)))
 
 
 def _sup_variation(potential: np.ndarray, h: np.ndarray, entropic: bool,
@@ -211,13 +232,13 @@ def make_flow_state(
     raw = np.exp(-h)
     mass = grid.integrate(raw)
     rho = GridDensity(grid, raw / mass)
-    bounds = HessianBoundsReport(float(np.min(u0.d2u)), float(np.max(u0.d2u)), (0.0, 0.0))
     potential = functional.potential(grid.nodes)
     return PmaState(
         t=0.0, u=u0, h=h, rho=rho, mu=mu, nu=nu,
         mu_spec=mu_spec, nu_spec=nu_spec, functional=functional, potential=potential,
         sup_variation=_sup_variation(potential, h, functional.entropic, np.empty(grid.n)),
-        bounds=bounds, a_floor=a_floor, b_cap=b_cap,
+        hessian_min=float(np.min(u0.d2u)), hessian_max=float(np.max(u0.d2u)),
+        a_floor=a_floor, b_cap=b_cap,
         rho_mass_error=abs(mass - 1.0),
     )
 
@@ -370,9 +391,10 @@ def _ros2_substep(state: PmaState, factor: Ros2Factor | None, u_vals: np.ndarray
 
 
 def _rebuild(state: PmaState, u_vals: np.ndarray, du: np.ndarray,
-             d2u: np.ndarray) -> tuple[np.ndarray, float]:
+             d2u: np.ndarray) -> tuple[np.ndarray, float, float, float]:
     """Refresh du and d2u from u_vals by finite differences, in place, and
-    return the new h with the clamp magnitude.
+    return the new h, the clamp magnitude and the smallest and largest
+    samples of the clamped d2u.
 
     Hessian samples below the floor are clamped, and du and u_vals are
     rebuilt from the clamped d2u by double cumulative integration anchored
@@ -383,21 +405,22 @@ def _rebuild(state: PmaState, u_vals: np.ndarray, du: np.ndarray,
     a_floor = state.a_floor
     grad_central(u_vals, h_sp, out=du)
     second_central(u_vals, h_sp, out=d2u)
-    low = d2u.min()
+    low = float(d2u.min())
     proj = 0.0
     if low < a_floor:
-        proj = float(a_floor - low)
+        proj, low = a_floor - low, a_floor
         np.maximum(d2u, a_floor, out=d2u)
         mid = grid.n // 2
         du_new = np.concatenate(([0.0], np.cumsum(0.5 * h_sp * (d2u[1:] + d2u[:-1]))))
         du[:] = du_new - du_new[mid] + du[mid]
         u_new = np.concatenate(([0.0], np.cumsum(0.5 * h_sp * (du[1:] + du[:-1]))))
         u_vals[:] = u_new - u_new[mid] + u_vals[mid]
-    if d2u.max() > state.b_cap:
+    high = float(d2u.max())
+    if high > state.b_cap:
         raise ConvexityLost("Hessian samples exceeded the configured cap")
     h_new = state.nu_spec.f(du)
     h_new -= np.log(d2u)
-    return h_new, proj
+    return h_new, proj, low, high
 
 
 def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaState:
@@ -421,7 +444,8 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
     map pushing the density onto the target) that drifted beyond
     PUSHFORWARD_TOL, raises StabilityError.  The new state records the
     substep count, the drift, the variation's growth, the number of W
-    factorizations and the last factored W.
+    factorizations, the last factored W, and the range of u'' that the
+    last clamp and cap checks found (its minimum is a_floor after a clamp).
     """
     if not math.isfinite(dt) or dt < 0:
         raise DomainError("dt must be finite and nonnegative")
@@ -436,7 +460,7 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
     u_vals = state.u.u.copy()
     h_cur = state.h
 
-    dt_stable = CFL_FACTOR * h_sp * h_sp * float(np.min(state.u.d2u))
+    dt_stable = CFL_FACTOR * h_sp * h_sp * state.hessian_min
     explicit = _substep_count(dt, dt_stable) <= EXPLICIT_MAX_SUBSTEPS
     longest = dt_stable if explicit else MAX_SUBSTEP
     if max_substep is not None:
@@ -466,7 +490,7 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
                                                      potential, dt_sub)
             u_vals += increment
             factorizations += built
-        h_cur, proj = _rebuild(state, u_vals, du, d2u)
+        h_cur, proj, low, high = _rebuild(state, u_vals, du, d2u)
         proj_mag = max(proj_mag, proj)
 
     sup_prev = state.sup_variation
@@ -493,15 +517,14 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
     if drift > PUSHFORWARD_TOL:
         raise StabilityError(f"transport constraint drifted to {drift!r} sup-norm")
 
-    t_next = state.t + dt
     return replace(
         state,
-        t=t_next,
+        t=state.t + dt,
         u=u_next,
         h=h_cur,
         rho=rho_next,
         sup_variation=sup_new,
-        bounds=state.bounds.merged(float(d2u.min()), float(d2u.max()), t_next),
+        hessian_min=low, hessian_max=high,
         rho_mass_error=abs(mass - 1.0),
         projection_magnitude=proj_mag,
         substeps=n_sub,
@@ -730,7 +753,7 @@ def kl_decay_series(states: Iterable[PmaState]) -> list[dict]:
     """
     rows = []
     for s in states:
-        env = 1.0 / float(np.max(s.u.d2u))
+        env = 1.0 / s.hessian_max
         kl = kl_divergence(s.rho, s.mu)
         if not rows:
             c_lsi = float(np.min(s.mu_spec.hess(s.grid.nodes)))

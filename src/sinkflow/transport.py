@@ -30,26 +30,6 @@ W2_QUADRATURE_NODES = 1024
 
 
 @dataclass(frozen=True)
-class HessianBoundsReport:
-    """Observed window of the potential's second derivative over a run."""
-
-    a_min_observed: float
-    b_max_observed: float
-    time_window: tuple[float, float]
-
-    def __post_init__(self):
-        if self.a_min_observed > self.b_max_observed:
-            raise DomainError("lower Hessian bound exceeds the upper one")
-
-    def merged(self, a_min: float, b_max: float, t: float) -> "HessianBoundsReport":
-        return HessianBoundsReport(
-            min(self.a_min_observed, a_min),
-            max(self.b_max_observed, b_max),
-            (self.time_window[0], max(self.time_window[1], t)),
-        )
-
-
-@dataclass(frozen=True)
 class ConvexPotential:
     """Grid samples of a strictly convex function with its derivatives.
 

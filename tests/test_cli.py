@@ -331,6 +331,22 @@ class TestPmaCheckpoints:
         assert 1 < sum(counts) < 50
         assert rows[-1]["hessian_min"] < 1.0 == rows[-1]["hessian_max"]
 
+    def test_hessian_columns_are_the_range_since_the_start(self):
+        # each row's u'' range covers every state since t = 0, the thinned
+        # ones too
+        raw = {"experiment": "pma_run", "problem": {"kind": "gaussian_scale"},
+               "numerics": {"n": 128, "T": 0.5}}
+        config = ExperimentConfig.from_dict(raw)
+        rows = run_experiment(config).rows
+        states = list(run_flow(Problem.from_config(config).flow_state(config.grid()), 1e-3, 500))
+        low, high, since_start = math.inf, -math.inf, {}
+        for s in states:
+            low, high = min(low, float(np.min(s.u.d2u))), max(high, float(np.max(s.u.d2u)))
+            since_start[s.t] = (low, high)
+        assert len(rows) < len(states) and low < 1.0
+        assert [(r["hessian_min"], r["hessian_max"]) for r in rows] == [
+            since_start[r["t"]] for r in rows]
+
     @pytest.mark.parametrize("experiment", ["pma_run", "fokker_planck_run"])
     def test_checkpoint_between_steps_raises(self, experiment):
         # dt = 0.03 steps through t = 0.51 and 0.99, never 0.5 or 1.0, so a
@@ -529,6 +545,30 @@ class TestCliCommands:
         rows = (tmp_path / "tabulate_mirror_entropy.csv").read_text().splitlines()
         assert rows[0] == "t,mean,variance"
         assert float(rows[-1].split(",")[2]) == pytest.approx(4.0)
+
+    def test_tabulate_scale_flow_past_the_exp_overflow(self, tmp_path):
+        # at eta = 0.005 the default t-end 2 takes 2t/eta to 800, beyond the
+        # 709.78 where exp(2t/eta) overflowed
+        code = main(["--output", str(tmp_path), "tabulate", "sinkhorn_scale",
+                     "--param", "0.005"])
+        assert code == 0
+        data = np.loadtxt(tmp_path / "tabulate_sinkhorn_scale.csv", delimiter=",", skiprows=1)
+        assert data.shape == (101, 3) and np.isfinite(data).all()
+        assert data[0, 2] == pytest.approx(0.005**2, rel=1e-12) and data[-1, 2] == 1.0
+
+    @pytest.mark.parametrize("eta", [0.05, 0.11])
+    def test_run_closed_form_scale_flow_at_small_eta(self, tmp_path, eta):
+        # the deficit ratio divided by 0 at eta = 0.05 and read 1.164 at
+        # eta = 0.11, t = 2; it is (1 + (1-eta)/(1+eta) e^(-2t/eta))^2
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "experiment": "gaussian_closed_form",
+            "problem": {"flow_kind": "sinkhorn_scale", "param": eta}}))
+        assert main(["--output", str(tmp_path), "run", str(cfg_path)]) in (0, 1)
+        report = json.loads(next(tmp_path.glob("*_report.json")).read_text())
+        margins = [(1.0 + (1.0 - eta) / (1.0 + eta) * math.exp(-2.0 * t / eta)) ** 2
+                   for t in (1.0, 2.0)]
+        assert [v["value"] for v in report["verdicts"]] == pytest.approx(margins, rel=1e-14)
 
     def test_tabulate_location_mean(self, tmp_path):
         # the location flows move the mean, theta e^{-t}, at unit variance

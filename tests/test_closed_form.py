@@ -15,7 +15,7 @@ from sinkflow.closed_form import (
     sinkhorn_gaussian_iterates,
     w2_gaussian,
 )
-from sinkflow.errors import DomainError
+from sinkflow.errors import DomainError, NumericOverflow
 from sinkflow.grids import GaussianMeasure
 
 
@@ -79,6 +79,12 @@ class TestScaleVariances:
             assert s[-1] < 1.0 and f[-1] < 1.0
             assert s[-1] > 0.999 and f[-1] > 0.99
 
+    def test_entropic_variance_past_the_exp_overflow(self):
+        # 2t/eta = 800 at eta = 0.005, t = 2, beyond the 709.78 where
+        # exp(2t/eta) overflows; the variance there is 1 to double precision
+        assert scale_variance_entropic(0.005, 2.0) == 1.0
+        assert scale_variance_entropic(0.005, 0.0) == pytest.approx(0.005**2, rel=1e-12)
+
 
 class TestDeficitRatio:
     def test_t1(self):
@@ -105,6 +111,20 @@ class TestDeficitRatio:
             lhs, rhs = deficit_ratio(eta, t)
             margin = (1.0 + (1.0 - eta) / (1.0 + eta) * math.exp(-2.0 * t / eta)) ** 2
             assert lhs / rhs == pytest.approx(margin, rel=1e-9)
+
+    @pytest.mark.parametrize("eta", [0.05, 0.11, 0.3])
+    def test_small_eta_keeps_the_margin_digits(self, eta):
+        # the entropic deficit 1 - (1 - s)^2 cancelled to 0 at t = 2 below
+        # eta = 0.1055 and lost most of its digits above; s (2 - s) keeps them
+        for t in (1.0, 2.0):
+            lhs, rhs = deficit_ratio(eta, t)
+            margin = (1.0 + (1.0 - eta) / (1.0 + eta) * math.exp(-2.0 * t / eta)) ** 2
+            assert lhs / rhs == pytest.approx(margin, rel=1e-14)
+
+    def test_ratio_beyond_the_double_range_raises(self):
+        # rhs is about e^796 at eta = 0.005, t = 2
+        with pytest.raises(NumericOverflow):
+            deficit_ratio(0.005, 2.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):

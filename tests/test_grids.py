@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,13 +81,12 @@ class TestDiscretize:
             discretize(bad, grid)
 
     def test_unnormalized_spec_with_log_norm(self, grid):
-        # exp(-x^2/2) integrates to sqrt(2 pi); declaring that log mass
+        # exp(-x^2/2) integrates to sqrt(2 pi); carrying that log mass in f
         # makes the truncation check see a proper probability density
         spec = DensitySpec(
-            log_density_neg=lambda x: 0.5 * x**2,
+            log_density_neg=lambda x: 0.5 * x**2 + 0.5 * math.log(2.0 * math.pi),
             grad=lambda x: x,
             hess=lambda x: np.ones_like(x),
-            log_norm=0.5 * math.log(2.0 * math.pi),
         )
         d = discretize(spec, grid)
         ref = discretize(DensitySpec.gaussian(0.0, 1.0), grid)
@@ -95,10 +95,9 @@ class TestDiscretize:
     def test_wrong_log_norm_trips_truncation_guard(self, grid):
         # declaring twice the true mass makes the on-grid fraction look < 1
         spec = DensitySpec(
-            log_density_neg=lambda x: 0.5 * x**2,
+            log_density_neg=lambda x: 0.5 * x**2 + 0.5 * math.log(2.0 * math.pi) + math.log(2.0),
             grad=lambda x: x,
             hess=lambda x: np.ones_like(x),
-            log_norm=0.5 * math.log(2.0 * math.pi) + math.log(2.0),
         )
         with pytest.raises(TruncationError):
             discretize(spec, grid)
@@ -204,6 +203,21 @@ class TestPushforward:
     def test_escaping_mass_rejected(self, std_normal, grid):
         with pytest.raises(TruncationError):
             pushforward_monotone(std_normal, 2.0 * grid.nodes)  # image [-16,16] onto [-8,8]
+
+    def test_error_messages_print_plain_floats(self):
+        # numpy 2 reprs its scalars as np.float64(...); the messages read as
+        # Python floats.  A map that goes flat beyond x = -1 collapses its
+        # slopes over about 16% of the mass
+        grid = Grid(-8.0, 8.0, 64)
+        d = discretize(DensitySpec.gaussian(0.0, 1.0), grid)
+        xs = grid.nodes
+        flat = np.where(xs < -1.0, xs, -1.0 + 1e-5 * (xs + 1.0))
+        for error, map_values in ((TruncationError, 3.0 * xs), (NonMonotoneMap, flat)):
+            with pytest.raises(error) as caught:
+                pushforward_monotone(d, map_values)
+            message = str(caught.value)
+            assert "np.float64(" not in message
+            assert re.search(r"(loses mass|collapse over) \d\.\d+(e-\d+)? ", message), message
 
 
 def knots(kind, n):

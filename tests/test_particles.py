@@ -6,17 +6,15 @@ import pytest
 
 from sinkflow.errors import DomainError, ParticleEscape
 from sinkflow import particles, sinkhorn
-from sinkflow.grids import (DensitySpec, Grid, GridDensity, discretize, grad_central,
-                            second_central)
+from sinkflow.grids import (DensitySpec, Grid, GridDensity, discretize, grad_central, lerp,
+                            locate, second_central)
 from sinkflow.particles import (
     ESCAPE_MARGIN,
     ParticleEnsemble,
-    dual_sde_coefficients,
     dual_sde_step,
     ks_distance,
     markov_chain_step,
     noise_block,
-    sinkhorn_sde_coefficients,
     sinkhorn_sde_step,
     uniform_block,
 )
@@ -69,7 +67,7 @@ class TestPrimalSde:
         spec = DensitySpec.uniform(0.0, 1.0)
         state = make_flow_state(g, spec, spec, ConvexPotential.quadratic(g))
         xs = np.linspace(0.1, 0.9, 50)
-        drift, _ = sinkhorn_sde_coefficients(state, xs)
+        drift, _ = state.sde_tables.at(xs)
         assert np.max(np.abs(drift)) < 1e-9
         e0 = ParticleEnsemble(xs, 0.0, seed=2)
         e1 = sinkhorn_sde_step(e0, state, 1e-3, zero_noise=True)
@@ -78,7 +76,7 @@ class TestPrimalSde:
     def test_diffusion_matches_inverse_hessian(self):
         state = gaussian_flow_state(GRID, mean=0.5)
         xs = np.linspace(-3, 3, 17)
-        _, diffusion = sinkhorn_sde_coefficients(state, xs)
+        _, diffusion = state.sde_tables.at(xs)
         d2u = np.interp(xs, GRID.nodes, state.u.d2u)
         assert np.max(np.abs(diffusion ** 2 - 2.0 / d2u)) < 1e-6
 
@@ -131,9 +129,34 @@ class TestPrimalSde:
         xs = grid.nodes
         hp = grad_central(np.asarray(state.h), grid.spacing)
         former = (-state.mu_spec.grad(xs) + hp) / state.u.d2u - state.nu_spec.grad(state.u.du)
-        drift, _ = sinkhorn_sde_coefficients(state, xs)
+        drift, _ = state.sde_tables.at(xs)
         keep = grid.interior_slice()
         assert np.max(np.abs(drift[keep] - former[keep])) <= bound
+
+    def test_tables_are_built_once_per_state(self):
+        state = gaussian_flow_state(GRID, mean=0.5)
+        assert state.sde_tables is state.sde_tables
+
+    def test_step_matches_tables_built_on_every_call(self):
+        # the coefficients tabulated at the nodes on every step, as the step
+        # did before it read them from the state: the same positions, noise
+        # on, bit for bit, under a mirror whose Hessian varies
+        def step_with_inline_tables(e, state, dt):
+            d2u = state.u.d2u
+            drift = grad_central(1.0 / d2u, GRID.spacing) - state.mu_spec.grad(GRID.nodes) / d2u
+            at = locate(GRID, e.positions)
+            z = noise_block(e.seed, e.step_count, e.positions.size)
+            return (e.positions + dt * lerp(at, drift)
+                    + math.sqrt(dt) * lerp(at, np.sqrt(2.0 / d2u)) * z)
+
+        cur = make_flow_state(GRID, STD_SPEC, STD_SPEC,
+                              ConvexPotential.from_callable(GRID, *LOG_COSH_MIRROR))
+        ens = ParticleEnsemble.from_density(cur.rho, 2000, seed=3)
+        for _ in range(5):
+            expected = step_with_inline_tables(ens, cur, 1e-3)
+            ens = sinkhorn_sde_step(ens, cur, 1e-3)
+            assert np.array_equal(ens.positions, expected)
+            cur = step(cur, 1e-3)
 
     def test_time_mismatch_rejected(self):
         state = gaussian_flow_state(GRID, mean=0.5)
@@ -234,16 +257,16 @@ class TestSharedLocate:
         primal = (grad_central(1.0 / d2u, GRID.spacing) - state.mu_spec.grad(GRID.nodes) / d2u,
                   np.sqrt(2.0 / d2u))
         dual = (-grad_central(np.asarray(state.h), GRID.spacing), np.sqrt(2.0 * d2u))
-        for coefficients, ends, tables in (
-                (sinkhorn_sde_coefficients, GRID.nodes[[0, -1]], primal),
-                (dual_sde_coefficients, state.u.du[[0, -1]], dual)):
-            beyond = coefficients(state, ends + [-0.5, 0.5])
-            for got, far, table in zip(beyond, coefficients(state, ends + [-3.0, 3.0]), tables):
+        for node_tables, ends, tables in (
+                (state.sde_tables, GRID.nodes[[0, -1]], primal),
+                (state.dual_tables, state.u.du[[0, -1]], dual)):
+            beyond = node_tables.at(ends + [-0.5, 0.5])
+            for got, far, table in zip(beyond, node_tables.at(ends + [-3.0, 3.0]), tables):
                 assert np.array_equal(got, far)
                 assert np.max(np.abs(got - table[[0, -1]])) <= 1e-12 * np.max(np.abs(table))
         # a primal step moves particles at +-8.5 by exactly those values
         e = ParticleEnsemble(np.array([-8.5, 8.5]), state.t, seed=21, step_count=3)
-        drift, diffusion = sinkhorn_sde_coefficients(state, GRID.nodes[[0, -1]])
+        drift, diffusion = state.sde_tables.at(GRID.nodes[[0, -1]])
         z = noise_block(21, 3, 2)
         expected = e.positions + 1e-3 * drift + math.sqrt(1e-3) * diffusion * z
         assert np.array_equal(sinkhorn_sde_step(e, state, 1e-3).positions, expected)
@@ -589,7 +612,7 @@ def generator_residual(state, test_fn):
     leaves the target invariant."""
     u = state.u
     ys = Grid(u.du[0], u.du[-1], u.grid.n)
-    drift, diffusion = dual_sde_coefficients(state, ys.nodes)
+    drift, diffusion = state.dual_tables.at(ys.nodes)
     phi = np.asarray(test_fn(ys.nodes), dtype=float)
     gen = (drift * grad_central(phi, ys.spacing)
            + 0.5 * diffusion**2 * second_central(phi, ys.spacing))

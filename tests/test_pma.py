@@ -141,10 +141,9 @@ class TestStep:
         assert np.max(np.abs(pushed - s.nu.values)) < 5e-3
 
     def test_hessian_window_monitored(self, location_run):
-        b = location_run[-1].bounds
-        assert b.a_min_observed >= location_run[-1].a_floor
-        assert b.b_max_observed <= location_run[-1].b_cap
-        assert b.time_window[1] == pytest.approx(location_run[-1].t)
+        last = location_run[-1]
+        assert min(s.hessian_min for s in location_run) >= last.a_floor
+        assert max(s.hessian_max for s in location_run) <= last.b_cap
 
     def test_projection_never_fires_on_clean_runs(self, location_run):
         assert all(s.projection_magnitude <= 1e-6 for s in location_run)
@@ -195,7 +194,7 @@ class TestVelocity:
         s = location_run[100]
         bound = (np.max(np.abs(MU_SPEC.grad(GRID.nodes)))
                  + np.max(np.abs(grad_central(np.asarray(s.h), GRID.spacing))))
-        assert np.max(np.abs(velocity(s).values)) <= bound / s.bounds.a_min_observed + 1e-9
+        assert np.max(np.abs(velocity(s).values)) <= bound / s.hessian_min + 1e-9
 
 
 class TestFokkerPlanckStep:
@@ -488,7 +487,7 @@ def reference_step(state, dt, max_substep=None):
     t_next = state.t + dt
     return replace(
         state, t=t_next, u=u_next, h=h_cur, rho=rho_next,
-        bounds=state.bounds.merged(float(np.min(d2u)), float(np.max(d2u)), t_next),
+        hessian_min=float(np.min(d2u)), hessian_max=float(np.max(d2u)),
         rho_mass_error=abs(mass - 1.0), projection_magnitude=proj_mag,
         substeps=n_sub, transport_drift=drift, derivative_growth=sup_rhs_new / sup_rhs_prev,
     )
@@ -501,7 +500,8 @@ def assert_same_flow_state(got, want):
     assert np.array_equal(got.rho.values, want.rho.values)
     assert got.projection_magnitude == want.projection_magnitude
     assert got.rho_mass_error == want.rho_mass_error
-    assert got.bounds == want.bounds
+    assert got.hessian_min == want.hessian_min
+    assert got.hessian_max == want.hessian_max
     assert got.t == want.t
     assert got.substeps == want.substeps
     assert got.transport_drift == want.transport_drift
@@ -510,11 +510,11 @@ def assert_same_flow_state(got, want):
 
 
 class ReferenceSpec(DensitySpec):
-    """DensitySpec.f as it was before it skipped a zero log_norm: the
-    callable wrapped in np.asarray on both sides, log_norm always added."""
+    """DensitySpec.f as it was before it handed the callable's array back:
+    wrapped in np.asarray on both sides, a zero log normalizer added."""
 
     def f(self, x):
-        return np.asarray(self.log_density_neg(np.asarray(x, dtype=float))) + self.log_norm
+        return np.asarray(self.log_density_neg(np.asarray(x, dtype=float))) + 0.0
 
 
 def reference_gaussian(mean, variance):
@@ -547,6 +547,32 @@ def test_density_spec_f_unchanged_along_flow(nu_mean, nu_variance):
 def flattener_state(grid=GRID, functional=Flattener()):
     return make_flow_state(grid, MU_SPEC, MU_SPEC, ConvexPotential.quadratic(grid),
                            functional=functional, a_floor=0.9)
+
+
+class TestHessianRange:
+    """Each state's hessian_min and hessian_max are the smallest and largest
+    samples of its u''."""
+
+    @staticmethod
+    def assert_range(states):
+        for s in states:
+            assert s.hessian_min == np.min(s.u.d2u)
+            assert s.hessian_max == np.max(s.u.d2u)
+
+    def test_clamped_run(self):
+        # the Flattener drives u'' through the floor 0.9, so each step clamps
+        states = list(run_flow(flattener_state(), 0.1, 3))
+        assert all(s.projection_magnitude > 0.0 for s in states[1:])
+        assert all(s.hessian_min == 0.9 for s in states[1:])
+        self.assert_range(states)
+
+    def test_ros2_run(self):
+        # the scale flow at n = 1024 takes ROS2 substeps (CFL count 17)
+        states = list(run_flow(gaussian_flow_state(Grid(-8.0, 8.0, 1024), variance=0.25),
+                               1e-3, 20))
+        assert states[1].factorizations == 1
+        assert states[-1].hessian_min < 1.0
+        self.assert_range(states)
 
 
 # a step the explicit path takes at each grid size: CFL counts 1 and 14

@@ -9,7 +9,6 @@ from sinkflow.grids import (DensitySpec, Grid, cdf_values, discretize, pushforwa
 from sinkflow.pma import inverse_gradient_map
 from sinkflow.transport import (
     ConvexPotential,
-    HessianBoundsReport,
     _strictify,
     change_of_measure_residual,
     legendre_transform,
@@ -316,16 +315,6 @@ class TestValueAt:
     def test_outside_the_grid_raises(self, x):
         with pytest.raises(DomainError):
             self.u.value_at(x)
-
-
-def test_hessian_bounds_report():
-    r = HessianBoundsReport(0.5, 2.0, (0.0, 1.0))
-    merged = r.merged(0.4, 2.5, 2.0)
-    assert merged.a_min_observed == 0.4
-    assert merged.b_max_observed == 2.5
-    assert merged.time_window == (0.0, 2.0)
-    with pytest.raises(DomainError):
-        HessianBoundsReport(2.0, 1.0, (0.0, 1.0))
 
 
 def test_convexity_floor_enforced():
