@@ -16,7 +16,6 @@ import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .pma import (
     Functional,
     PmaState,
     _is_at,
-    _state_at,
     kl_decay_series,
     make_flow_state,
     metric_derivative_lot,
@@ -80,12 +78,14 @@ def _iterations(T: float, eps: float) -> int:
     return k
 
 
-def _steps(span: float, dt: float) -> int:
-    """round(span / dt) time steps, which must be at least one."""
-    steps = int(round(span / dt))
-    if steps < 1:
-        raise DomainError(f"dt = {dt} leaves no time step before t = {span}")
-    return steps
+def _step_at(t: float, dt: float) -> int:
+    """The step round(t / dt) at which a run of step dt reads time t.  It
+    must be at least one and land on t (see pma._is_at), so that a run
+    checks every time it reads before its first step."""
+    k = int(round(t / dt))
+    if k < 1 or not _is_at(k * dt, t):
+        raise DomainError(f"no step of dt = {dt} lands on t = {t}")
+    return k
 
 
 def _is_integer(value) -> bool:
@@ -207,19 +207,28 @@ def _ks_tolerance(factor: float, count: int) -> float:
     return tol
 
 
-def _states_at(states: Iterable[PmaState], times) -> list[PmaState]:
-    """The states of a stream stamped at one of the times (see _is_at), so
-    a run holds those states only."""
-    return [s for s in states if any(_is_at(s.t, t) for t in times)]
+def _flow_states(state: PmaState, dt: float, times) -> list[PmaState]:
+    """The flow states at the given times, in their order: run_flow streamed
+    from state to the last of their steps (see _step_at), holding only them."""
+    steps = [_step_at(t, dt) for t in times]
+    kept = {i: s for i, s in enumerate(run_flow(state, dt, max(steps))) if i in steps}
+    return [kept[i] for i in steps]
 
 
-def _checkpoint_verdicts(due: list, stamp: float, rho: GridDensity, oracle, rel: float) -> list:
+def _checkpoints(T: float, dt: float) -> dict[int, float]:
+    """The moment checkpoints t = 0.5 and 1.0 up to T (see _is_at), keyed by
+    their steps."""
+    return {_step_at(t, dt): t for t in (0.5, 1.0) if t < T or _is_at(T, t)}
+
+
+def _checkpoint_verdicts(t, stamp: float, rho: GridDensity, oracle, rel: float) -> list:
     """Mean (when the reference mean is nonzero) and variance of rho against
-    the Gaussian oracle, each within the relative tolerance rel, if rho's
-    time stamp is the next checkpoint due (which it then removes); else none."""
-    if not (due and _is_at(stamp, due[0])):
+    the Gaussian oracle at checkpoint t, each within the relative tolerance
+    rel; none when t is None.  rho's time stamp must be t."""
+    if t is None:
         return []
-    t = due.pop(0)
+    if not _is_at(stamp, t):
+        raise DomainError(f"the state read at checkpoint t = {t} is stamped t = {stamp}")
     ref = evaluate(oracle, t)
     verdicts = []
     if ref.mean != 0.0:
@@ -288,18 +297,18 @@ def run_pma(config: ExperimentConfig) -> Report:
     """Flow run with moment trajectory checked against the closed form."""
     num = config.numerics
     problem = Problem.from_config(config)
-    steps = _steps(num["T"], num["dt"])
+    steps = _step_at(num["T"], num["dt"])
+    checkpoints = _checkpoints(num["T"], num["dt"])
     # thin the rows to about 200, keeping the checkpoints' states
-    half = round(0.5 / num["dt"])
-    keep = max(k for k in range(1, max(1, steps // 200) + 1) if half % k == 0)
+    keep = max(k for k in range(1, max(1, steps // 200) + 1)
+               if all(c % k == 0 for c in checkpoints))
     stride = config.output["snapshot_stride"]
-    due = [t for t in (0.5, 1.0) if t <= num["T"] + 1e-9]
     rows, artifacts, verdicts = [], {}, []
     # W factorizations and the largest clamp since the last row, thinned steps'
     # too, and the u'' range since the start
     factorizations, clamp, hessian_min, hessian_max = 0, 0.0, math.inf, -math.inf
     for i, s in enumerate(run_flow(problem.flow_state(config.grid()), num["dt"], steps)):
-        verdicts += _checkpoint_verdicts(due, s.t, s.rho, problem.oracle, 0.02)
+        verdicts += _checkpoint_verdicts(checkpoints.get(i), s.t, s.rho, problem.oracle, 0.02)
         factorizations += s.factorizations
         clamp = max(clamp, s.projection_magnitude)
         hessian_min, hessian_max = min(hessian_min, s.hessian_min), max(hessian_max, s.hessian_max)
@@ -315,8 +324,6 @@ def run_pma(config: ExperimentConfig) -> Report:
                      "factorizations": factorizations,
                      "hessian_min": hessian_min, "hessian_max": hessian_max, "clamp": clamp})
         factorizations, clamp = 0, 0.0
-    if due:
-        raise DomainError(f"no state reached the checkpoint t = {due[0]}")
     return Report(config.experiment, config.hash(), rows, verdicts, artifacts)
 
 
@@ -326,18 +333,17 @@ def run_fokker_planck_experiment(config: ExperimentConfig) -> Report:
     problem = Problem.from_config(config)
     if problem.fp_oracle is None:
         raise DomainError("fokker_planck_run expects a Gaussian problem")
-    steps = _steps(num["T"], num["dt"])
+    steps = _step_at(num["T"], num["dt"])
+    checkpoints = _checkpoints(num["T"], num["dt"])
     stride = max(1, steps // 200)
-    due = [t for t in (0.5, 1.0) if t <= num["T"] + 1e-9]
     rows, verdicts = [], []
     system = FokkerPlanckSystem.build(discretize(problem.mu, grid), num["dt"])
     for i, d in enumerate(run_fokker_planck(discretize(problem.nu, grid), system, steps)):
-        verdicts += _checkpoint_verdicts(due, i * num["dt"], d, problem.fp_oracle, 0.01)
+        t = i * num["dt"]
+        verdicts += _checkpoint_verdicts(checkpoints.get(i), t, d, problem.fp_oracle, 0.01)
         if i % stride == 0 or i == steps:
-            rows.append({"t": i * num["dt"], "mean": d.mean(), "variance": d.variance(),
+            rows.append({"t": t, "mean": d.mean(), "variance": d.variance(),
                          "solves": system.substeps if i else 0})
-    if due:
-        raise DomainError(f"no state reached the checkpoint t = {due[0]}")
     return Report(config.experiment, config.hash(), rows, verdicts)
 
 
@@ -366,26 +372,28 @@ def run_eps_limit(config: ExperimentConfig) -> Report:
 
     Shares the initial potential between both, runs floor(T/eps) two-step
     iterations per eps, and tabulates the squared quantile distance to the
-    flow state at the matching time, with successive ratios and the fitted
-    log-log slope.  The flow is streamed and keeps only its states at those
-    times.  Raises DomainError when no flow state lies at a matching time
-    (when dt does not divide it).
+    flow state at the time floor(T/eps) * eps, with successive ratios and
+    the fitted log-log slope; the flow is streamed and keeps only its states
+    at those times.  Raises DomainError before any work when no step of dt
+    lands on one of them, or when an eps is below h^2 (h the grid spacing),
+    where the grid iteration's own error swamps the distance.
     """
     num = config.numerics
     grid = config.grid()
     problem = Problem.from_config(config)
     eps_list = list(num["eps_list"])
+    if eps_list[-1] < grid.spacing ** 2:  # eps_list is strictly decreasing
+        raise DomainError(f"eps = {eps_list[-1]} is below h^2 = {grid.spacing ** 2:.6g}, where "
+                          "the grid iteration's own error swamps the distance")
     ks = [_iterations(num["T"], e) for e in eps_list]
     t_targets = [k * e for k, e in zip(ks, eps_list)]
-    steps_needed = int(round(max(t_targets) / num["dt"])) + 1
-    states = _states_at(run_flow(problem.flow_state(grid), num["dt"], steps_needed), t_targets)
+    states = _flow_states(problem.flow_state(grid), num["dt"], t_targets)
 
     rows = []
-    for eps, k, t_k in zip(eps_list, ks, t_targets):
+    for eps, k, t_k, flow_at in zip(eps_list, ks, t_targets, states):
         sk = problem.sinkhorn_state(grid, eps)
         for _ in range(k):
             sk = s_step(sk)
-        flow_at = _state_at(states, t_k)
         w2sq = w2_distance(sk.rho, flow_at.rho) ** 2
         rows.append({"eps": eps, "k": k, "t": t_k, "w2_squared": w2sq})
     ratios = [rows[i + 1]["w2_squared"] / rows[i]["w2_squared"] for i in range(len(rows) - 1)]
@@ -432,17 +440,16 @@ def run_laplace_estimate(config: ExperimentConfig) -> Report:
 
 def run_metric_derivative(config: ExperimentConfig) -> Report:
     """LOT metric derivative of the flow at t0 = 0.5 against its velocity
-    norm; the flow is streamed and keeps only its states at t0 and
-    t0 + delta."""
-    num = config.numerics
+    norm.  The flow is streamed to t0 + 0.1 and keeps only its states at t0
+    and t0 + delta; a dt with no step on one of those times raises
+    DomainError before the first step."""
     state = Problem.from_config(config).flow_state(config.grid())
     t0, deltas = 0.5, (0.1, 0.05, 0.025)
-    steps = _steps(t0 + max(deltas), num["dt"])
-    states = _states_at(run_flow(state, num["dt"], steps), [t0] + [t0 + d for d in deltas])
-    table = metric_derivative_lot(states, t0, deltas)
+    start, *ahead = _flow_states(state, config.numerics["dt"], [t0] + [t0 + d for d in deltas])
+    table = metric_derivative_lot(start, ahead, deltas)
     rows = [dict(r) for r in table]
     ratio = table[-1]["ratio"]
-    gap, base = second_order_lot_gap(states, t0, deltas[-1])
+    gap, base = second_order_lot_gap(start, ahead[-1], deltas[-1])
     rows.append({"second_order_gap": gap, "first_order_gap": base})
     verdicts = [
         _verdict("ratio at smallest delta", ratio, "[0.95, 1.05]", 0.95 <= ratio <= 1.05),
@@ -455,7 +462,7 @@ def run_kl_decay(config: ExperimentConfig) -> Report:
     num = config.numerics
     problem = Problem.from_config(config)
     problem.require_relative_entropy("kl_decay")
-    steps = _steps(num["T"], num["dt"])
+    steps = _step_at(num["T"], num["dt"])
     keep = max(1, steps // 100)
     table = kl_decay_series(
         s for i, s in enumerate(run_flow(problem.flow_state(config.grid()), num["dt"], steps))
@@ -481,7 +488,7 @@ def run_diffusion(config: ExperimentConfig) -> Report:
     problem.require_relative_entropy("diffusion_run")
     ks_tol = _ks_tolerance(2, count)
     state = problem.flow_state(config.grid())
-    steps = _steps(num["T"], num["dt"])
+    steps = _step_at(num["T"], num["dt"])
     ens = ParticleEnsemble.from_density(state.rho, count, seed)
     rows = []
     stride = max(1, steps // 10)

@@ -44,9 +44,10 @@ REJECTION_ROUNDS = 16
 REJECTION_SUBSTREAM = 8
 
 
-def noise_block(seed: int, step: int, count: int, substream: int = 0) -> np.ndarray:
-    """Standard normals for one step: a pure function of (seed, step, substream)."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(step, substream))
+def noise_block(seed: int, step: int, count: int) -> np.ndarray:
+    """Standard normals for one step: a pure function of (seed, step), drawn
+    from substream 0."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(step, 0))
     return np.random.default_rng(ss).standard_normal(count)
 
 
@@ -85,38 +86,30 @@ def _check_domain(x: np.ndarray, grid: Grid) -> None:
         raise ParticleEscape("particle left the extended grid domain")
 
 
-def _euler_maruyama(e: ParticleEnsemble, tables: NodeTables, dt: float,
-                    zero_noise: bool) -> ParticleEnsemble:
+def _euler_maruyama(e: ParticleEnsemble, tables: NodeTables, dt: float) -> ParticleEnsemble:
     """One Euler-Maruyama step with the coefficients read from ``tables``."""
     if dt <= 0:
         raise DomainError("dt must be positive")
     x = e.positions
     drift, diffusion = tables.at(x)
-    if zero_noise:
-        x_new = x + dt * drift
-    else:
-        z = noise_block(e.seed, e.step_count, x.size)
-        x_new = x + dt * drift + math.sqrt(dt) * diffusion * z
+    z = noise_block(e.seed, e.step_count, x.size)
+    x_new = x + dt * drift + math.sqrt(dt) * diffusion * z
     _check_domain(x_new, tables.grid)
     return replace(e, positions=x_new, t=e.t + dt, step_count=e.step_count + 1)
 
 
-def sinkhorn_sde_step(
-    e: ParticleEnsemble, pma: PmaState, dt: float, zero_noise: bool = False
-) -> ParticleEnsemble:
+def sinkhorn_sde_step(e: ParticleEnsemble, pma: PmaState, dt: float) -> ParticleEnsemble:
     """One Euler-Maruyama step of the mirrored diffusion along a flow state,
     with the coefficients of PmaState.sde_tables."""
     if not _is_at(pma.t, e.t):
         raise DomainError(f"flow state time {pma.t} does not match ensemble time {e.t}")
-    return _euler_maruyama(e, pma.sde_tables, dt, zero_noise)
+    return _euler_maruyama(e, pma.sde_tables, dt)
 
 
-def dual_sde_step(
-    e: ParticleEnsemble, pma: PmaState, dt: float, zero_noise: bool = False
-) -> ParticleEnsemble:
+def dual_sde_step(e: ParticleEnsemble, pma: PmaState, dt: float) -> ParticleEnsemble:
     """One Euler-Maruyama step of the dual-coordinate diffusion, with the
     coefficients of PmaState.dual_tables."""
-    return _euler_maruyama(e, pma.dual_tables, dt, zero_noise)
+    return _euler_maruyama(e, pma.dual_tables, dt)
 
 
 def _draw_conditional(kernel: _LogKernel, p: np.ndarray, seed: int, step: int,

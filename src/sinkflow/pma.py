@@ -680,12 +680,9 @@ def _is_at(stamp: float, t: float) -> bool:
     return abs(stamp - t) <= 1e-9 + 1e-6 * max(1.0, abs(t))
 
 
-def _state_at(states: Iterable[PmaState], t: float) -> PmaState:
-    """The state stamped nearest t, which must be at t (see _is_at)."""
-    nearest = min(states, key=lambda s: abs(s.t - t), default=None)
-    if nearest is None or not _is_at(nearest.t, t):
-        raise DomainError(f"no stored state near t = {t}")
-    return nearest
+def _check_ahead(base: PmaState, ahead: PmaState, delta: float) -> None:
+    if not _is_at(ahead.t, base.t + delta):
+        raise DomainError(f"the state at t = {ahead.t} is not {delta} ahead of t = {base.t}")
 
 
 def inverse_gradient_map(u: ConvexPotential, ys: np.ndarray) -> np.ndarray:
@@ -701,21 +698,21 @@ def inverse_gradient_map(u: ConvexPotential, ys: np.ndarray) -> np.ndarray:
 
 
 def metric_derivative_lot(
-    states: Sequence[PmaState], t: float, deltas: Sequence[float]
+    base: PmaState, ahead: Sequence[PmaState], deltas: Sequence[float]
 ) -> list[dict]:
     """Difference quotients of the map-based transport distance against the
-    velocity norm.
+    velocity norm at base, with ahead[j] the state deltas[j] later.
 
     Each row reports (delta, LOT(rho_{t+delta}, rho_t)/delta, ||v_t||, ratio);
     the ratio tends to one as delta shrinks.  On a stationary stretch both
     columns vanish and the ratio is reported as the exact-zero sentinel 0.0.
+    A state that is not its delta ahead of base raises DomainError.
     """
-    base = _state_at(states, t)
     vnorm = velocity(base).l2_norm(base.rho)
     rows = []
-    for d in deltas:
-        ahead = _state_at(states, t + d)
-        rate = lot_distance(base.nu, ahead.rho, base.rho) / d
+    for d, later in zip(deltas, ahead, strict=True):
+        _check_ahead(base, later, d)
+        rate = lot_distance(base.nu, later.rho, base.rho) / d
         if rate < 1e-12 and vnorm < 1e-12:
             ratio = 0.0
         else:
@@ -724,23 +721,24 @@ def metric_derivative_lot(
     return rows
 
 
-def second_order_lot_gap(states: Sequence[PmaState], t: float, delta: float) -> tuple[float, float]:
-    """Compare the flow increment against its velocity-perturbed transport map.
+def second_order_lot_gap(base: PmaState, ahead: PmaState, delta: float) -> tuple[float, float]:
+    """Compare the flow increment from base to ahead, the state delta later,
+    against its velocity-perturbed transport map.
 
-    Returns (gap, base): the map-based distance from rho_{t+delta} to the
+    Returns (gap, first): the map-based distance from rho_{t+delta} to the
     pushforward of the target through w' + delta * v(w'), and to rho_t.  The
-    perturbed pushforward is a second-order approximation, so gap << base.
+    perturbed pushforward is a second-order approximation, so gap << first.
+    A state that is not delta ahead raises DomainError.
     """
-    base_state = _state_at(states, t)
-    ahead = _state_at(states, t + delta)
-    ys = base_state.grid.nodes
-    w_prime = inverse_gradient_map(base_state.u, ys)
-    v = velocity(base_state)
-    perturbed = w_prime + delta * np.interp(w_prime, base_state.grid.nodes, v.values)
-    approx = pushforward_monotone(base_state.nu, perturbed)
-    gap = lot_distance(base_state.nu, ahead.rho, approx)
-    base = lot_distance(base_state.nu, ahead.rho, base_state.rho)
-    return gap, base
+    _check_ahead(base, ahead, delta)
+    ys = base.grid.nodes
+    w_prime = inverse_gradient_map(base.u, ys)
+    v = velocity(base)
+    perturbed = w_prime + delta * np.interp(w_prime, base.grid.nodes, v.values)
+    approx = pushforward_monotone(base.nu, perturbed)
+    gap = lot_distance(base.nu, ahead.rho, approx)
+    first = lot_distance(base.nu, ahead.rho, base.rho)
+    return gap, first
 
 
 def kl_decay_series(states: Iterable[PmaState]) -> list[dict]:

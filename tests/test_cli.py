@@ -12,6 +12,7 @@ import pytest
 
 import sinkflow
 import sinkflow.experiments as experiments
+import sinkflow.pma as pma
 from sinkflow.cli import main
 from sinkflow.closed_form import ClosedFormFlow, FlowKind, deficit_ratio, tabulate
 from sinkflow.errors import DomainError, EmptyTable
@@ -127,6 +128,44 @@ class TestConfig:
                                           "numerics": {**QUICK_NUMERICS, **numerics}})
         with pytest.raises(DomainError):
             run_experiment(cfg)
+
+    @pytest.fixture
+    def step_calls(self, monkeypatch):
+        """The names of the flow, Fokker-Planck and scaling steps taken."""
+        calls = []
+        for module, name in ((pma, "step"), (pma, "fokker_planck_step"), (experiments, "s_step")):
+            def counted(*args, real=getattr(module, name), name=name, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("experiment,numerics", [
+        ("pma_run", {"n": 64, "dt": 2.0, "T": 4.0}),
+        ("fokker_planck_run", {"dt": 0.03}),
+        ("eps_limit", {"dt": 0.003}),
+        ("metric_derivative", {"dt": 0.03}),
+        ("kl_decay", {"T": 1.0, "dt": 0.3}),
+        ("diffusion_run", {"T": 0.25, "dt": 0.1}),
+    ], ids=["checkpoint", "fokker-planck-T", "iterate-time", "t0", "kl-decay-T", "diffusion-T"])
+    def test_missed_read_time_raises_before_the_first_step(self, experiment, numerics,
+                                                           step_calls):
+        # no step of dt lands on the checkpoint t = 0.5, on T, on the
+        # iterates' time 1.0 or on t0 = 0.5: the run says so before it steps
+        cfg = ExperimentConfig.from_dict({"experiment": experiment, "numerics": {
+            "n": 128, "particles": 2000, **numerics}})
+        with pytest.raises(DomainError, match="no step of dt"):
+            run_experiment(cfg)
+        assert step_calls == []
+
+    def test_eps_limit_refuses_eps_below_h_squared(self, step_calls):
+        # at n = 128, h^2 = (16/127)^2 = 0.0159: eps = 0.0125 is below it,
+        # where the grid iteration's own error swamps the distance compared
+        cfg = ExperimentConfig.from_dict({"experiment": "eps_limit",
+                                          "numerics": {"n": 128, "eps_list": [0.1, 0.0125]}})
+        with pytest.raises(DomainError, match="below h"):
+            run_experiment(cfg)
+        assert step_calls == []
 
     @pytest.mark.parametrize("experiment,particles", [("markov_chain_run", 20),
                                                       ("diffusion_run", 8)])
@@ -285,6 +324,12 @@ class TestPmaCheckpoints:
             assert v["value"] == by_t[float(t)][name]
         assert report.passed()
 
+    def test_end_within_the_step_tolerance_of_a_checkpoint_judges_it(self):
+        # T = 0.4999999 lands on step 500, stamped 0.5, so the run judges t = 0.5
+        raw = {**self.RAW, "numerics": {"n": 64, "T": 0.4999999}}
+        report = run_experiment(ExperimentConfig.from_dict(raw))
+        assert [v["check"] for v in report.verdicts] == MOMENTS_BOTH[:2]
+
     def test_rows_report_the_step_health(self, monkeypatch):
         # the start row has taken no step; every later one reports its step's
         # substeps, transport drift, variation growth and W factorizations
@@ -438,8 +483,8 @@ class TestStreamingRunners:
         else:
             t0, deltas = 0.5, (0.1, 0.05, 0.025)
             window = [at[round(t / dt)] for t in (t0, *(t0 + d for d in deltas))]
-            want = metric_derivative_lot(window, t0, deltas)
-            gap, base = second_order_lot_gap(window, t0, deltas[-1])
+            want = metric_derivative_lot(window[0], window[1:], deltas)
+            gap, base = second_order_lot_gap(window[0], window[-1], deltas[-1])
             want.append({"second_order_gap": gap, "first_order_gap": base})
         assert run_experiment(config).rows[:len(want)] == want
 

@@ -62,16 +62,17 @@ class TestPrimalSde:
 
     def test_uniform_self_target_drift_vanishes(self):
         # with equal uniform marginals and the identity mirror each drift
-        # term is identically zero, so a noiseless ensemble stays put
+        # term is identically zero, so a step moves the ensemble by its noise
         g = Grid(0.0, 1.0, 64)
         spec = DensitySpec.uniform(0.0, 1.0)
         state = make_flow_state(g, spec, spec, ConvexPotential.quadratic(g))
         xs = np.linspace(0.1, 0.9, 50)
-        drift, _ = state.sde_tables.at(xs)
+        drift, diffusion = state.sde_tables.at(xs)
         assert np.max(np.abs(drift)) < 1e-9
         e0 = ParticleEnsemble(xs, 0.0, seed=2)
-        e1 = sinkhorn_sde_step(e0, state, 1e-3, zero_noise=True)
-        assert np.array_equal(e1.positions, xs)
+        e1 = sinkhorn_sde_step(e0, state, 1e-3)
+        noise = math.sqrt(1e-3) * diffusion * noise_block(2, 0, 50)
+        assert np.array_equal(e1.positions, xs + 1e-3 * drift + noise)
 
     def test_diffusion_matches_inverse_hessian(self):
         state = gaussian_flow_state(GRID, mean=0.5)
@@ -168,8 +169,11 @@ class TestPrimalSde:
         # an oversized step drives the drift far outside the margin
         state = gaussian_flow_state(GRID, mean=0.5)
         ens = ParticleEnsemble(np.array([8.5]), 0.0, seed=1)
+        drift, diffusion = state.sde_tables.at(ens.positions)
+        x_new = 8.5 + 5.0 * drift + math.sqrt(5.0) * diffusion * noise_block(1, 0, 1)
+        assert np.all(np.abs(x_new) > GRID.upper + ESCAPE_MARGIN)
         with pytest.raises(ParticleEscape):
-            sinkhorn_sde_step(ens, state, 5.0, zero_noise=True)
+            sinkhorn_sde_step(ens, state, 5.0)
 
 
 def _interp_sde_step(e, state, dt):
@@ -285,9 +289,8 @@ class TestDualSde:
         g = Grid(0.0, 1.0, 64)
         spec = DensitySpec.uniform(0.0, 1.0)
         state = make_flow_state(g, spec, spec, ConvexPotential.quadratic(g))
-        e0 = ParticleEnsemble(np.linspace(0.2, 0.8, 20), 0.0, seed=3)
-        e1 = dual_sde_step(e0, state, 1e-4, zero_noise=True)
-        assert np.max(np.abs(e1.positions - e0.positions)) < 1e-9
+        drift, _ = state.dual_tables.at(np.linspace(0.2, 0.8, 20))
+        assert np.max(np.abs(1e-4 * drift)) < 1e-9
 
     def test_escape_checked_on_the_gradient_range(self):
         # dual positions live on the range of u', which the cosh mirror
@@ -297,13 +300,15 @@ class TestDualSde:
         state = make_flow_state(GRID, STD_SPEC, STD_SPEC, u)
         lo, hi = float(u.du[0]) - ESCAPE_MARGIN, float(u.du[-1]) + ESCAPE_MARGIN
         inside = ParticleEnsemble(np.array([lo + 0.1, -10.0, 10.0, hi - 0.1]), 0.0, seed=3)
-        stepped = dual_sde_step(inside, state, 1e-3, zero_noise=True)
-        # the zero-noise step is the drift, which pulls toward the origin
-        assert np.all(np.abs(stepped.positions) < np.abs(inside.positions))
+        drift, diffusion = state.dual_tables.at(inside.positions)
+        # the drift pulls toward the origin
+        assert np.all(np.abs(inside.positions + 1e-3 * drift) < np.abs(inside.positions))
+        noise = math.sqrt(1e-3) * diffusion * noise_block(3, 0, 4)
+        assert np.array_equal(dual_sde_step(inside, state, 1e-3).positions,
+                              inside.positions + 1e-3 * drift + noise)
         for y in (lo - 0.1, hi + 0.1):
             with pytest.raises(ParticleEscape):
-                dual_sde_step(ParticleEnsemble(np.array([0.0, y]), 0.0, seed=3), state, 1e-3,
-                              zero_noise=True)
+                dual_sde_step(ParticleEnsemble(np.array([0.0, y]), 0.0, seed=3), state, 1e-3)
 
     def test_same_noise_mirror_consistency(self):
         # primal and dual ensembles driven by identical noise: mapping the

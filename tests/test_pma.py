@@ -364,7 +364,8 @@ class TestResiduals:
 
 class TestMetricDerivative:
     def test_location_ratio(self, location_run):
-        rows = metric_derivative_lot(location_run, 0.5, (0.1, 0.05, 0.025))
+        ahead = [location_run[i] for i in (600, 550, 525)]
+        rows = metric_derivative_lot(location_run[500], ahead, (0.1, 0.05, 0.025))
         assert [r["delta"] for r in rows] == [0.1, 0.05, 0.025]
         assert abs(rows[-1]["ratio"] - 1.0) <= 0.05
         # the ratio improves monotonically as delta shrinks
@@ -373,12 +374,19 @@ class TestMetricDerivative:
 
     def test_stationary_sentinel(self, stationary_state):
         states = list(run_flow(stationary_state, 1e-3, 30))
-        rows = metric_derivative_lot(states, 0.0, (0.025,))
+        rows = metric_derivative_lot(states[0], [states[25]], (0.025,))
         assert rows[0]["ratio"] == 0.0
 
     def test_second_order_pushforward(self, location_run):
-        gap, base = second_order_lot_gap(location_run, 0.5, 0.025)
+        gap, base = second_order_lot_gap(location_run[500], location_run[525], 0.025)
         assert gap <= 0.1 * base
+
+    def test_state_not_delta_ahead_rejected(self, location_run):
+        # t = 0.55 is 0.05, not 0.1 or 0.025, ahead of t = 0.5
+        with pytest.raises(DomainError):
+            metric_derivative_lot(location_run[500], [location_run[550]], (0.1,))
+        with pytest.raises(DomainError):
+            second_order_lot_gap(location_run[500], location_run[550], 0.025)
 
 
 class TestKlDecay:

@@ -1,6 +1,7 @@
 """Valid but extreme inputs end in a Report or a SinkflowError, never in any
-other exception: each case below once ended in a traceback or in an error
-message that printed numpy scalar reprs."""
+other exception: each case below once ended in a traceback, in an error
+message that printed numpy scalar reprs, in an error raised only after the
+whole flow had run, or in a report cut short of T without a word."""
 
 import pytest
 
@@ -20,6 +21,18 @@ EXTREME_CONFIGS = {
         "experiment": "pma_run", "numerics": {"n": 64, "dt": 2.0, "T": 4.0}},
     "metric-derivative-missed-checkpoint": {
         "experiment": "metric_derivative", "numerics": {"n": 64, "dt": 0.7}},
+    # no step of dt lands on the iterates' time 1.0, on T = 1 or on T = 0.25
+    "eps-limit-dt-misses-iterate-times": {
+        "experiment": "eps_limit", "numerics": {"dt": 0.003}},
+    "fokker-planck-dt-misses-T": {
+        "experiment": "fokker_planck_run", "numerics": {"dt": 0.03}},
+    "kl-decay-dt-misses-T": {
+        "experiment": "kl_decay", "numerics": {"T": 1.0, "dt": 0.3}},
+    "diffusion-dt-misses-T": {
+        "experiment": "diffusion_run", "numerics": {"T": 0.25, "dt": 0.1}},
+    # eps = 0.05 is below h^2 = (16/63)^2 = 0.0645
+    "eps-limit-eps-below-h-squared": {
+        "experiment": "eps_limit", "numerics": {"n": 64, "eps_list": [0.2, 0.05]}},
     "kl-decay-scale-n64": {
         "experiment": "kl_decay", "problem": {"kind": "gaussian_scale"}, "numerics": {"n": 64}},
     "metric-derivative-mirror-entropy-n64": {
