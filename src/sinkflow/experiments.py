@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,8 +60,6 @@ _NUMERIC_DEFAULTS = {
 }
 
 _PROBLEM_DEFAULTS = {"kind": "gaussian_location", "theta": 0.5, "eta": 0.5}
-# read by gaussian_closed_form only, and not defaulted
-_PROBLEM_OPTIONAL = ("flow_kind", "param")
 
 _OUTPUT_DEFAULTS = {"snapshot_stride": 0, "emit_svg": False}
 
@@ -97,11 +96,11 @@ def _is_real(value) -> bool:
             and math.isfinite(value))
 
 
-def _section(raw: dict, name: str, defaults: dict, optional=()) -> dict:
+def _section(raw: dict, name: str, defaults: dict) -> dict:
     given = raw.get(name, {})
     if not isinstance(given, dict):
         raise DomainError(f"config section {name!r} must be a JSON object, got {given!r}")
-    unknown = sorted(set(given) - set(defaults) - set(optional))
+    unknown = sorted(set(given) - set(defaults))
     if unknown:
         raise DomainError(f"unknown {name} keys {unknown}")
     return {**defaults, **given}
@@ -110,9 +109,10 @@ def _section(raw: dict, name: str, defaults: dict, optional=()) -> dict:
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
-    problem: dict
+    problem: dict  # hashed and recorded; runners read spec, the Problem parsed from it
     numerics: dict
     output: dict
+    spec: Problem = field(compare=False, repr=False)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -121,11 +121,9 @@ class ExperimentConfig:
         exp = raw.get("experiment")
         if exp not in EXPERIMENTS:
             raise DomainError(f"unknown experiment {exp!r}")
-        problem = _section(raw, "problem", _PROBLEM_DEFAULTS, _PROBLEM_OPTIONAL)
+        problem = _section(raw, "problem", _PROBLEM_DEFAULTS)
         numerics = _section(raw, "numerics", _NUMERIC_DEFAULTS)
         output = _section(raw, "output", _OUTPUT_DEFAULTS)
-        if "flow_kind" in problem and problem["flow_kind"] not in [k.value for k in FlowKind]:
-            raise DomainError(f"unknown flow_kind {problem['flow_kind']!r}")
         for key in ("n", "particles", "seed"):
             if not _is_integer(numerics[key]):
                 raise DomainError(f"{key} must be an integer, got {numerics[key]!r}")
@@ -139,7 +137,7 @@ class ExperimentConfig:
             raise DomainError(f"eps_list must be a list of two or more values, got {eps_list!r}")
         reals = [(key, numerics[key]) for key in ("L", "T", "dt", "eps")]
         reals += [("eps_list entries", e) for e in eps_list]
-        reals += [(key, problem[key]) for key in ("theta", "eta", "param") if key in problem]
+        reals += [(key, problem[key]) for key in ("theta", "eta")]
         for key, value in reals:
             if not _is_real(value):
                 raise DomainError(f"{key} must be a finite real number, got {value!r}")
@@ -157,7 +155,7 @@ class ExperimentConfig:
             raise DomainError("eps_list entries must be positive")
         if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
             raise DomainError("eps_list must be strictly decreasing")
-        return cls(exp, problem, numerics, output)
+        return cls(exp, problem, numerics, output, Problem.parse(problem))
 
     def as_dict(self) -> dict:
         return {
@@ -260,24 +258,24 @@ class Problem:
     fp_oracle: ClosedFormFlow | None = None
 
     @classmethod
-    def from_config(cls, config: ExperimentConfig) -> "Problem":
-        p = config.problem
-        kind = p["kind"]
+    def parse(cls, section: dict) -> "Problem":
+        """The problem of a config's problem section, whose kind is one of PROBLEM_KINDS."""
+        kind, theta, eta = section["kind"], section["theta"], section["eta"]
         std = DensitySpec.gaussian(0.0, 1.0)
         if kind == "gaussian_location":
-            return cls(std, DensitySpec.gaussian(p["theta"], 1.0),
-                       ClosedFormFlow(FlowKind.SINKHORN_LOCATION, p["theta"]),
-                       fp_oracle=ClosedFormFlow(FlowKind.FOKKER_PLANCK_LOCATION, p["theta"]))
+            return cls(std, DensitySpec.gaussian(theta, 1.0),
+                       ClosedFormFlow(FlowKind.SINKHORN_LOCATION, theta),
+                       fp_oracle=ClosedFormFlow(FlowKind.FOKKER_PLANCK_LOCATION, theta))
         if kind == "gaussian_scale":
-            return cls(std, DensitySpec.gaussian(0.0, p["eta"] * p["eta"]),
-                       ClosedFormFlow(FlowKind.SINKHORN_SCALE, p["eta"]),
-                       fp_oracle=ClosedFormFlow(FlowKind.FOKKER_PLANCK_SCALE, p["eta"]))
+            return cls(std, DensitySpec.gaussian(0.0, eta * eta),
+                       ClosedFormFlow(FlowKind.SINKHORN_SCALE, eta),
+                       fp_oracle=ClosedFormFlow(FlowKind.FOKKER_PLANCK_SCALE, eta))
         if kind == "mirror_entropy":
             return cls(std, std, ClosedFormFlow(FlowKind.MIRROR_ENTROPY), Functional.entropy())
         if kind == "mirror_potential_energy":
             return cls(std, std, ClosedFormFlow(FlowKind.MIRROR_POTENTIAL_ENERGY),
                        Functional.potential_energy())
-        raise DomainError(f"unknown problem kind {kind!r}")
+        raise DomainError(f"unknown problem kind {kind!r}, expected one of {PROBLEM_KINDS}")
 
     def flow_state(self, grid: Grid) -> PmaState:
         return make_flow_state(grid, self.mu, self.nu, ConvexPotential.quadratic(grid),
@@ -293,10 +291,12 @@ class Problem:
         return initial_state(ConvexPotential.quadratic(grid).u, mu, nu, nu, eps)
 
 
-def run_pma(config: ExperimentConfig) -> Report:
+PROBLEM_KINDS = ("gaussian_location", "gaussian_scale", "mirror_entropy", "mirror_potential_energy")
+
+
+def run_pma(config: ExperimentConfig, problem: Problem) -> Report:
     """Flow run with moment trajectory checked against the closed form."""
     num = config.numerics
-    problem = Problem.from_config(config)
     steps = _step_at(num["T"], num["dt"])
     checkpoints = _checkpoints(num["T"], num["dt"])
     # thin the rows to about 200, keeping the checkpoints' states
@@ -327,10 +327,9 @@ def run_pma(config: ExperimentConfig) -> Report:
     return Report(config.experiment, config.hash(), rows, verdicts, artifacts)
 
 
-def run_fokker_planck_experiment(config: ExperimentConfig) -> Report:
+def run_fokker_planck_experiment(config: ExperimentConfig, problem: Problem) -> Report:
     num = config.numerics
     grid = config.grid()
-    problem = Problem.from_config(config)
     if problem.fp_oracle is None:
         raise DomainError("fokker_planck_run expects a Gaussian problem")
     steps = _step_at(num["T"], num["dt"])
@@ -347,11 +346,11 @@ def run_fokker_planck_experiment(config: ExperimentConfig) -> Report:
     return Report(config.experiment, config.hash(), rows, verdicts)
 
 
-def run_sinkhorn_experiment(config: ExperimentConfig) -> Report:
+def run_sinkhorn_experiment(config: ExperimentConfig, problem: Problem) -> Report:
     """Fixed-eps iteration: the iterate marginal must drift toward mu in KL."""
     num = config.numerics
     grid = config.grid()
-    state = Problem.from_config(config).sinkhorn_state(grid, num["eps"])
+    state = problem.sinkhorn_state(grid, num["eps"])
     k_max = min(50, _iterations(num["T"], num["eps"]))
     rows = []
     kls = []
@@ -367,7 +366,7 @@ def run_sinkhorn_experiment(config: ExperimentConfig) -> Report:
     return Report(config.experiment, config.hash(), rows, verdicts)
 
 
-def run_eps_limit(config: ExperimentConfig) -> Report:
+def run_eps_limit(config: ExperimentConfig, problem: Problem) -> Report:
     """Scaling-limit comparison of the iteration against the flow.
 
     Shares the initial potential between both, runs floor(T/eps) two-step
@@ -380,7 +379,6 @@ def run_eps_limit(config: ExperimentConfig) -> Report:
     """
     num = config.numerics
     grid = config.grid()
-    problem = Problem.from_config(config)
     eps_list = list(num["eps_list"])
     if eps_list[-1] < grid.spacing ** 2:  # eps_list is strictly decreasing
         raise DomainError(f"eps = {eps_list[-1]} is below h^2 = {grid.spacing ** 2:.6g}, where "
@@ -406,23 +404,22 @@ def run_eps_limit(config: ExperimentConfig) -> Report:
     return Report(config.experiment, config.hash(), rows, verdicts)
 
 
-def run_laplace_estimate(config: ExperimentConfig) -> Report:
-    """Small-eps expansion check of the log-domain smoothing operator.
+def run_laplace_estimate(config: ExperimentConfig, problem: Problem) -> Report:
+    """Small-eps expansion check of the log-domain smoothing operator, on the
+    problem's mu and its start potential x^2/2.
 
     Tabulates the sup residual of the expansion on a compact window for
     each eps and fits the log-log slope (contract: >= 1.7).  A negative
     control drops the eps-entropy constant and must destroy the fit.
     """
-    num = config.numerics
     grid = config.grid()
-    mu_spec = DensitySpec.gaussian(0.0, 1.0)
-    mu = discretize(mu_spec, grid)
+    mu = discretize(problem.mu, grid)
     u = ConvexPotential.quadratic(grid)
-    eps_list = list(num["eps_list"])
+    eps_list = list(config.numerics["eps_list"])
     rows = []
     for eps in eps_list:
-        full = laplace_residual(u, mu, mu_spec, eps)
-        ablated = laplace_residual(u, mu, mu_spec, eps, include_entropy_term=False)
+        full = laplace_residual(u, mu, problem.mu, eps)
+        ablated = laplace_residual(u, mu, problem.mu, eps, include_entropy_term=False)
         rows.append({"eps": eps, "residual": full, "residual_without_entropy_term": ablated})
     log_eps = np.log(eps_list)
     slope = float(np.polyfit(log_eps, np.log([r["residual"] for r in rows]), 1)[0])
@@ -438,12 +435,12 @@ def run_laplace_estimate(config: ExperimentConfig) -> Report:
     return Report(config.experiment, config.hash(), rows, verdicts)
 
 
-def run_metric_derivative(config: ExperimentConfig) -> Report:
+def run_metric_derivative(config: ExperimentConfig, problem: Problem) -> Report:
     """LOT metric derivative of the flow at t0 = 0.5 against its velocity
     norm.  The flow is streamed to t0 + 0.1 and keeps only its states at t0
     and t0 + delta; a dt with no step on one of those times raises
     DomainError before the first step."""
-    state = Problem.from_config(config).flow_state(config.grid())
+    state = problem.flow_state(config.grid())
     t0, deltas = 0.5, (0.1, 0.05, 0.025)
     start, *ahead = _flow_states(state, config.numerics["dt"], [t0] + [t0 + d for d in deltas])
     table = metric_derivative_lot(start, ahead, deltas)
@@ -458,9 +455,8 @@ def run_metric_derivative(config: ExperimentConfig) -> Report:
     return Report(config.experiment, config.hash(), rows, verdicts)
 
 
-def run_kl_decay(config: ExperimentConfig) -> Report:
+def run_kl_decay(config: ExperimentConfig, problem: Problem) -> Report:
     num = config.numerics
-    problem = Problem.from_config(config)
     problem.require_relative_entropy("kl_decay")
     steps = _step_at(num["T"], num["dt"])
     keep = max(1, steps // 100)
@@ -480,11 +476,10 @@ def run_kl_decay(config: ExperimentConfig) -> Report:
     return Report(config.experiment, config.hash(), [dict(r) for r in table], verdicts)
 
 
-def run_diffusion(config: ExperimentConfig) -> Report:
+def run_diffusion(config: ExperimentConfig, problem: Problem) -> Report:
     """Primal SDE marginals against the flow, plus frozen-mirror stationarity."""
     num = config.numerics
     count, seed = num["particles"], num["seed"]
-    problem = Problem.from_config(config)
     problem.require_relative_entropy("diffusion_run")
     ks_tol = _ks_tolerance(2, count)
     state = problem.flow_state(config.grid())
@@ -522,11 +517,11 @@ def run_diffusion(config: ExperimentConfig) -> Report:
     return Report(config.experiment, config.hash(), rows, verdicts)
 
 
-def run_markov_chain(config: ExperimentConfig) -> Report:
+def run_markov_chain(config: ExperimentConfig, problem: Problem) -> Report:
     num = config.numerics
     grid = config.grid()
     count, seed = num["particles"], num["seed"]
-    sk = Problem.from_config(config).sinkhorn_state(grid, num["eps"])
+    sk = problem.sinkhorn_state(grid, num["eps"])
     ens = ParticleEnsemble.from_density(sk.rho, count, seed)
     rows = []
     k_steps = min(10, _iterations(num["T"], num["eps"]))
@@ -543,17 +538,21 @@ def run_markov_chain(config: ExperimentConfig) -> Report:
     return Report(config.experiment, config.hash(), rows, verdicts)
 
 
-def run_gaussian_closed_form(config: ExperimentConfig) -> Report:
-    kind = FlowKind(config.problem.get("flow_kind", "sinkhorn_location"))
-    scale = kind in (FlowKind.SINKHORN_SCALE, FlowKind.FOKKER_PLANCK_SCALE)
-    param = config.problem.get("param", config.problem["eta" if scale else "theta"])
-    rows = tabulate(ClosedFormFlow(kind, param), np.linspace(0.0, config.numerics["T"], 51))
-    verdicts = []
-    if scale:
-        for t in (1.0, 2.0):
-            lhs, rhs = deficit_ratio(param, t)
-            verdicts.append(_verdict(f"deficit ratio at t={t}", lhs / rhs, ">= 1",
-                                     lhs >= rhs))
+def _deficit_verdict(eta: float, t: float) -> dict:
+    """deficit_ratio's lhs >= rhs, judged to rounding: rhs's exponent
+    x = 2t(1/eta - 1) passes its rounding to e^x magnified by x, so lhs may
+    fall short by 4 eps (1 + x) relative, eps the machine epsilon."""
+    lhs, rhs = deficit_ratio(eta, t)
+    slack = 4.0 * sys.float_info.epsilon * (1.0 + 2.0 * t * (1.0 / eta - 1.0))
+    return _verdict(f"deficit ratio at t={t}", lhs / rhs, ">= 1", lhs >= rhs * (1.0 - slack))
+
+
+def run_gaussian_closed_form(config: ExperimentConfig, problem: Problem) -> Report:
+    """The problem's closed-form flow at 51 times over [0, T]; for the
+    entropic scale flow, its deficit ratio at t = 1 and 2 as well."""
+    rows = tabulate(problem.oracle, np.linspace(0.0, config.numerics["T"], 51))
+    times = (1.0, 2.0) if problem.oracle.kind is FlowKind.SINKHORN_SCALE else ()
+    verdicts = [_deficit_verdict(problem.oracle.param, t) for t in times]
     return Report(config.experiment, config.hash(), rows, verdicts)
 
 
@@ -575,7 +574,7 @@ EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
-    return _RUNNERS[config.experiment](config)
+    return _RUNNERS[config.experiment](config, config.spec)
 
 
 def _sha256(path: Path) -> str:
@@ -614,11 +613,11 @@ def _write_json(payload: dict, path) -> None:
 
 
 def execute(config: ExperimentConfig, outdir: str | Path) -> tuple[Report, dict]:
-    """Run one experiment, write its artifacts, and return (report, manifest)."""
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Run one experiment, then make outdir, write its artifacts and return (report, manifest)."""
     started = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
     report = run_experiment(config)
+    out = Path(outdir)
+    out.mkdir(parents=True, exist_ok=True)
     stem = f"{config.experiment}_{config.hash()[:8]}"
     report_path = out / f"{stem}_report.json"
     report.to_json(report_path)
@@ -657,11 +656,11 @@ def verify_battery(outdir: str | Path, profile: str = "full", seed: int | None =
 
     ``profile='quick'`` shrinks grids and particle counts for smoke checks;
     ``'full'`` matches the documented acceptance settings.  Any other
-    profile raises :class:`DomainError` before anything runs.  Each
-    experiment's entry carries ``wall_s``, the seconds its run and artifacts
-    took, as a fixed-width decimal string (12 characters below 10^5 s), so
-    the manifest's size does not depend on timing; only ``files`` holds
-    checksums.
+    profile, or a bad seed, raises :class:`DomainError` before any directory
+    is made.  Each experiment's entry carries ``wall_s``, the seconds its run
+    and artifacts took, as a fixed-width decimal string (12 characters below
+    10^5 s), so the manifest's size does not depend on timing; only
+    ``files`` holds checksums.
     """
     if profile not in ("quick", "full"):
         raise DomainError(f"profile must be 'quick' or 'full', got {profile!r}")
@@ -680,19 +679,18 @@ def verify_battery(outdir: str | Path, profile: str = "full", seed: int | None =
          "numerics": {"eps_list": [0.2, 0.1, 0.05, 0.025]}},
         {"experiment": "metric_derivative", "problem": {"kind": "gaussian_location"}},
         {"experiment": "kl_decay", "problem": {"kind": "gaussian_location"}},
-        {"experiment": "gaussian_closed_form",
-         "problem": {"flow_kind": "sinkhorn_scale", "param": 0.5}, "numerics": {"T": 2.0}},
+        {"experiment": "gaussian_closed_form", "problem": {"kind": "gaussian_scale", "eta": 0.5},
+         "numerics": {"T": 2.0}},
         {"experiment": "markov_chain_run", "problem": {"kind": "gaussian_location"}},
         {"experiment": "diffusion_run", "problem": {"kind": "gaussian_location"},
          "numerics": {"T": 0.25 if quick else 1.0}},
     ]
+    configs = [ExperimentConfig.from_dict(
+        {**raw, "numerics": {**base_numerics, **raw.get("numerics", {})}}) for raw in battery]
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     combined: dict = {"profile": profile, "experiments": {}, "files": {}, "all_passed": True}
-    for raw in battery:
-        raw.setdefault("numerics", {})
-        raw["numerics"] = {**base_numerics, **raw["numerics"]}
-        config = ExperimentConfig.from_dict(raw)
+    for config in configs:
         clock = time.perf_counter()
         report, manifest = execute(config, out)
         combined["experiments"][f"{config.experiment}:{config.hash()[:8]}"] = {

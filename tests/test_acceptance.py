@@ -98,8 +98,7 @@ def judged_rows(report: Report, *checks: str) -> list:
 
 @pytest.fixture(scope="module")
 def battery(tmp_path_factory):
-    """The full battery's reports at seed 7, keyed (experiment, problem kind
-    or, for the closed form, its flow kind)."""
+    """The full battery's reports at seed 7, keyed (experiment, problem kind)."""
     out = tmp_path_factory.mktemp("verify_full")
     verify_battery(out, profile="full", seed=7)
     reports = {}
@@ -107,10 +106,10 @@ def battery(tmp_path_factory):
         manifest = path.with_name(path.name.replace("_report.json", "_manifest.json"))
         config = json.loads(manifest.read_text())["config"]
         problem = config["problem"]
-        key = (config["experiment"], problem.get("flow_kind", problem["kind"]))
+        key = (config["experiment"], problem["kind"])
         assert key not in reports, key
         assert config["numerics"] == {**NUMERICS, **OWN_NUMERICS.get(key[0], {})}, key
-        assert (problem["theta"], problem["eta"], problem.get("param", ETA)) == (THETA, ETA, ETA)
+        assert (problem["theta"], problem["eta"]) == (THETA, ETA)
         reports[key] = Report(**json.loads(path.read_text()))
     return reports
 
@@ -146,7 +145,7 @@ def test_criterion_2_gaussian_scale_oracle(battery):
         record(f"criterion 2 fokker-planck variance(t={t})",
                abs(r["variance"] - ref) <= 0.01 * ref,
                f"{r['variance']:.6f} vs {ref:.6f} (1% rel)")
-    closed = battery["gaussian_closed_form", "sinkhorn_scale"]
+    closed = battery["gaussian_closed_form", "gaussian_scale"]
     judged_rows(closed, "deficit ratio at t=1.0", "deficit ratio at t=2.0")
     for t, v in zip((1.0, 2.0), closed.verdicts):
         lhs, rhs = deficit_ratio(ETA, t)

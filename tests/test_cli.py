@@ -15,11 +15,10 @@ import sinkflow.experiments as experiments
 import sinkflow.pma as pma
 from sinkflow.cli import main
 from sinkflow.closed_form import ClosedFormFlow, FlowKind, deficit_ratio, tabulate
-from sinkflow.errors import DomainError, EmptyTable
+from sinkflow.errors import DomainError, EmptyTable, NumericOverflow
 from sinkflow.grids import discretize
 from sinkflow.experiments import (
     ExperimentConfig,
-    Problem,
     execute,
     floor_steps,
     run_experiment,
@@ -81,7 +80,7 @@ class TestConfig:
         {"numerics": {"eps_list": [0.2, 0.1, 0.0]}},
         {"numerics": {"L": -8.0}},
         {"numerics": {"particles": 0}},
-        {"problem": {"flow_kind": "nope"}},
+        {"problem": {"kind": "nope"}},
         {"numerics": {"n": "128"}},
         {"numerics": {"particles": 2.5}},
         {"numerics": {"seed": True}},
@@ -91,10 +90,10 @@ class TestConfig:
         {"numerics": {"eps_list": 0.1}},
         {"numerics": {"eps_list": [0.1]}},
         {"problem": {"theta": "0.5"}},
-        {"problem": {"param": True}},
+        {"problem": {"eta": True}},
         {"numerics": {"seed": -3}},
         {"numerics": [["n", 128]]},
-        {"problem": {"flow_kind": []}},
+        {"problem": {"kind": []}},
         {"output": {"snapshot_stride": "abc"}},
         {"output": {"snapshot_stride": None}},
         {"output": {"snapshot_stride": -3}},
@@ -102,15 +101,22 @@ class TestConfig:
         {"output": {"snapshot_stride": True}},
         {"output": {"emit_svg": "no"}},
         {"output": {"emit_svg": 1}},
+        {"problem": {"flow_kind": "sinkhorn_scale"}},
+        {"problem": {"param": 0.5}},
+        {"problem": {"kind": "gaussian_scale", "eta": 1.5}},
+        {"problem": {"theta": 0.0}},
     ], ids=["unknown-problem-key", "unknown-numerics-key", "removed-tolerances",
             "removed-directory", "negative-dt", "zero-dt", "zero-eps", "zero-in-eps-list",
-            "negative-L", "no-particles", "unknown-flow-kind", "string-n",
+            "negative-L", "no-particles", "unknown-kind", "string-n",
             "fractional-particles", "bool-seed", "string-T", "nan-eps",
             "string-in-eps-list", "eps-list-not-a-list", "one-entry-eps-list", "string-theta",
-            "bool-param", "negative-seed", "numerics-not-an-object", "list-flow-kind",
+            "bool-eta", "negative-seed", "numerics-not-an-object", "list-kind",
             "string-stride", "null-stride", "negative-stride", "fractional-stride",
-            "bool-stride", "string-emit-svg", "integer-emit-svg"])
+            "bool-stride", "string-emit-svg", "integer-emit-svg", "removed-flow-kind",
+            "removed-param", "scale-eta-above-one", "zero-theta"])
     def test_bad_config_rejected(self, raw):
+        # the problem section is parsed into a Problem here, so a problem
+        # that has no flow (eta outside (0, 1), theta = 0) fails with the rest
         with pytest.raises(DomainError):
             ExperimentConfig.from_dict({"experiment": "pma_run", **raw})
 
@@ -240,7 +246,7 @@ class TestExecute:
 
     def test_rerun_reproduces_checksums(self, tmp_path):
         raw = {"experiment": "gaussian_closed_form",
-               "problem": {"flow_kind": "sinkhorn_scale", "param": 0.5},
+               "problem": {"kind": "gaussian_scale", "eta": 0.5},
                "numerics": {"n": 128, "T": 2.0}}
         cfg = ExperimentConfig.from_dict(raw)
         _, m1 = execute(cfg, tmp_path / "one")
@@ -268,7 +274,7 @@ class TestExecute:
         first = tmp_path / sorted(snaps)[0]
         assert first.read_text().splitlines()[0] == "x,density"
         data = np.loadtxt(first, delimiter=",", skiprows=1)
-        state = Problem.from_config(cfg).flow_state(cfg.grid())
+        state = cfg.spec.flow_state(cfg.grid())
         np.testing.assert_array_equal(data[:, 0], state.grid.nodes)
         np.testing.assert_array_equal(data[:, 1], state.rho.values)
 
@@ -282,21 +288,58 @@ class TestExecute:
         assert main(["--output", str(tmp_path), "run", str(cfg_path)]) == 1
 
 
-@pytest.mark.parametrize("problem,param", [
-    ({"flow_kind": "sinkhorn_scale", "eta": 0.3}, 0.3),
-    ({"flow_kind": "fokker_planck_scale", "eta": 0.3, "theta": 0.7}, 0.3),
-    ({"flow_kind": "sinkhorn_location", "theta": 0.7, "eta": 0.3}, 0.7),
-    ({"flow_kind": "sinkhorn_scale", "eta": 0.3, "param": 0.6}, 0.6),
-], ids=["scale-eta", "fokker-planck-scale-eta", "location-theta", "explicit-param"])
-def test_gaussian_closed_form_reads_the_problem_parameter(problem, param):
-    # without "param", the scale kinds take eta and the location kinds theta
-    report = run_experiment(ExperimentConfig.from_dict(
-        {"experiment": "gaussian_closed_form", "problem": problem}))
-    flow = ClosedFormFlow(FlowKind(problem["flow_kind"]), param)
+@pytest.mark.parametrize("kind,flow", [
+    ("gaussian_location", ClosedFormFlow(FlowKind.SINKHORN_LOCATION, 0.7)),
+    ("gaussian_scale", ClosedFormFlow(FlowKind.SINKHORN_SCALE, 0.3)),
+    ("mirror_entropy", ClosedFormFlow(FlowKind.MIRROR_ENTROPY)),
+    ("mirror_potential_energy", ClosedFormFlow(FlowKind.MIRROR_POTENTIAL_ENERGY)),
+], ids=["location-theta", "scale-eta", "mirror-entropy", "mirror-potential-energy"])
+def test_gaussian_closed_form_reads_the_problem_parameter(kind, flow):
+    # the runner tabulates the problem's oracle: the location flow of theta,
+    # the scale flow of eta, the mirror flows of neither; the entropic scale
+    # flow alone is judged, by its deficit ratio
+    config = ExperimentConfig.from_dict({"experiment": "gaussian_closed_form",
+                                         "problem": {"kind": kind, "theta": 0.7, "eta": 0.3}})
+    report = run_experiment(config)
+    assert config.spec.oracle == flow
     assert report.rows == tabulate(flow, np.linspace(0.0, 1.0, 51))
-    if "scale" in problem["flow_kind"]:
-        lhs, rhs = deficit_ratio(param, 1.0)
-        assert report.verdicts[0]["value"] == lhs / rhs
+    if kind == "gaussian_scale":
+        assert [v["value"] for v in report.verdicts] == [
+            lhs / rhs for lhs, rhs in (deficit_ratio(0.3, 1.0), deficit_ratio(0.3, 2.0))]
+    else:
+        assert report.verdicts == []
+
+
+def test_deficit_ratio_verdict_holds_on_an_eta_t_grid():
+    # lhs >= rhs is true math, yet as doubles lhs fell short of rhs in 38 of
+    # these 1,378 cases (eta = 0.05, t = 2 read 0.9999999999999999); the
+    # largest shortfall is 0.90 eps (1 + x), inside the verdict's 4 eps (1 + x)
+    judged = 0
+    for eta in np.linspace(0.01, 0.99, 197):
+        for t in (0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0):
+            try:
+                verdict = experiments._deficit_verdict(float(eta), t)
+            except NumericOverflow:
+                continue
+            assert verdict["pass"], (eta, t, verdict)
+            judged += 1
+    assert judged == 1378
+
+
+def test_deficit_ratio_verdict_fails_a_two_percent_shortfall(monkeypatch):
+    # the rounding slack is ~1e-15 relative: an rhs 2% too large at
+    # eta = 0.5, t = 1, where the true margin is 1.0122, still fails
+    real = experiments.deficit_ratio
+
+    def inflated(eta, t):
+        lhs, rhs = real(eta, t)
+        return lhs, rhs * 1.02 if t == 1.0 else rhs
+
+    monkeypatch.setattr(experiments, "deficit_ratio", inflated)
+    report = run_experiment(ExperimentConfig.from_dict(
+        {"experiment": "gaussian_closed_form", "problem": {"kind": "gaussian_scale"},
+         "numerics": {"T": 2.0}}))
+    assert [v["pass"] for v in report.verdicts] == [False, True]
 
 
 class TestPmaCheckpoints:
@@ -369,7 +412,7 @@ class TestPmaCheckpoints:
                "numerics": {"n": 1024, "T": 0.5}}
         config = ExperimentConfig.from_dict(raw)
         rows = run_experiment(config).rows
-        states = run_flow(Problem.from_config(config).flow_state(config.grid()), 1e-3, 500)
+        states = run_flow(config.spec.flow_state(config.grid()), 1e-3, 500)
         counts = [row["factorizations"] for row in rows]
         assert len(counts) == 251 and counts[:2] == [0, 1]
         assert sum(counts) == sum(s.factorizations for s in states)
@@ -383,7 +426,7 @@ class TestPmaCheckpoints:
                "numerics": {"n": 128, "T": 0.5}}
         config = ExperimentConfig.from_dict(raw)
         rows = run_experiment(config).rows
-        states = list(run_flow(Problem.from_config(config).flow_state(config.grid()), 1e-3, 500))
+        states = list(run_flow(config.spec.flow_state(config.grid()), 1e-3, 500))
         low, high, since_start = math.inf, -math.inf, {}
         for s in states:
             low, high = min(low, float(np.min(s.u.d2u))), max(high, float(np.max(s.u.d2u)))
@@ -409,7 +452,7 @@ class TestPmaCheckpoints:
         config = ExperimentConfig.from_dict(raw)
         report = run_experiment(config)
         assert 0.5 not in [round(r["t"], 9) for r in report.rows]
-        problem = Problem.from_config(config)
+        problem = config.spec
         grid = config.grid()
         system = FokkerPlanckSystem.build(discretize(problem.mu, grid), 1e-3)
         hist = list(run_fokker_planck(discretize(problem.nu, grid), system, 1000))
@@ -466,7 +509,7 @@ class TestStreamingRunners:
         raw = {"experiment": experiment, "problem": {"kind": "gaussian_location"},
                "numerics": {"n": 256}}
         config = ExperimentConfig.from_dict(raw)
-        problem = Problem.from_config(config)
+        problem = config.spec
         grid, dt = config.grid(), config.numerics["dt"]
         states = list(run_flow(problem.flow_state(grid), dt, 1001))
         at = {round(s.t / dt): s for s in states}
@@ -540,7 +583,7 @@ class TestCliCommands:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "experiment": "gaussian_closed_form",
-            "problem": {"flow_kind": "euclid_quadratic", "param": 1.0},
+            "problem": {"kind": "mirror_entropy"},
             "numerics": {"n": 128},
         }))
         main(["--output", str(tmp_path / "a"), "run", str(cfg_path)])
@@ -559,6 +602,23 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("sinkflow: error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,config", [
+        (["run", "CFG"], {"experiment": "pma_run", "problem": {"kind": "nope"}}),
+        (["run", "CFG"], {"experiment": "pma_run",
+                          "problem": {"kind": "gaussian_scale", "eta": 1.5}}),
+        (["--seed", "-3", "verify", "--profile", "quick"], None),
+        (["run", "CFG"], {"experiment": "pma_run", "numerics": {"n": 64, "dt": 2.0, "T": 4.0}}),
+    ], ids=["unknown-kind", "scale-eta-above-one", "verify-negative-seed", "missed-checkpoint"])
+    def test_run_that_cannot_be_made_leaves_no_directory(self, tmp_path, command, config):
+        # each exited 2 and left an empty output directory; the last raises
+        # at run time, before its first step
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        argv = [str(cfg_path) if a == "CFG" else a for a in command]
+        assert main(["--output", str(out), *argv]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("content", [None, '{"experiment": "pma_r', "[]"],
                              ids=["missing-file", "truncated-json", "not-an-object"])
@@ -608,8 +668,8 @@ class TestCliCommands:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "experiment": "gaussian_closed_form",
-            "problem": {"flow_kind": "sinkhorn_scale", "param": eta}}))
-        assert main(["--output", str(tmp_path), "run", str(cfg_path)]) in (0, 1)
+            "problem": {"kind": "gaussian_scale", "eta": eta}}))
+        assert main(["--output", str(tmp_path), "run", str(cfg_path)]) == 0
         report = json.loads(next(tmp_path.glob("*_report.json")).read_text())
         margins = [(1.0 + (1.0 - eta) / (1.0 + eta) * math.exp(-2.0 * t / eta)) ** 2
                    for t in (1.0, 2.0)]
@@ -626,6 +686,15 @@ class TestCliCommands:
         assert data.shape == (11, 3)
         np.testing.assert_allclose(data[:, 1], 0.5 * np.exp(-data[:, 0]), rtol=1e-15)
         assert np.all(data[:, 2] == 1.0)
+
+    @pytest.mark.parametrize("kind", list(FlowKind), ids=[k.value for k in FlowKind])
+    def test_tabulate_writes_every_flow_kind(self, tmp_path, kind):
+        # tabulate is the one route to every closed-form flow, the
+        # Fokker-Planck and Euclidean kinds among them
+        assert main(["--output", str(tmp_path), "tabulate", kind.value, "--points", "11"]) == 0
+        want = tmp_path / "want.csv"
+        experiments.write_csv(tabulate(ClosedFormFlow(kind, 0.5), np.linspace(0.0, 2.0, 11)), want)
+        assert (tmp_path / f"tabulate_{kind.value}.csv").read_bytes() == want.read_bytes()
 
     def test_tabulate_ode_kind_keeps_value_column(self, tmp_path):
         assert main(["--output", str(tmp_path), "tabulate", "euclid_quadratic",

@@ -12,10 +12,10 @@ from sinkflow.experiments import ExperimentConfig, Report, run_experiment
 EXTREME_CONFIGS = {
     "closed-form-scale-eta-0.05": {
         "experiment": "gaussian_closed_form",
-        "problem": {"flow_kind": "sinkhorn_scale", "param": 0.05}},
+        "problem": {"kind": "gaussian_scale", "eta": 0.05}},
     "closed-form-scale-eta-0.11": {
         "experiment": "gaussian_closed_form",
-        "problem": {"flow_kind": "sinkhorn_scale", "param": 0.11}},
+        "problem": {"kind": "gaussian_scale", "eta": 0.11}},
     # dt = 2 and dt = 0.7 step past the t = 0.5 checkpoint
     "pma-run-missed-checkpoint": {
         "experiment": "pma_run", "numerics": {"n": 64, "dt": 2.0, "T": 4.0}},
