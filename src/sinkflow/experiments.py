@@ -15,6 +15,8 @@ import math
 import numbers
 import sys
 import time
+from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,10 +41,9 @@ from .pma import (
     kl_decay_series,
     make_flow_state,
     metric_derivative_lot,
-    run_flow,
     run_fokker_planck,
     second_order_lot_gap,
-    step,  # noqa: F401 - unused here; perfbench/check_counts.py checks the tracer patches it
+    step,
 )
 from .sinkhorn import SinkhornState, initial_state, laplace_residual, s_step
 from .svgplot import emit_svg
@@ -205,11 +206,73 @@ def _ks_tolerance(factor: float, count: int) -> float:
     return tol
 
 
-def _flow_states(state: PmaState, dt: float, times) -> list[PmaState]:
-    """The flow states at the given times, in their order: run_flow streamed
-    from state to the last of their steps (see _step_at), holding only them."""
-    steps = [_step_at(t, dt) for t in times]
-    kept = {i: s for i, s in enumerate(run_flow(state, dt, max(steps))) if i in steps}
+_TAPE_STRIDE = 10  # a shared flow keeps its start state and every 10th state after it
+
+
+def _flow_key(config: ExperimentConfig) -> tuple:
+    """What a config's flow depends on: its problem section (see
+    Problem.flow_state), the L and n of its grid and its step dt; not T or
+    seed."""
+    num = config.numerics
+    return tuple(sorted(config.problem.items())), num["L"], num["n"], num["dt"]
+
+
+class _FlowTape:
+    """The flow states runners read, by step index, with each flow that
+    several runners read stepped once.
+
+    On a key in ``shared`` (see _flow_key) the tape keeps the start state
+    and every K-th state (K = _TAPE_STRIDE) as a reader first computes it,
+    so the kept steps are 0, K, 2K, ... up to the farthest step computed.  A reader
+    that asks for step i resumes from the kept state at i - i % K, or from
+    its own last state if that is later, and steps forward.  step is a pure
+    function of the state, which carries its lagged ROS2 factor, so every
+    state read is bit for bit the one a fresh run reaches.  On any other key
+    a reader streams from t = 0 and nothing is kept.  ``steps`` counts the
+    flow steps computed through the tape.
+    """
+
+    def __init__(self, shared: frozenset = frozenset()):
+        self.shared = shared
+        self.steps = 0
+        self._kept: dict[tuple, dict[int, PmaState]] = {}
+
+    @classmethod
+    def sharing(cls, configs) -> "_FlowTape":
+        """The tape that shares each flow two or more of configs read."""
+        readers = Counter(_flow_key(c) for c in configs if c.experiment in _FLOW_READERS)
+        return cls(frozenset(key for key, count in readers.items() if count > 1))
+
+    def states(self, config: ExperimentConfig, steps: Iterable[int]) -> Iterator[PmaState]:
+        """config's flow states at the step indices ``steps``, which must ascend."""
+        key = _flow_key(config)
+        keep = key in self.shared
+        kept = self._kept.setdefault(key, {}) if keep else {}
+        i, state = 0, kept.get(0) or config.spec.flow_state(config.grid())
+        if keep:
+            kept[0] = state
+        dt = config.numerics["dt"]
+        for want in steps:
+            # the kept steps are 0, K, ..., K (len(kept) - 1): none off a shared key
+            resume = min(want - want % _TAPE_STRIDE, _TAPE_STRIDE * (len(kept) - 1))
+            if resume > i:
+                i, state = resume, kept[resume]
+            while i < want:
+                state = step(state, dt)
+                i += 1
+                self.steps += 1
+                if keep and i % _TAPE_STRIDE == 0:
+                    kept.setdefault(i, state)
+            yield state
+
+
+def _flow_states(tape: _FlowTape, config: ExperimentConfig, times) -> list[PmaState]:
+    """config's flow states at the given times, in their order, read from
+    tape at their steps (see _step_at), each checked before the first step;
+    only those states are held."""
+    steps = [_step_at(t, config.numerics["dt"]) for t in times]
+    wanted = sorted(set(steps))
+    kept = dict(zip(wanted, tape.states(config, wanted)))
     return [kept[i] for i in steps]
 
 
@@ -294,7 +357,7 @@ class Problem:
 PROBLEM_KINDS = ("gaussian_location", "gaussian_scale", "mirror_entropy", "mirror_potential_energy")
 
 
-def run_pma(config: ExperimentConfig, problem: Problem) -> Report:
+def run_pma(config: ExperimentConfig, problem: Problem, tape: _FlowTape) -> Report:
     """Flow run with moment trajectory checked against the closed form."""
     num = config.numerics
     steps = _step_at(num["T"], num["dt"])
@@ -307,7 +370,7 @@ def run_pma(config: ExperimentConfig, problem: Problem) -> Report:
     # W factorizations and the largest clamp since the last row, thinned steps'
     # too, and the u'' range since the start
     factorizations, clamp, hessian_min, hessian_max = 0, 0.0, math.inf, -math.inf
-    for i, s in enumerate(run_flow(problem.flow_state(config.grid()), num["dt"], steps)):
+    for i, s in enumerate(tape.states(config, range(steps + 1))):
         verdicts += _checkpoint_verdicts(checkpoints.get(i), s.t, s.rho, problem.oracle, 0.02)
         factorizations += s.factorizations
         clamp = max(clamp, s.projection_magnitude)
@@ -366,14 +429,14 @@ def run_sinkhorn_experiment(config: ExperimentConfig, problem: Problem) -> Repor
     return Report(config.experiment, config.hash(), rows, verdicts)
 
 
-def run_eps_limit(config: ExperimentConfig, problem: Problem) -> Report:
+def run_eps_limit(config: ExperimentConfig, problem: Problem, tape: _FlowTape) -> Report:
     """Scaling-limit comparison of the iteration against the flow.
 
     Shares the initial potential between both, runs floor(T/eps) two-step
     iterations per eps, and tabulates the squared quantile distance to the
     flow state at the time floor(T/eps) * eps, with successive ratios and
-    the fitted log-log slope; the flow is streamed and keeps only its states
-    at those times.  Raises DomainError before any work when no step of dt
+    the fitted log-log slope; the flow is read from tape at those times
+    alone.  Raises DomainError before any work when no step of dt
     lands on one of them, or when an eps is below h^2 (h the grid spacing),
     where the grid iteration's own error swamps the distance.
     """
@@ -385,7 +448,7 @@ def run_eps_limit(config: ExperimentConfig, problem: Problem) -> Report:
                           "the grid iteration's own error swamps the distance")
     ks = [_iterations(num["T"], e) for e in eps_list]
     t_targets = [k * e for k, e in zip(ks, eps_list)]
-    states = _flow_states(problem.flow_state(grid), num["dt"], t_targets)
+    states = _flow_states(tape, config, t_targets)
 
     rows = []
     for eps, k, t_k, flow_at in zip(eps_list, ks, t_targets, states):
@@ -435,14 +498,12 @@ def run_laplace_estimate(config: ExperimentConfig, problem: Problem) -> Report:
     return Report(config.experiment, config.hash(), rows, verdicts)
 
 
-def run_metric_derivative(config: ExperimentConfig, problem: Problem) -> Report:
+def run_metric_derivative(config: ExperimentConfig, problem: Problem, tape: _FlowTape) -> Report:
     """LOT metric derivative of the flow at t0 = 0.5 against its velocity
-    norm.  The flow is streamed to t0 + 0.1 and keeps only its states at t0
-    and t0 + delta; a dt with no step on one of those times raises
-    DomainError before the first step."""
-    state = problem.flow_state(config.grid())
+    norm.  The flow is read from tape at t0 and t0 + delta alone; a dt with
+    no step on one of those times raises DomainError before the first step."""
     t0, deltas = 0.5, (0.1, 0.05, 0.025)
-    start, *ahead = _flow_states(state, config.numerics["dt"], [t0] + [t0 + d for d in deltas])
+    start, *ahead = _flow_states(tape, config, [t0] + [t0 + d for d in deltas])
     table = metric_derivative_lot(start, ahead, deltas)
     rows = [dict(r) for r in table]
     ratio = table[-1]["ratio"]
@@ -455,14 +516,12 @@ def run_metric_derivative(config: ExperimentConfig, problem: Problem) -> Report:
     return Report(config.experiment, config.hash(), rows, verdicts)
 
 
-def run_kl_decay(config: ExperimentConfig, problem: Problem) -> Report:
+def run_kl_decay(config: ExperimentConfig, problem: Problem, tape: _FlowTape) -> Report:
     num = config.numerics
     problem.require_relative_entropy("kl_decay")
     steps = _step_at(num["T"], num["dt"])
     keep = max(1, steps // 100)
-    table = kl_decay_series(
-        s for i, s in enumerate(run_flow(problem.flow_state(config.grid()), num["dt"], steps))
-        if i % keep == 0 or i == steps)
+    table = kl_decay_series(tape.states(config, sorted({*range(0, steps, keep), steps})))
     ok = all(r["within"] for r in table)
     final = table[-1]
     verdicts = [_verdict("kl <= 1.05 * bound along the run", final["kl"],
@@ -476,19 +535,18 @@ def run_kl_decay(config: ExperimentConfig, problem: Problem) -> Report:
     return Report(config.experiment, config.hash(), [dict(r) for r in table], verdicts)
 
 
-def run_diffusion(config: ExperimentConfig, problem: Problem) -> Report:
+def run_diffusion(config: ExperimentConfig, problem: Problem, tape: _FlowTape) -> Report:
     """Primal SDE marginals against the flow, plus frozen-mirror stationarity."""
     num = config.numerics
     count, seed = num["particles"], num["seed"]
     problem.require_relative_entropy("diffusion_run")
     ks_tol = _ks_tolerance(2, count)
-    state = problem.flow_state(config.grid())
     steps = _step_at(num["T"], num["dt"])
+    flow = tape.states(config, range(steps + 1))
+    state = current = next(flow)
     ens = ParticleEnsemble.from_density(state.rho, count, seed)
     rows = []
     stride = max(1, steps // 10)
-    flow = run_flow(state, num["dt"], steps)
-    current = next(flow)
     for i, following in enumerate(flow, 1):
         ens = sinkhorn_sde_step(ens, current, num["dt"])
         current = following
@@ -572,9 +630,18 @@ _RUNNERS = {
 
 EXPERIMENTS = tuple(_RUNNERS)
 
+# the runners that read the flow, through a _FlowTape
+_FLOW_READERS = frozenset({"pma_run", "eps_limit", "metric_derivative", "kl_decay",
+                           "diffusion_run"})
 
-def run_experiment(config: ExperimentConfig) -> Report:
-    return _RUNNERS[config.experiment](config, config.spec)
+
+def run_experiment(config: ExperimentConfig, tape: _FlowTape | None = None) -> Report:
+    """Run one experiment; a runner that reads the flow reads it from tape,
+    by default a tape that shares nothing."""
+    runner = _RUNNERS[config.experiment]
+    if config.experiment in _FLOW_READERS:
+        return runner(config, config.spec, tape or _FlowTape())
+    return runner(config, config.spec)
 
 
 def _sha256(path: Path) -> str:
@@ -612,10 +679,12 @@ def _write_json(payload: dict, path) -> None:
         fh.write("\n")
 
 
-def execute(config: ExperimentConfig, outdir: str | Path) -> tuple[Report, dict]:
-    """Run one experiment, then make outdir, write its artifacts and return (report, manifest)."""
+def execute(config: ExperimentConfig, outdir: str | Path,
+            tape: _FlowTape | None = None) -> tuple[Report, dict]:
+    """Run one experiment (see run_experiment), then make outdir, write its
+    artifacts and return (report, manifest)."""
     started = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-    report = run_experiment(config)
+    report = run_experiment(config, tape)
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     stem = f"{config.experiment}_{config.hash()[:8]}"
@@ -657,10 +726,13 @@ def verify_battery(outdir: str | Path, profile: str = "full", seed: int | None =
     ``profile='quick'`` shrinks grids and particle counts for smoke checks;
     ``'full'`` matches the documented acceptance settings.  Any other
     profile, or a bad seed, raises :class:`DomainError` before any directory
-    is made.  Each experiment's entry carries ``wall_s``, the seconds its run
-    and artifacts took, as a fixed-width decimal string (12 characters below
-    10^5 s), so the manifest's size does not depend on timing; only
-    ``files`` holds checksums.
+    is made.  The experiments read the flow through one _FlowTape, so a flow
+    that several of them read is stepped once; its kept states go when the
+    battery returns.  Each experiment's entry carries ``flow_steps``, the
+    flow steps the experiment computed itself, and ``wall_s``, the seconds
+    its run and artifacts took, as a fixed-width decimal string (12
+    characters below 10^5 s), so the manifest's size does not depend on
+    timing; only ``files`` holds checksums.
     """
     if profile not in ("quick", "full"):
         raise DomainError(f"profile must be 'quick' or 'full', got {profile!r}")
@@ -690,13 +762,15 @@ def verify_battery(outdir: str | Path, profile: str = "full", seed: int | None =
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     combined: dict = {"profile": profile, "experiments": {}, "files": {}, "all_passed": True}
+    tape = _FlowTape.sharing(configs)
     for config in configs:
-        clock = time.perf_counter()
-        report, manifest = execute(config, out)
+        clock, steps = time.perf_counter(), tape.steps
+        report, manifest = execute(config, out, tape)
         combined["experiments"][f"{config.experiment}:{config.hash()[:8]}"] = {
             "config_hash": manifest["config_hash"],
             "passed": report.passed(),
             "verdicts": report.verdicts,
+            "flow_steps": tape.steps - steps,
             "wall_s": f"{time.perf_counter() - clock:012.6f}",
         }
         combined["files"].update(manifest["files"])

@@ -139,7 +139,8 @@ class TestConfig:
     def step_calls(self, monkeypatch):
         """The names of the flow, Fokker-Planck and scaling steps taken."""
         calls = []
-        for module, name in ((pma, "step"), (pma, "fokker_planck_step"), (experiments, "s_step")):
+        for module, name in ((experiments, "step"), (pma, "fokker_planck_step"),
+                             (experiments, "s_step")):
             def counted(*args, real=getattr(module, name), name=name, **kwargs):
                 calls.append(name)
                 return real(*args, **kwargs)
@@ -347,12 +348,12 @@ class TestPmaCheckpoints:
 
     def test_missing_checkpoint_state_raises(self, monkeypatch):
         # a verdict named t=0.5 must be judged on the t=0.5 state or not at all
-        real = experiments.run_flow
+        real = experiments._FlowTape.states
 
-        def without_half(*args, **kwargs):
-            return [s for s in real(*args, **kwargs) if abs(s.t - 0.5) > 1e-6]
+        def without_half(*args):
+            return (s for s in real(*args) if abs(s.t - 0.5) > 1e-6)
 
-        monkeypatch.setattr(experiments, "run_flow", without_half)
+        monkeypatch.setattr(experiments._FlowTape, "states", without_half)
         with pytest.raises(DomainError):
             run_experiment(ExperimentConfig.from_dict(self.RAW))
 
@@ -380,14 +381,14 @@ class TestPmaCheckpoints:
         # largest clamp since the row before it.  The rows keep every other
         # step; steps 3 and 4 are made to report a clamp, and the row of
         # step 4 keeps the larger one of the thinned step 3
-        real = experiments.run_flow
+        real = experiments._FlowTape.states
 
-        def clamping(*args, **kwargs):
+        def clamping(*args):
             marks = {3: 0.25, 4: 0.125}
-            for i, s in enumerate(real(*args, **kwargs)):
+            for i, s in enumerate(real(*args)):
                 yield replace(s, projection_magnitude=marks[i]) if i in marks else s
 
-        monkeypatch.setattr(experiments, "run_flow", clamping)
+        monkeypatch.setattr(experiments._FlowTape, "states", clamping)
         raw = {**self.RAW, "numerics": {"n": 128, "T": 0.5}}
         first, *later = run_experiment(ExperimentConfig.from_dict(raw)).rows
         health = ("substeps", "transport_drift", "derivative_growth", "factorizations", "clamp")
@@ -530,6 +531,91 @@ class TestStreamingRunners:
             gap, base = second_order_lot_gap(window[0], window[-1], deltas[-1])
             want.append({"second_order_gap": gap, "first_order_gap": base})
         assert run_experiment(config).rows[:len(want)] == want
+
+
+def assert_same_state(a, b):
+    """a and b are the same flow state bit for bit, lagged ROS2 factor too."""
+    for name in ("t", "sup_variation", "hessian_min", "hessian_max", "rho_mass_error",
+                 "projection_magnitude", "substeps", "transport_drift", "derivative_growth",
+                 "factorizations"):
+        assert repr(getattr(a, name)) == repr(getattr(b, name)), name
+    for x, y in ((a.u.u, b.u.u), (a.u.du, b.u.du), (a.u.d2u, b.u.d2u), (a.h, b.h),
+                 (a.rho.values, b.rho.values)):
+        assert x.tobytes() == y.tobytes()
+    assert (a.ros2 is None) == (b.ros2 is None)
+    if a.ros2 is not None:
+        assert a.ros2.gamma_tau == b.ros2.gamma_tau
+        assert a.ros2.a.tobytes() == b.ros2.a.tobytes()
+        assert a.ros2.b.tobytes() == b.ros2.b.tobytes()
+
+
+class TestFlowTape:
+    """verify_battery steps each flow that several runners read once."""
+
+    LOCATION = {"experiment": "pma_run", "numerics": {"n": 256}}
+    SCALE = {"experiment": "pma_run", "problem": {"kind": "gaussian_scale"},
+             "numerics": {"n": 1024}}
+
+    def test_battery_matches_standalone_runs_and_steps_each_shared_flow_once(
+            self, tmp_path, monkeypatch):
+        # the quick battery's location flow is read by five runners; stepped
+        # once and replayed from its kept states, the battery takes 2,230
+        # steps (4,850 when each runner stepped its own), each experiment's
+        # flow_steps counts its own, and every artifact is the one a
+        # standalone run writes
+        calls = []
+        real = experiments.step
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "step", counted)
+        combined = experiments.verify_battery(tmp_path / "battery", profile="quick", seed=7)
+        monkeypatch.undo()
+        assert sum(e["flow_steps"] for e in combined["experiments"].values()) == len(calls)
+        assert len(calls) <= 2300
+        for name in combined["experiments"]:
+            stem = name.replace(":", "_")
+            manifest = json.loads((tmp_path / "battery" / f"{stem}_manifest.json").read_text())
+            config = ExperimentConfig.from_dict(manifest["config"])
+            _, alone = execute(config, tmp_path / "alone")
+            assert alone["files"] == manifest["files"], name
+
+    @pytest.mark.parametrize("raw", [LOCATION, SCALE], ids=["explicit-n256", "ros2-n1024"])
+    def test_replay_from_kept_states_is_bit_identical(self, raw):
+        # the first reader stops at step 35; the second resumes from kept
+        # states, from its own state and past the kept ones; the third from
+        # a state the second kept.  Every state equals a fresh run's
+        config = ExperimentConfig.from_dict(raw)
+        tape = experiments._FlowTape.sharing([config, config])
+        fresh = list(run_flow(config.spec.flow_state(config.grid()), 1e-3, 60))
+        readers = [list(range(36)), [7, 10, 23, 45, 59], [55]]
+        for steps in readers:
+            for i, state in zip(steps, tape.states(config, steps), strict=True):
+                assert_same_state(state, fresh[i])
+        # 35, then 7 + 0 + 3 + 15 (from 30) + 14 (from its own 45), then 5 (from 50)
+        assert tape.steps == 35 + 39 + 5
+        if raw is self.SCALE:
+            # ROS2 steps, and the kept states carry the W they reuse
+            assert fresh[1].factorizations == 1
+            assert sum(s.factorizations for s in fresh) < 60
+
+    def test_a_flow_read_once_keeps_no_states(self):
+        location, scale = (ExperimentConfig.from_dict(raw) for raw in (self.LOCATION, self.SCALE))
+        kl_decay = ExperimentConfig.from_dict({**self.LOCATION, "experiment": "kl_decay",
+                                               "numerics": {"n": 256, "T": 0.5}})
+        fokker_planck = ExperimentConfig.from_dict({**self.SCALE, "experiment": "fokker_planck_run"})
+        tape = experiments._FlowTape.sharing([location, scale, kl_decay, fokker_planck])
+        assert tape.shared == {experiments._flow_key(location)}
+        assert experiments._flow_key(kl_decay) == experiments._flow_key(location)
+        list(tape.states(scale, range(21)))
+        assert tape._kept == {}
+        list(tape.states(location, range(21)))
+        assert list(tape._kept[experiments._flow_key(location)]) == [0, 10, 20]
+        alone = experiments._FlowTape()
+        list(alone.states(location, range(21)))
+        assert alone._kept == {} and alone.steps == 20
 
 
 MOMENTS_BOTH = ["mean(t=0.5)", "variance(t=0.5)", "mean(t=1.0)", "variance(t=1.0)"]
@@ -703,9 +789,10 @@ class TestCliCommands:
         assert rows == ["t,value", "0,1", f"1,{math.exp(-1.0):.17g}", f"2,{math.exp(-2.0):.17g}"]
 
     def test_verify_prints_and_records_wall_times(self, tmp_path, capsys):
-        # each experiment line ends with its wall time, and the combined
-        # manifest records it beside the verdicts, outside the checksums, at
-        # one width, so the manifest's size does not depend on the timing
+        # each experiment line ends with its wall time and the flow steps it
+        # took, and the combined manifest records both beside the verdicts,
+        # outside the checksums, the wall time at one width, so the
+        # manifest's size does not depend on the timing
         main(["--output", str(tmp_path), "--seed", "7", "verify", "--profile", "quick"])
         combined = json.loads((tmp_path / "verify_manifest.json").read_text())
         lines = [line.split("] ", 1)[1] for line in capsys.readouterr().out.splitlines()
@@ -713,9 +800,11 @@ class TestCliCommands:
         experiments_run = combined["experiments"]
         assert len(experiments_run) == 10
         walls = [entry["wall_s"] for entry in experiments_run.values()]
-        assert sorted(lines) == sorted(f"{name} ({float(wall):.2f} s)"
-                                       for name, wall in zip(experiments_run, walls))
+        steps = [entry["flow_steps"] for entry in experiments_run.values()]
+        assert sorted(lines) == sorted(f"{name} ({float(wall):.2f} s, {k} flow steps)"
+                                       for name, wall, k in zip(experiments_run, walls, steps))
         assert all(len(wall) == 12 and float(wall) > 0 for wall in walls)
+        assert all(type(k) is int and k >= 0 for k in steps)
         assert all(name.endswith((".json", ".csv", ".svg")) for name in combined["files"])
 
     @pytest.mark.parametrize("profile", ["Quick", "", "fast"])
