@@ -374,7 +374,8 @@ def run_pma(config: ExperimentConfig, problem: Problem, tape: _FlowTape) -> Repo
         verdicts += _checkpoint_verdicts(checkpoints.get(i), s.t, s.rho, problem.oracle, 0.02)
         factorizations += s.factorizations
         clamp = max(clamp, s.projection_magnitude)
-        hessian_min, hessian_max = min(hessian_min, s.hessian_min), max(hessian_max, s.hessian_max)
+        hessian_min = min(hessian_min, s.u.hessian_min)
+        hessian_max = max(hessian_max, s.u.hessian_max)
         if i % keep and i != steps:
             continue
         if stride > 0 and len(rows) % stride == 0:

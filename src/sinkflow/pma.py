@@ -53,7 +53,7 @@ from .transport import ConvexPotential, legendre_transform, lot_distance
 
 CFL_FACTOR = 0.25            # dt_sub <= CFL_FACTOR * h^2 * min(u'')
 PUSHFORWARD_TOL = 5e-3       # sup-norm drift allowed in the transport constraint
-DEFAULT_B_CAP = 1e6
+HESSIAN_CAP = 1e6            # u'' samples above it raise ConvexityLost
 # The largest CFL count a flow step still takes explicitly.  Measured per
 # step over 100 steps of the Gaussian runs at dt = 1e-3 (2 shared Xeon
 # CPUs), a ROS2 step on the lagged W takes 1.05-1.8 times the explicit
@@ -141,8 +141,9 @@ class PmaState:
 
     ``potential`` is the functional's h-free part at the nodes, evaluated
     once per run, and ``sup_variation`` the sup norm of the first variation
-    at h, which the next step compares its own against.  ``hessian_min``
-    and ``hessian_max`` are the smallest and largest u'' samples.
+    at h, which the next step compares its own against.  The mirror ``u``
+    carries the convexity floor the steps clamp u'' at and the range of
+    its u'' samples (ConvexPotential.hessian_min and hessian_max).
     """
 
     t: float
@@ -156,10 +157,6 @@ class PmaState:
     functional: Functional
     potential: np.ndarray
     sup_variation: float
-    hessian_min: float
-    hessian_max: float
-    a_floor: float
-    b_cap: float = DEFAULT_B_CAP
     rho_mass_error: float = 0.0
     projection_magnitude: float = 0.0
     substeps: int = 0            # substeps the last step took (0 at the start)
@@ -220,8 +217,6 @@ def make_flow_state(
     nu_spec: DensitySpec,
     u0: ConvexPotential,
     functional=None,
-    a_floor: float = 1e-3,
-    b_cap: float = DEFAULT_B_CAP,
 ) -> PmaState:
     mu = discretize(mu_spec, grid)
     nu = discretize(nu_spec, grid)
@@ -237,8 +232,6 @@ def make_flow_state(
         t=0.0, u=u0, h=h, rho=rho, mu=mu, nu=nu,
         mu_spec=mu_spec, nu_spec=nu_spec, functional=functional, potential=potential,
         sup_variation=_sup_variation(potential, h, functional.entropic, np.empty(grid.n)),
-        hessian_min=float(np.min(u0.d2u)), hessian_max=float(np.max(u0.d2u)),
-        a_floor=a_floor, b_cap=b_cap,
         rho_mass_error=abs(mass - 1.0),
     )
 
@@ -391,42 +384,41 @@ def _ros2_substep(state: PmaState, factor: Ros2Factor | None, u_vals: np.ndarray
 
 
 def _rebuild(state: PmaState, u_vals: np.ndarray, du: np.ndarray,
-             d2u: np.ndarray) -> tuple[np.ndarray, float, float, float]:
+             d2u: np.ndarray) -> tuple[np.ndarray, float]:
     """Refresh du and d2u from u_vals by finite differences, in place, and
-    return the new h, the clamp magnitude and the smallest and largest
-    samples of the clamped d2u.
+    return the new h and the clamp magnitude.
 
-    Hessian samples below the floor are clamped, and du and u_vals are
-    rebuilt from the clamped d2u by double cumulative integration anchored
-    at the midpoint, so the clamp stays a local repair.
+    Hessian samples below the mirror's floor are clamped, and du and u_vals
+    are rebuilt from the clamped d2u by double cumulative integration
+    anchored at the midpoint, so the clamp stays a local repair; samples
+    above HESSIAN_CAP raise ConvexityLost.
     """
     grid = state.grid
     h_sp = grid.spacing
-    a_floor = state.a_floor
+    floor = state.u.floor
     grad_central(u_vals, h_sp, out=du)
     second_central(u_vals, h_sp, out=d2u)
     low = float(d2u.min())
     proj = 0.0
-    if low < a_floor:
-        proj, low = a_floor - low, a_floor
-        np.maximum(d2u, a_floor, out=d2u)
+    if low < floor:
+        proj = floor - low
+        np.maximum(d2u, floor, out=d2u)
         mid = grid.n // 2
         du_new = np.concatenate(([0.0], np.cumsum(0.5 * h_sp * (d2u[1:] + d2u[:-1]))))
         du[:] = du_new - du_new[mid] + du[mid]
         u_new = np.concatenate(([0.0], np.cumsum(0.5 * h_sp * (du[1:] + du[:-1]))))
         u_vals[:] = u_new - u_new[mid] + u_vals[mid]
-    high = float(d2u.max())
-    if high > state.b_cap:
-        raise ConvexityLost("Hessian samples exceeded the configured cap")
+    if float(d2u.max()) > HESSIAN_CAP:
+        raise ConvexityLost("Hessian samples exceeded HESSIAN_CAP")
     h_new = state.nu_spec.f(du)
     h_new -= np.log(d2u)
-    return h_new, proj, low, high
+    return h_new, proj
 
 
 def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaState:
     """Advance the flow by dt.
 
-    The CFL count, _substep_count(dt, CFL_FACTOR * h^2 * min u''), picks
+    The CFL count, _substep_count(dt, CFL_FACTOR * h^2 * u.hessian_min), picks
     the integrator.  Up to EXPLICIT_MAX_SUBSTEPS, dt is cut into that many
     equal explicit Euler substeps, or more if ``max_substep`` asks for
     shorter ones.  Above it, dt is cut into equal ROS2 substeps (see
@@ -437,15 +429,16 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
     diagnostic spacing varies.
 
     After each substep the derivatives are rebuilt by finite differences
-    and the Hessian samples are clamped at the floor (the clamp magnitude
-    is recorded and should stay at zero on well-posed runs); samples above
-    the cap raise ConvexityLost.  At the end of the step, a sup-norm
-    variation that grew tenfold, or a transport constraint (the gradient
-    map pushing the density onto the target) that drifted beyond
-    PUSHFORWARD_TOL, raises StabilityError.  The new state records the
-    substep count, the drift, the variation's growth, the number of W
-    factorizations, the last factored W, and the range of u'' that the
-    last clamp and cap checks found (its minimum is a_floor after a clamp).
+    and the Hessian samples are clamped at the mirror's floor, u.floor (the
+    clamp magnitude is recorded and should stay at zero on well-posed
+    runs); samples above HESSIAN_CAP raise ConvexityLost.  At the end of
+    the step, a sup-norm variation that grew tenfold, or a transport
+    constraint (the gradient map pushing the density onto the target) that
+    drifted beyond PUSHFORWARD_TOL, raises StabilityError.  The new state
+    records the substep count, the drift, the variation's growth, the
+    number of W factorizations and the last factored W.  Its mirror keeps
+    u.floor and holds the range of its u'' samples (hessian_min is the
+    floor after a clamp).
     """
     if not math.isfinite(dt) or dt < 0:
         raise DomainError("dt must be finite and nonnegative")
@@ -460,7 +453,7 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
     u_vals = state.u.u.copy()
     h_cur = state.h
 
-    dt_stable = CFL_FACTOR * h_sp * h_sp * state.hessian_min
+    dt_stable = CFL_FACTOR * h_sp * h_sp * state.u.hessian_min
     explicit = _substep_count(dt, dt_stable) <= EXPLICIT_MAX_SUBSTEPS
     longest = dt_stable if explicit else MAX_SUBSTEP
     if max_substep is not None:
@@ -490,7 +483,7 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
                                                      potential, dt_sub)
             u_vals += increment
             factorizations += built
-        h_cur, proj, low, high = _rebuild(state, u_vals, du, d2u)
+        h_cur, proj = _rebuild(state, u_vals, du, d2u)
         proj_mag = max(proj_mag, proj)
 
     sup_prev = state.sup_variation
@@ -501,7 +494,7 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
             f"flow derivative grew from {sup_prev!r} to {sup_new!r} in one step"
         )
 
-    u_next = ConvexPotential(grid, u_vals, du, d2u, floor=state.a_floor)
+    u_next = ConvexPotential(grid, u_vals, du, d2u, floor=state.u.floor)
     np.negative(h_cur, out=rhs)
     raw = np.exp(rhs)
     mass = grid.integrate(raw)
@@ -524,7 +517,6 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
         h=h_cur,
         rho=rho_next,
         sup_variation=sup_new,
-        hessian_min=low, hessian_max=high,
         rho_mass_error=abs(mass - 1.0),
         projection_magnitude=proj_mag,
         substeps=n_sub,
@@ -751,7 +743,7 @@ def kl_decay_series(states: Iterable[PmaState]) -> list[dict]:
     """
     rows = []
     for s in states:
-        env = 1.0 / s.hessian_max
+        env = 1.0 / s.u.hessian_max
         kl = kl_divergence(s.rho, s.mu)
         if not rows:
             c_lsi = float(np.min(s.mu_spec.hess(s.grid.nodes)))

@@ -9,7 +9,7 @@ diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,8 @@ class ConvexPotential:
     ``d2u`` must stay above the declared convexity floor at every node and
     ``du`` must be strictly increasing; violating either raises
     :class:`ConvexityLost` so downstream transport primitives never operate
-    on a degenerate mirror.
+    on a degenerate mirror.  ``hessian_min`` and ``hessian_max`` are the
+    smallest and largest ``d2u`` samples, which the check reads.
     """
 
     grid: Grid
@@ -44,6 +45,8 @@ class ConvexPotential:
     du: np.ndarray
     d2u: np.ndarray
     floor: float = DEFAULT_CONVEXITY_FLOOR
+    hessian_min: float = field(init=False, repr=False, compare=False)
+    hessian_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("u", "du", "d2u"):
@@ -67,6 +70,8 @@ class ConvexPotential:
             raise ConvexityLost(f"second derivative dips to {low!r} below floor {self.floor}")
         if not increasing:
             raise ConvexityLost("gradient must be strictly increasing")
+        object.__setattr__(self, "hessian_min", low)
+        object.__setattr__(self, "hessian_max", high)
 
     @classmethod
     def from_callable(cls, grid: Grid, u, du, d2u, floor: float = DEFAULT_CONVEXITY_FLOOR):

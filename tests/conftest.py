@@ -4,7 +4,7 @@ passing tests, which would otherwise hide the pass lines), and builds the
 Gaussian flow states the tests start from."""
 
 from sinkflow.grids import DensitySpec, Grid
-from sinkflow.pma import DEFAULT_B_CAP, PmaState, make_flow_state
+from sinkflow.pma import PmaState, make_flow_state
 from sinkflow.transport import ConvexPotential
 
 ACCEPTANCE_LOG: list[str] = []
@@ -17,12 +17,11 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def gaussian_flow_state(grid: Grid, mean: float = 0.0, variance: float = 1.0,
-                        b_cap: float = DEFAULT_B_CAP) -> PmaState:
+def gaussian_flow_state(grid: Grid, mean: float = 0.0, variance: float = 1.0) -> PmaState:
     """Flow from a standard-normal first marginal toward the target
     N(mean, variance), started at the target with the identity mirror: the
     location problem for ``mean=theta``, the scale problem for
     ``variance=eta * eta``."""
     return make_flow_state(grid, DensitySpec.gaussian(0.0, 1.0),
                            DensitySpec.gaussian(mean, variance),
-                           ConvexPotential.quadratic(grid), b_cap=b_cap)
+                           ConvexPotential.quadratic(grid))

@@ -20,6 +20,7 @@ from sinkflow.grids import (
 from sinkflow.pma import (
     CFL_FACTOR,
     EXPLICIT_MAX_SUBSTEPS,
+    HESSIAN_CAP,
     MAX_SUBSTEP,
     PUSHFORWARD_TOL,
     ROS2_GAMMA,
@@ -45,6 +46,11 @@ from conftest import gaussian_flow_state
 
 GRID = Grid(-8.0, 8.0, 512)
 MU_SPEC = DensitySpec.gaussian(0.0, 1.0)
+
+
+def floored_identity(grid, floor):
+    """The identity mirror x^2/2 with convexity floor ``floor``."""
+    return replace(ConvexPotential.quadratic(grid), floor=floor)
 
 
 class Flattener:
@@ -142,8 +148,8 @@ class TestStep:
 
     def test_hessian_window_monitored(self, location_run):
         last = location_run[-1]
-        assert min(s.hessian_min for s in location_run) >= last.a_floor
-        assert max(s.hessian_max for s in location_run) <= last.b_cap
+        assert min(s.u.hessian_min for s in location_run) >= last.u.floor
+        assert max(s.u.hessian_max for s in location_run) <= HESSIAN_CAP
 
     def test_projection_never_fires_on_clean_runs(self, location_run):
         assert all(s.projection_magnitude <= 1e-6 for s in location_run)
@@ -151,16 +157,16 @@ class TestStep:
     def test_mass_drift_logged(self, location_run):
         assert all(s.rho_mass_error < 1e-6 for s in location_run)
 
-    def test_convexity_cap(self):
-        state = gaussian_flow_state(GRID, mean=0.5, b_cap=0.9)
+    def test_convexity_cap(self, monkeypatch):
+        monkeypatch.setattr("sinkflow.pma.HESSIAN_CAP", 0.9)
+        state = gaussian_flow_state(GRID, mean=0.5)
         with pytest.raises(ConvexityLost):
             step(state, 1e-3)
 
     def test_convexity_projection_repairs_floor(self):
         # the projection must clamp, rebuild, and log its magnitude
-        state = make_flow_state(GRID, MU_SPEC, MU_SPEC,
-                                ConvexPotential.quadratic(GRID),
-                                functional=Flattener(), a_floor=0.9)
+        state = make_flow_state(GRID, MU_SPEC, MU_SPEC, floored_identity(GRID, 0.9),
+                                functional=Flattener())
         moved = step(state, 0.1)
         assert moved.projection_magnitude > 0.0
         assert float(np.min(moved.u.d2u)) >= 0.9
@@ -194,7 +200,7 @@ class TestVelocity:
         s = location_run[100]
         bound = (np.max(np.abs(MU_SPEC.grad(GRID.nodes)))
                  + np.max(np.abs(grad_central(np.asarray(s.h), GRID.spacing))))
-        assert np.max(np.abs(velocity(s).values)) <= bound / s.hessian_min + 1e-9
+        assert np.max(np.abs(velocity(s).values)) <= bound / s.u.hessian_min + 1e-9
 
 
 class TestFokkerPlanckStep:
@@ -469,21 +475,21 @@ def reference_step(state, dt, max_substep=None):
         du = grad_central(u_vals, h_sp)
         d2u = second_central(u_vals, h_sp)
         low = float(np.min(d2u))
-        if low < state.a_floor:
-            proj_mag = max(proj_mag, state.a_floor - low)
-            d2u = np.maximum(d2u, state.a_floor)
+        if low < state.u.floor:
+            proj_mag = max(proj_mag, state.u.floor - low)
+            d2u = np.maximum(d2u, state.u.floor)
             mid = grid.n // 2
             du_new = np.concatenate(([0.0], np.cumsum(0.5 * h_sp * (d2u[1:] + d2u[:-1]))))
             du = du_new - du_new[mid] + du[mid]
             u_new = np.concatenate(([0.0], np.cumsum(0.5 * h_sp * (du[1:] + du[:-1]))))
             u_vals = u_new - u_new[mid] + u_vals[mid]
-        if float(np.max(d2u)) > state.b_cap:
-            raise ConvexityLost("Hessian samples exceeded the configured cap")
+        if float(np.max(d2u)) > HESSIAN_CAP:
+            raise ConvexityLost("Hessian samples exceeded HESSIAN_CAP")
         h_cur = state.nu_spec.f(du) - np.log(d2u)
     sup_rhs_new = float(np.max(np.abs(variation(state.functional, xs, h_cur))))
     if sup_rhs_new > 10.0 * sup_rhs_prev + 1e-8:
         raise StabilityError("flow derivative grew in one step")
-    u_next = ConvexPotential(grid, u_vals, du, d2u, floor=state.a_floor)
+    u_next = ConvexPotential(grid, u_vals, du, d2u, floor=state.u.floor)
     raw = np.exp(-h_cur)
     mass = grid.integrate(raw)
     rho_next = GridDensity(grid, raw / mass)
@@ -495,7 +501,6 @@ def reference_step(state, dt, max_substep=None):
     t_next = state.t + dt
     return replace(
         state, t=t_next, u=u_next, h=h_cur, rho=rho_next,
-        hessian_min=float(np.min(d2u)), hessian_max=float(np.max(d2u)),
         rho_mass_error=abs(mass - 1.0), projection_magnitude=proj_mag,
         substeps=n_sub, transport_drift=drift, derivative_growth=sup_rhs_new / sup_rhs_prev,
     )
@@ -508,8 +513,8 @@ def assert_same_flow_state(got, want):
     assert np.array_equal(got.rho.values, want.rho.values)
     assert got.projection_magnitude == want.projection_magnitude
     assert got.rho_mass_error == want.rho_mass_error
-    assert got.hessian_min == want.hessian_min
-    assert got.hessian_max == want.hessian_max
+    assert got.u.hessian_min == want.u.hessian_min
+    assert got.u.hessian_max == want.u.hessian_max
     assert got.t == want.t
     assert got.substeps == want.substeps
     assert got.transport_drift == want.transport_drift
@@ -553,25 +558,27 @@ def test_density_spec_f_unchanged_along_flow(nu_mean, nu_variance):
 
 
 def flattener_state(grid=GRID, functional=Flattener()):
-    return make_flow_state(grid, MU_SPEC, MU_SPEC, ConvexPotential.quadratic(grid),
-                           functional=functional, a_floor=0.9)
+    return make_flow_state(grid, MU_SPEC, MU_SPEC, floored_identity(grid, 0.9),
+                           functional=functional)
 
 
 class TestHessianRange:
-    """Each state's hessian_min and hessian_max are the smallest and largest
-    samples of its u''."""
+    """Each state's mirror holds the smallest and largest samples of its
+    u'' as hessian_min and hessian_max."""
 
     @staticmethod
     def assert_range(states):
         for s in states:
-            assert s.hessian_min == np.min(s.u.d2u)
-            assert s.hessian_max == np.max(s.u.d2u)
+            assert s.u.hessian_min == np.min(s.u.d2u)
+            assert s.u.hessian_max == np.max(s.u.d2u)
 
     def test_clamped_run(self):
-        # the Flattener drives u'' through the floor 0.9, so each step clamps
+        # the Flattener drives u'' through the floor 0.9, so each step clamps,
+        # and every step hands the start mirror's floor on
         states = list(run_flow(flattener_state(), 0.1, 3))
+        assert all(s.u.floor == 0.9 for s in states)
         assert all(s.projection_magnitude > 0.0 for s in states[1:])
-        assert all(s.hessian_min == 0.9 for s in states[1:])
+        assert all(s.u.hessian_min == 0.9 for s in states[1:])
         self.assert_range(states)
 
     def test_ros2_run(self):
@@ -579,7 +586,7 @@ class TestHessianRange:
         states = list(run_flow(gaussian_flow_state(Grid(-8.0, 8.0, 1024), variance=0.25),
                                1e-3, 20))
         assert states[1].factorizations == 1
-        assert states[-1].hessian_min < 1.0
+        assert states[-1].u.hessian_min < 1.0
         self.assert_range(states)
 
 

@@ -1,7 +1,11 @@
 """Valid but extreme inputs end in a Report or a SinkflowError, never in any
-other exception: each case below once ended in a traceback, in an error
-message that printed numpy scalar reprs, in an error raised only after the
-whole flow had run, or in a report cut short of T without a word."""
+other exception.  The cases up to the n = 64 metric derivative once ended
+in a traceback, in an error message that printed numpy scalar reprs, in an
+error raised only after the whole flow had run, or in a report cut short
+of T without a word.  The cases after it reach paths those do not: a grid
+too short or too coarse for its densities, a target shifted far out, a
+target too narrow for exp(-f) on the grid or nearly the start, a single
+iteration, and an ensemble of 11 particles."""
 
 import pytest
 
@@ -38,6 +42,31 @@ EXTREME_CONFIGS = {
     "metric-derivative-mirror-entropy-n64": {
         "experiment": "metric_derivative", "problem": {"kind": "mirror_entropy"},
         "numerics": {"n": 64}},
+    # [-0.5, 0.5] keeps 38% of N(0, 1)
+    "pma-run-n64-L0.5": {
+        "experiment": "pma_run", "numerics": {"n": 64, "L": 0.5}},
+    # h = 60/63: the chain's kernel rows are about one node wide
+    "markov-chain-n64-L30": {
+        "experiment": "markov_chain_run", "numerics": {"n": 64, "L": 30.0, "particles": 2000}},
+    "kl-decay-location-theta-3": {
+        "experiment": "kl_decay", "problem": {"theta": 3.0}, "numerics": {"n": 256, "L": 12.0}},
+    # exp(-f) underflows to 0 at the ends of [-8, 8]
+    "pma-run-scale-eta-0.02": {
+        "experiment": "pma_run", "problem": {"kind": "gaussian_scale", "eta": 0.02},
+        "numerics": {"n": 64}},
+    # a flow that barely moves: the velocity norm is ~1e-3
+    "metric-derivative-scale-eta-0.999": {
+        "experiment": "metric_derivative", "problem": {"kind": "gaussian_scale", "eta": 0.999},
+        "numerics": {"n": 64}},
+    # T / eps = 1: one iteration, one chain step through the product coupling
+    "sinkhorn-run-eps-2-T-2": {
+        "experiment": "sinkhorn_run", "numerics": {"n": 64, "eps": 2.0, "T": 2.0}},
+    "markov-chain-eps-2-T-2": {
+        "experiment": "markov_chain_run",
+        "numerics": {"n": 64, "eps": 2.0, "T": 2.0, "particles": 2000}},
+    # KS tolerance 2 * 1.63 / sqrt(11) = 0.98
+    "diffusion-11-particles": {
+        "experiment": "diffusion_run", "numerics": {"n": 64, "particles": 11, "T": 0.25}},
 }
 
 
