@@ -4,8 +4,9 @@ Every numeric solver in this package is tested against the expressions
 here, never the other way around.  The module collects the Gaussian
 location/scale flows of the entropic iteration and its Fokker-Planck
 counterpart, the exact iterates of the discrete iteration for a Gaussian
-target, the mirror-flow examples with explicit solutions, and the 1-D
-mirror ODE examples.
+target, the mirror-flow examples with explicit solutions, and the
+solutions of the 1-D mirror ODE examples (their Euler integrator is a test
+reference, tests/reference.py).
 """
 
 from __future__ import annotations
@@ -169,34 +170,6 @@ def deficit_ratio(eta: float, t: float) -> tuple[float, float]:
     if min(fokker_planck, entropic) < sys.float_info.min or exponent > math.log(sys.float_info.max):
         raise NumericOverflow(f"deficit ratio at eta = {eta}, t = {t} is beyond the double range")
     return fokker_planck / entropic, (1.0 + eta) ** 2 / 4.0 * math.exp(exponent)
-
-
-# mirror function u and its second derivative for the 1-D ODE examples,
-# all minimizing F(x) = x^2/2 from x0 = 1
-_EUCLID_MIRRORS = {
-    FlowKind.EUCLID_QUADRATIC: lambda x: 1.0,
-    FlowKind.EUCLID_QUARTIC: lambda x: 12.0 * x * x,
-    FlowKind.EUCLID_INVERSE: lambda x: 2.0 / x**3,
-}
-
-
-def euclid_mirror_ode_step(kind: FlowKind, x: float, dt: float) -> float:
-    """One explicit Euler step of dx/dt = -F'(x)/u''(x) with F = x^2/2."""
-    if kind not in _EUCLID_MIRRORS:
-        raise DomainError(f"{kind!r} is not a Euclidean mirror ODE kind")
-    if kind is FlowKind.EUCLID_QUARTIC and x <= 0.0:
-        raise DomainError("quartic-mirror flow hit its singularity at x = 0")
-    if kind is FlowKind.EUCLID_INVERSE and x <= 0.0:
-        raise DomainError("inverse mirror is only defined for x > 0")
-    return x - dt * x / _EUCLID_MIRRORS[kind](x)
-
-
-def integrate_euclid_mirror(kind: FlowKind, t_end: float, dt: float, x0: float = 1.0) -> float:
-    x = x0
-    steps = int(round(t_end / dt))
-    for _ in range(steps):
-        x = euclid_mirror_ode_step(kind, x, dt)
-    return x
 
 
 def w2_gaussian(p: GaussianMeasure, q: GaussianMeasure) -> float:

@@ -411,13 +411,15 @@ def run_fokker_planck_experiment(config: ExperimentConfig, problem: Problem) -> 
 
 
 def run_sinkhorn_experiment(config: ExperimentConfig, problem: Problem) -> Report:
-    """Fixed-eps iteration: the iterate marginal must drift toward mu in KL."""
+    """Fixed-eps iteration: the iterate marginal must drift toward mu in KL,
+    judged from the start density rho_0 on, so one iteration compares two
+    values."""
     num = config.numerics
     grid = config.grid()
     state = problem.sinkhorn_state(grid, num["eps"])
     k_max = min(50, _iterations(num["T"], num["eps"]))
     rows = []
-    kls = []
+    kls = [kl_divergence(state.mu, state.rho)]
     for _ in range(k_max):
         state = s_step(state)
         kl = kl_divergence(state.mu, state.rho)

@@ -18,8 +18,8 @@ first-variation functionals.  The plain Fokker-Planck equation, the
 unmirrored gradient flow of the same relative entropy, is stepped for
 comparison runs by backward Euler with Scharfetter-Gummel fluxes: one
 tridiagonal system factored per run, and one solve per step of at most
-MAX_SUBSTEP.  The residual diagnostics the acceptance suite checks are
-here too.
+MAX_SUBSTEP.  The PDE identity residuals the acceptance suite checks
+are test references (tests/reference.py).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import ConvexityLost, DomainError, StabilityError
 from .grids import (
-    INTERIOR_FRACTION,
     DensitySpec,
     Grid,
     GridDensity,
@@ -41,7 +40,6 @@ from .grids import (
     _readonly,
     discretize,
     grad_central,
-    grad_central4,
     kl_divergence,
     lerp,
     locate,
@@ -49,7 +47,7 @@ from .grids import (
     pushforward_values_linear,
     second_central,
 )
-from .transport import ConvexPotential, legendre_transform, lot_distance
+from .transport import ConvexPotential, lot_distance
 
 CFL_FACTOR = 0.25            # dt_sub <= CFL_FACTOR * h^2 * min(u'')
 PUSHFORWARD_TOL = 5e-3       # sup-norm drift allowed in the transport constraint
@@ -623,48 +621,6 @@ def run_fokker_planck(rho: GridDensity, system: FokkerPlanckSystem,
     for _ in range(steps):
         rho = fokker_planck_step(rho, system)
         yield rho
-
-
-def _dual_target_grid(prev: PmaState, next_state: PmaState) -> Grid:
-    """The central INTERIOR_FRACTION of the gradient range both states share."""
-    lo = max(prev.u.du[0], next_state.u.du[0])
-    hi = min(prev.u.du[-1], next_state.u.du[-1])
-    pad = 0.5 * (1.0 - INTERIOR_FRACTION) * (hi - lo)
-    return Grid(lo + pad, hi - pad, prev.grid.n)
-
-
-def dual_pma_residual(prev: PmaState, next_state: PmaState) -> float:
-    """Residual of the conjugate potential's own flow equation.
-
-    The conjugates of two consecutive states give a forward-difference time
-    derivative; it must match g(y) - f(w'(y)) + log w''(y) to O(dt + h^2)
-    on the interior window.
-    """
-    dt = next_state.t - prev.t
-    if dt <= 0:
-        raise DomainError("states must be consecutive in time")
-    ygrid = _dual_target_grid(prev, next_state)
-    w_prev = legendre_transform(prev.u, ygrid)
-    w_next = legendre_transform(next_state.u, ygrid)
-    dwdt = (w_next.u - w_prev.u) / dt
-    rhs = prev.nu_spec.f(ygrid.nodes) - prev.mu_spec.f(w_prev.du) + np.log(w_prev.d2u)
-    return float(np.max(np.abs(dwdt - rhs)))
-
-
-def continuity_residual(prev: PmaState, next_state: PmaState) -> float:
-    """Forward-difference continuity-equation residual on the interior.
-
-    The flux divergence uses the wide fourth-order stencil so the reported
-    residual is dominated by the O(dt) time truncation.
-    """
-    dt = next_state.t - prev.t
-    if dt <= 0:
-        raise DomainError("states must be consecutive in time")
-    v = velocity(prev).values
-    flux_div = grad_central4(prev.rho.values * v, prev.grid.spacing)
-    resid = (next_state.rho.values - prev.rho.values) / dt + flux_div
-    keep = prev.grid.interior_slice()
-    return float(np.max(np.abs(resid[keep])))
 
 
 def _is_at(stamp: float, t: float) -> bool:

@@ -18,7 +18,9 @@ when it inverts a CDF, evaluate their kernels through one log-kernel layer
 j, so every row is summed at full width as a few stabilized chunk sums,
 whose products go to BLAS.  The chain draws from a concave kernel by
 rejection from a per-row envelope instead (``_kernel_reject``), at O(1)
-expected cost per row.
+expected cost per row.  The dense n x n kernel, the joint density of a
+coupling and the joint-scaling (IPFP) form of the iteration are the test
+references these are checked against (tests/reference.py).
 """
 
 from __future__ import annotations
@@ -415,75 +417,6 @@ def s_step(state: SinkhornState) -> SinkhornState:
     v_next = v_operator(u_next, state.mu, state.eps, state.nu.grid)
     return replace(state, k=state.k + 1, u=u_next, v=v_next, rho=rho,
                    u_prev=state.u, v_prev=state.v, mass_drift=drift)
-
-
-@dataclass(frozen=True)
-class EntropicCoupling:
-    """Dense log joint density over the product grid."""
-
-    x_grid: Grid
-    y_grid: Grid
-    log_gamma: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "log_gamma", _readonly(self.log_gamma))
-        if self.log_gamma.shape != (self.x_grid.n, self.y_grid.n):
-            raise DomainError("coupling shape must match the product grid")
-
-    def mass(self) -> float:
-        w = np.outer(self.x_grid.trapezoid_weights, self.y_grid.trapezoid_weights)
-        return float(np.sum(w * np.exp(self.log_gamma)))
-
-    def x_marginal(self) -> np.ndarray:
-        return np.exp(self.log_gamma) @ self.y_grid.trapezoid_weights
-
-    def y_marginal(self) -> np.ndarray:
-        return np.exp(self.log_gamma).T @ self.x_grid.trapezoid_weights
-
-
-def coupling(state: SinkhornState) -> EntropicCoupling:
-    """Joint density induced by the current potential pair.
-
-    Its second marginal is the target exactly; its first marginal is the
-    next iterate's density (the one ``s_step`` would produce).
-    """
-    xs, ys = state.mu.grid.nodes, state.nu.grid.nodes
-    lg = (np.outer(xs, ys) - state.u[:, None] - state.v[None, :]) / state.eps \
-        + state.mu.log_values[:, None] + state.nu.log_values[None, :]
-    return EntropicCoupling(state.mu.grid, state.nu.grid, lg)
-
-
-def _logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
-    """log sum exp(a) along ``axis`` (over every entry for None), shifted by
-    the maximum so that no exp overflows."""
-    peak = np.max(a, axis=axis, keepdims=True)
-    total = np.sum(np.exp(a - peak), axis=axis, keepdims=True)
-    return np.squeeze(np.log(total) + peak, axis=axis)
-
-
-def ipfp_marginal_view(
-    u0, mu: GridDensity, nu: GridDensity, eps: float, steps: int
-) -> GridDensity:
-    """Classic joint-scaling form of the iteration, kept as a derived view.
-
-    Starts from the dense kernel exp((x*y - u0(x))/eps) d(mu x nu) and
-    alternately rescales rows to hit mu and columns to hit nu; after
-    ``steps`` double-scalings the first marginal must agree with the
-    potential iteration to near roundoff.
-    """
-    xs, ys = mu.grid.nodes, nu.grid.nodes
-    wx, wy = mu.grid.trapezoid_weights, nu.grid.trapezoid_weights
-    lg = (np.outer(xs, ys) - np.asarray(u0, float)[:, None]) / eps \
-        + mu.log_values[:, None] + nu.log_values[None, :]
-    lg -= _logsumexp(lg + np.log(wx)[:, None] + np.log(wy)[None, :])
-    # the initial column fit already yields the first iterate's coupling,
-    # so `steps` two-step iterations need steps - 1 further double-scalings
-    lg += (nu.log_values - (_logsumexp(lg + np.log(wx)[:, None], axis=0)))[None, :]
-    for _ in range(steps - 1):
-        lg += (mu.log_values - _logsumexp(lg + np.log(wy)[None, :], axis=1))[:, None]
-        lg += (nu.log_values - _logsumexp(lg + np.log(wx)[:, None], axis=0))[None, :]
-    vals = np.exp(lg) @ wy
-    return GridDensity.from_unnormalized(mu.grid, vals)
 
 
 def laplace_residual(

@@ -1,9 +1,9 @@
 """Optimal-transport primitives on the 1-D grid.
 
 Everything here reduces to quantile/CDF composition (exact in one
-dimension) plus convex-duality machinery for the potentials: Legendre
-transforms and the log-det-Hessian tensor identity used by the flow
-diagnostics.
+dimension) plus convex-duality machinery for the potentials: validated
+convex samples and Legendre transforms.  The tensor and change-of-measure
+identity residuals are test references (tests/reference.py).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .grids import (
     _hermite_pieces,
     _readonly,
     cdf_values,
-    grad_central,
     quantile,
 )
 
@@ -160,30 +159,3 @@ def legendre_transform(u: ConvexPotential, target_grid: Grid) -> ConvexPotential
         dw = _strictify(dw, 1e-12 * u.grid.spacing)
     floor = min(u.floor, float(np.min(d2w)) * 0.5)
     return ConvexPotential(target_grid, w, dw, d2w, floor=floor)
-
-
-def log_det_hessian_gradient_residual(u: ConvexPotential) -> float:
-    """Sup-norm check of the mirror-chart derivative identity.
-
-    In one dimension the derivative of log u'' taken in the mirror chart
-    must equal minus the x-derivative of 1/u''; both sides are formed with
-    central differences, so the residual decays as O(h^2) and vanishes for
-    quadratics.
-    """
-    h = u.grid.spacing
-    lhs = grad_central(np.log(u.d2u), h) / u.d2u
-    rhs = -grad_central(1.0 / u.d2u, h)
-    return float(np.max(np.abs(lhs - rhs)[1:-1]))
-
-
-def change_of_measure_residual(
-    d: GridDensity, phi: ConvexPotential, pushed: GridDensity
-) -> float:
-    """Sup-norm residual of b(phi'(x)) = a(x) + log phi''(x) on the interior,
-    where exp(-a) = d and exp(-b) = the pushforward of d by phi'."""
-    if d.grid != phi.grid:
-        raise GridMismatch("density and potential must share a grid")
-    keep = d.grid.interior_slice()
-    a = -d.log_values[keep]
-    b_at = -np.interp(phi.du[keep], pushed.grid.nodes, pushed.log_values)
-    return float(np.max(np.abs(b_at - a - np.log(phi.d2u[keep]))))

@@ -7,8 +7,10 @@ so an edit to the full profile cannot weaken a criterion unnoticed;
 criterion 11 on two ``pma_run`` reports of its own.  Each asserts that the
 runner's verdicts pass, by check name, and re-judges the report rows against
 the tolerance pinned here.  Criteria 4, 8, 10 and 12 call the library
-directly.  Each check prints one pass/fail line, so a verbose run reads as a
-checklist.
+directly, and criteria 4, 8 and 10 also the references in ``reference.py``
+(the coupling, the identity residuals and the mirror-ODE integrator), which
+no runner reaches.  Each check prints one pass/fail line, so a verbose run
+reads as a checklist.
 
 Criterion 3 checks the eps-limit against the exact recursion that the
 iteration follows on the Gaussian location problem (every potential stays
@@ -34,7 +36,6 @@ from sinkflow.closed_form import (
     FlowKind,
     deficit_ratio,
     evaluate,
-    integrate_euclid_mirror,
     scale_variance_entropic,
     scale_variance_fokker_planck,
     sinkhorn_gaussian_iterates,
@@ -43,15 +44,19 @@ from sinkflow.closed_form import (
 from sinkflow.experiments import (ExperimentConfig, Report, floor_steps, run_experiment,
                                   verify_battery)
 from sinkflow.grids import DensitySpec, Grid, discretize, pushforward_monotone
-from sinkflow.pma import continuity_residual, dual_pma_residual, make_flow_state, run_flow, step
-from sinkflow.sinkhorn import coupling, initial_state, s_step, u_operator, v_operator
-from sinkflow.transport import (
-    ConvexPotential,
-    change_of_measure_residual,
-    log_det_hessian_gradient_residual,
-)
+from sinkflow.pma import make_flow_state, run_flow, step
+from sinkflow.sinkhorn import initial_state, s_step, u_operator, v_operator
+from sinkflow.transport import ConvexPotential
 
 from conftest import gaussian_flow_state
+from reference import (
+    change_of_measure_residual,
+    continuity_residual,
+    coupling,
+    dual_pma_residual,
+    integrate_euclid_mirror,
+    log_det_hessian_gradient_residual,
+)
 
 GRID = Grid(-8.0, 8.0, 512)
 DT = 1e-3
@@ -219,7 +224,8 @@ def test_criterion_4_operator_properties():
     st = initial_state(0.5 * xs**2, mu, nu, nu, 0.1)
     for _ in range(3):
         st = s_step(st)
-    gap = float(np.max(np.abs(coupling(st).y_marginal() - nu.values)))
+    _, _, y_marginal = coupling(st)
+    gap = float(np.max(np.abs(y_marginal - nu.values)))
     record("criterion 4 coupling second marginal", gap <= 1e-5,
            f"sup gap {gap:.2e} <= 1e-5")
 

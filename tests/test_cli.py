@@ -16,7 +16,7 @@ import sinkflow.pma as pma
 from sinkflow.cli import main
 from sinkflow.closed_form import ClosedFormFlow, FlowKind, deficit_ratio, tabulate
 from sinkflow.errors import DomainError, EmptyTable, NumericOverflow
-from sinkflow.grids import discretize
+from sinkflow.grids import DensitySpec, discretize
 from sinkflow.experiments import (
     ExperimentConfig,
     execute,
@@ -261,6 +261,16 @@ class TestExecute:
         assert report.passed()
         assert report.rows[0]["k"] == 1
         assert all(0.0 <= row["mass_drift"] <= 1e-8 for row in report.rows)
+
+    def test_sinkhorn_run_of_one_iteration_judges_it_against_the_start(self, monkeypatch):
+        # a step that moves rho from N(0.5, 1) out to N(2, 1), away from mu
+        def step_away(state):
+            moved = s_step(state)
+            return replace(moved, rho=discretize(DensitySpec.gaussian(2.0, 1.0), moved.rho.grid))
+        monkeypatch.setattr(experiments, "s_step", step_away)
+        report = run_experiment(ExperimentConfig.from_dict(
+            {"experiment": "sinkhorn_run", "numerics": {"n": 64, "eps": 2.0, "T": 2.0}}))
+        assert len(report.rows) == 1 and not report.passed()
 
     def test_density_snapshots_emitted(self, tmp_path):
         cfg = ExperimentConfig.from_dict({

@@ -7,9 +7,7 @@ from sinkflow.closed_form import (
     ClosedFormFlow,
     FlowKind,
     deficit_ratio,
-    euclid_mirror_ode_step,
     evaluate,
-    integrate_euclid_mirror,
     scale_variance_entropic,
     scale_variance_fokker_planck,
     sinkhorn_gaussian_iterates,
@@ -17,6 +15,8 @@ from sinkflow.closed_form import (
 )
 from sinkflow.errors import DomainError, NumericOverflow
 from sinkflow.grids import GaussianMeasure
+
+from reference import euclid_mirror_ode_step, integrate_euclid_mirror
 
 
 class TestEvaluate:

@@ -15,11 +15,13 @@ import numpy as np
 import pytest
 
 import sinkflow.experiments as experiments
+import sinkflow.pma as pma
 from sinkflow.experiments import ExperimentConfig, run_experiment
-from sinkflow.pma import NodeTables, PmaState
+from sinkflow.pma import NodeTables, PmaState, VelocityField
 
 REAL_STEP = experiments.step
 REAL_CHAIN_STEP = experiments.markov_chain_step
+REAL_VELOCITY = pma.velocity
 
 
 def failed_checks(raw: dict) -> list[str]:
@@ -84,3 +86,40 @@ def test_chain_that_forgets_its_position_fails_markov_chain_run(monkeypatch):
     monkeypatch.setattr(experiments, "markov_chain_step", forgetting_chain_step)
     assert failed_checks({"experiment": "markov_chain_run",
                           "numerics": {"n": 256, "particles": 20000}})
+
+
+def lagging_chain_step(ens, sk):
+    """The chain step whose second conditional, the new position given the
+    dual coordinate, is drawn from the previous coupling instead of the
+    current one."""
+    return REAL_CHAIN_STEP(ens, sk if sk.u_prev is None else replace(sk, u=sk.u_prev))
+
+
+def test_chain_drawing_from_the_previous_coupling_fails_markov_chain_run(monkeypatch):
+    monkeypatch.setattr(experiments, "markov_chain_step", lagging_chain_step)
+    assert failed_checks({"experiment": "markov_chain_run",
+                          "numerics": {"n": 256, "particles": 20000}}) \
+        == ["chain marginal KS over k<=10"]
+
+
+def velocity_without_mirror(state: PmaState) -> VelocityField:
+    """The flow velocity with the division by u'' dropped: the Euclidean
+    gradient of the first variation."""
+    return VelocityField(state.grid, REAL_VELOCITY(state).values * state.u.d2u)
+
+
+def metric_derivative(kind: str) -> dict:
+    return {"experiment": "metric_derivative", "problem": {"kind": kind}, "numerics": {"n": 256}}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 5: the battery runs metric_derivative on the "
+                          "location problem alone, where u'' = 1")
+def test_lot_metric_derivative_without_its_mirror_fails_on_location(monkeypatch):
+    monkeypatch.setattr(pma, "velocity", velocity_without_mirror)
+    assert failed_checks(metric_derivative("gaussian_location"))
+
+
+def test_lot_metric_derivative_without_its_mirror_fails_on_scale(monkeypatch):
+    monkeypatch.setattr(pma, "velocity", velocity_without_mirror)
+    assert "ratio at smallest delta" in failed_checks(metric_derivative("gaussian_scale"))

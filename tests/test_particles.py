@@ -23,6 +23,7 @@ from sinkflow.sinkhorn import _log_kernel, initial_state, s_step
 from sinkflow.transport import ConvexPotential
 
 from conftest import gaussian_flow_state
+from reference import dense_log_kernel
 
 GRID = Grid(-8.0, 8.0, 512)
 STD_SPEC = DensitySpec.gaussian(0.0, 1.0)
@@ -419,9 +420,9 @@ def _conditional_log_core(sk, conditional, p, dtype=float):
         marginal, potential = sk.nu, sk.v_prev
     else:
         marginal, potential = sk.mu, sk.u
-    nodes, potential = marginal.grid.nodes.astype(dtype), potential.astype(dtype)
-    log_core = (np.outer(np.asarray(p, dtype=dtype), nodes) - potential[None, :]) / sk.eps \
-        + np.log(marginal.values.astype(dtype))[None, :]
+    nodes = marginal.grid.nodes.astype(dtype)
+    log_core = dense_log_kernel(p, nodes, potential, sk.eps,
+                                np.log(marginal.values.astype(dtype)), dtype)
     return log_core, nodes
 
 
@@ -582,6 +583,27 @@ class TestMarkovChain:
             ens, _ = markov_chain_step(ens, sk)
             sk = s_step(sk)
             assert ks_distance(ens, sk.rho) <= tol
+
+    def test_coarse_grid_drift_is_the_dense_chains_own(self):
+        # h = 0.95: each conditional spreads a node's mass uniformly over
+        # the two cells beside it (variance h^2 / 3), so the chain's spread
+        # outgrows the iterate's step for step.  The dense extended-precision
+        # chain, from an independent start, drifts with it.
+        count = 10000
+        sk = chain_state(Grid(-30.0, 30.0, 64), 0.1)
+        chain, dense = (replace(ParticleEnsemble.from_density(sk.rho, count, seed), step_count=1)
+                        for seed in (7, 8))
+        for _ in range(3):
+            chain, _ = markov_chain_step(chain, sk)
+            dense = replace(dense, positions=dense_chain_positions(dense, sk),
+                            step_count=dense.step_count + 1)
+            sk = s_step(sk)
+        points = np.concatenate([chain.positions, dense.positions])
+        gap = np.max(np.abs(np.searchsorted(np.sort(chain.positions), points, side="right")
+                            - np.searchsorted(np.sort(dense.positions), points, side="right")))
+        assert gap / count <= 1.63 * math.sqrt(2.0 / count)
+        assert chain.positions.var() > sk.rho.variance() + 1.0
+        assert ks_distance(chain, sk.rho) > 3 * 1.63 / math.sqrt(count)
 
     def test_near_product_coupling_decorrelates(self):
         mu = STD

@@ -27,8 +27,6 @@ from sinkflow.pma import (
     FokkerPlanckSystem,
     Functional,
     Ros2Factor,
-    continuity_residual,
-    dual_pma_residual,
     fokker_planck_step,
     kl_decay_series,
     make_flow_state,
@@ -43,6 +41,7 @@ from sinkflow.pma import (
 from sinkflow.transport import ConvexPotential
 
 from conftest import gaussian_flow_state
+from reference import continuity_residual, dual_pma_residual
 
 GRID = Grid(-8.0, 8.0, 512)
 MU_SPEC = DensitySpec.gaussian(0.0, 1.0)

