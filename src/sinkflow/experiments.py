@@ -367,13 +367,15 @@ def run_pma(config: ExperimentConfig, problem: Problem, tape: _FlowTape) -> Repo
                if all(c % k == 0 for c in checkpoints))
     stride = config.output["snapshot_stride"]
     rows, artifacts, verdicts = [], {}, []
-    # W factorizations and the largest clamp since the last row, thinned steps'
-    # too, and the u'' range since the start
-    factorizations, clamp, hessian_min, hessian_max = 0, 0.0, math.inf, -math.inf
+    # W factorizations and the largest clamp and mass error since the last
+    # row, thinned steps' too, and the u'' range since the start
+    factorizations, clamp, mass_error = 0, 0.0, 0.0
+    hessian_min, hessian_max = math.inf, -math.inf
     for i, s in enumerate(tape.states(config, range(steps + 1))):
         verdicts += _checkpoint_verdicts(checkpoints.get(i), s.t, s.rho, problem.oracle, 0.02)
         factorizations += s.factorizations
         clamp = max(clamp, s.projection_magnitude)
+        mass_error = max(mass_error, s.rho_mass_error)
         hessian_min = min(hessian_min, s.u.hessian_min)
         hessian_max = max(hessian_max, s.u.hessian_max)
         if i % keep and i != steps:
@@ -386,8 +388,9 @@ def run_pma(config: ExperimentConfig, problem: Problem, tape: _FlowTape) -> Repo
                      "transport_drift": s.transport_drift,
                      "derivative_growth": s.derivative_growth,
                      "factorizations": factorizations,
-                     "hessian_min": hessian_min, "hessian_max": hessian_max, "clamp": clamp})
-        factorizations, clamp = 0, 0.0
+                     "hessian_min": hessian_min, "hessian_max": hessian_max, "clamp": clamp,
+                     "mass_error": mass_error})
+        factorizations, clamp, mass_error = 0, 0.0, 0.0
     return Report(config.experiment, config.hash(), rows, verdicts, artifacts)
 
 

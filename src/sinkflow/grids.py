@@ -28,7 +28,6 @@ from .errors import (
 
 MASS_TOL = 1e-10          # normalized densities must integrate to 1 within this
 TRUNCATION_TOL = 1e-8     # admissible mass outside the truncated domain
-INTERIOR_FRACTION = 0.8   # central share of a range that diagnostics judge
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -68,15 +67,6 @@ class Grid:
     def integrate(self, values: np.ndarray) -> float:
         """Trapezoid quadrature of node samples, one product with the weights."""
         return float(self.trapezoid_weights @ values)
-
-    def interior_slice(self) -> slice:
-        """Index slice keeping the central INTERIOR_FRACTION of nodes.
-
-        Diagnostics exclude the truncation boundary layer: the slice drops
-        the outer 10% of nodes on each side.
-        """
-        skip = int(round(0.5 * (1.0 - INTERIOR_FRACTION) * self.n))
-        return slice(skip, self.n - skip)
 
 
 class GridLocation(NamedTuple):
@@ -123,15 +113,10 @@ def lerp(at: GridLocation, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def grad_central(values: np.ndarray, spacing: float, out: np.ndarray | None = None) -> np.ndarray:
-    """First derivative, O(h^2): central interior, one-sided 3-point ends.
-
-    ``out``, when given, receives the result and is returned; it must not
-    share memory with ``values``.
-    """
+def grad_central(values: np.ndarray, spacing: float) -> np.ndarray:
+    """First derivative, O(h^2): central interior, one-sided 3-point ends."""
     v = np.asarray(values, dtype=float)
-    if out is None:
-        out = np.empty_like(v)
+    out = np.empty_like(v)
     width = 2.0 * spacing
     np.subtract(v[2:], v[:-2], out=out[1:-1])
     out[1:-1] /= width
@@ -150,15 +135,10 @@ def grad_central4(values: np.ndarray, spacing: float) -> np.ndarray:
     return out
 
 
-def second_central(values: np.ndarray, spacing: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Second derivative, O(h^2): central interior, one-sided 4-point ends.
-
-    ``out``, when given, receives the result and is returned; it must not
-    share memory with ``values``.
-    """
+def second_central(values: np.ndarray, spacing: float) -> np.ndarray:
+    """Second derivative, O(h^2): central interior, one-sided 4-point ends."""
     v = np.asarray(values, dtype=float)
-    if out is None:
-        out = np.empty_like(v)
+    out = np.empty_like(v)
     h2 = spacing * spacing
     mid = out[1:-1]
     np.multiply(v[1:-1], 2.0, out=mid)
@@ -259,17 +239,6 @@ class DensitySpec:
             log_density_neg=log_density_neg,
             grad=lambda x: (x - mean) / variance,
             hess=lambda x: np.full_like(np.asarray(x, dtype=float), 1.0 / variance),
-        )
-
-    @classmethod
-    def uniform(cls, lower: float, upper: float) -> "DensitySpec":
-        if upper <= lower:
-            raise DomainError("need upper > lower")
-        c = math.log(upper - lower)
-        return cls(
-            log_density_neg=lambda x: np.full_like(np.asarray(x, dtype=float), c),
-            grad=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            hess=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         )
 
     def validate_on(self, grid: Grid) -> None:

@@ -12,8 +12,7 @@ Markov chain's two conditionals, j = 0 (the dual coordinate given the
 position) and j = 1 (the new position given it), invert their CDF with
 substream j when they do not draw by rejection: the product coupling at
 step 0, a kernel that is not concave, and rows still unaccepted after
-REJECTION_ROUNDS rounds.  A kernel's CDF is inverted on the chunk sums of
-:mod:`sinkflow.sinkhorn`'s log-kernel layer, then on one chunk's nodes.
+REJECTION_ROUNDS rounds.  A kernel's CDF is inverted over whole rows.
 Rejection round r of conditional j proposes with substream
 REJECTION_SUBSTREAM + 4 r + 2 j and accepts with the next one.  The start
 ensemble is drawn from substream 7 of step 0.

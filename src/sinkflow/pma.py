@@ -52,13 +52,14 @@ from .transport import ConvexPotential, lot_distance
 CFL_FACTOR = 0.25            # dt_sub <= CFL_FACTOR * h^2 * min(u'')
 PUSHFORWARD_TOL = 5e-3       # sup-norm drift allowed in the transport constraint
 HESSIAN_CAP = 1e6            # u'' samples above it raise ConvexityLost
-# The largest CFL count a flow step still takes explicitly.  Measured per
-# step over 100 steps of the Gaussian runs at dt = 1e-3 (2 shared Xeon
-# CPUs), a ROS2 step on the lagged W takes 1.05-1.8 times the explicit
-# step's time at n = 256 (count 2), 1.12-1.31 times at n = 512 (count 5),
-# 0.55-0.63 times at n = 1024 (count 17) and 0.17-0.19 times at n = 2048
-# (count 66): the two cost the same between counts 5 and 17, and every
-# n <= 512 flow at dt = 1e-3 stays explicit.
+# The largest CFL count a flow step still takes explicitly.  Per step over
+# 200 steps of the Gaussian location run at dt = 1e-3 (2 shared Xeon CPUs,
+# 11 alternating runs), a ROS2 step on the lagged W takes 1.5-2.5, 1.1-1.4
+# and 0.44-0.57 times the explicit step's time at n = 256, 512 and 1024
+# (counts 2, 5 and 17): at about 0.03 ms per explicit substep the two cost
+# the same near count 7, so counts of about 8 to 16 take the slower path.
+# The switch stays at 16 so that every n <= 512 flow at dt = 1e-3 stays
+# explicit and pinned bit for bit; ROADMAP item 4 deletes it.
 EXPLICIT_MAX_SUBSTEPS = 16
 MAX_SUBSTEP = 1e-3           # longest ROS2 substep of a flow step, longest FP solve
 ROS2_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
@@ -197,16 +198,9 @@ class PmaState:
         return NodeTables(ys, drift, np.sqrt(2.0 * lerp(at, u.d2u)))
 
 
-def _sup_variation(potential: np.ndarray, h: np.ndarray, entropic: bool,
-                   buffer: np.ndarray) -> float:
-    """The sup norm of the first variation, potential - h when entropic,
-    computed in ``buffer``."""
-    if entropic:
-        np.subtract(potential, h, out=buffer)
-        np.abs(buffer, out=buffer)
-    else:
-        np.abs(potential, out=buffer)
-    return float(buffer.max())
+def _sup_variation(potential: np.ndarray, h: np.ndarray, entropic: bool) -> float:
+    """The sup norm of the first variation, potential - h when entropic."""
+    return float(np.abs(potential - h if entropic else potential).max())
 
 
 def make_flow_state(
@@ -229,7 +223,7 @@ def make_flow_state(
     return PmaState(
         t=0.0, u=u0, h=h, rho=rho, mu=mu, nu=nu,
         mu_spec=mu_spec, nu_spec=nu_spec, functional=functional, potential=potential,
-        sup_variation=_sup_variation(potential, h, functional.entropic, np.empty(grid.n)),
+        sup_variation=_sup_variation(potential, h, functional.entropic),
         rho_mass_error=abs(mass - 1.0),
     )
 
@@ -381,10 +375,9 @@ def _ros2_substep(state: PmaState, factor: Ros2Factor | None, u_vals: np.ndarray
     return increment, factor, int(fresh)
 
 
-def _rebuild(state: PmaState, u_vals: np.ndarray, du: np.ndarray,
-             d2u: np.ndarray) -> tuple[np.ndarray, float]:
-    """Refresh du and d2u from u_vals by finite differences, in place, and
-    return the new h and the clamp magnitude.
+def _rebuild(state: PmaState, u_vals: np.ndarray) -> tuple:
+    """(u_vals, du, d2u, h, clamp magnitude) after a substep: du and d2u by
+    finite differences, and h from them.
 
     Hessian samples below the mirror's floor are clamped, and du and u_vals
     are rebuilt from the clamped d2u by double cumulative integration
@@ -394,23 +387,23 @@ def _rebuild(state: PmaState, u_vals: np.ndarray, du: np.ndarray,
     grid = state.grid
     h_sp = grid.spacing
     floor = state.u.floor
-    grad_central(u_vals, h_sp, out=du)
-    second_central(u_vals, h_sp, out=d2u)
+    du = grad_central(u_vals, h_sp)
+    d2u = second_central(u_vals, h_sp)
     low = float(d2u.min())
     proj = 0.0
     if low < floor:
         proj = floor - low
-        np.maximum(d2u, floor, out=d2u)
+        d2u = np.maximum(d2u, floor)
         mid = grid.n // 2
         du_new = np.concatenate(([0.0], np.cumsum(0.5 * h_sp * (d2u[1:] + d2u[:-1]))))
-        du[:] = du_new - du_new[mid] + du[mid]
+        du = du_new - du_new[mid] + du[mid]
         u_new = np.concatenate(([0.0], np.cumsum(0.5 * h_sp * (du[1:] + du[:-1]))))
-        u_vals[:] = u_new - u_new[mid] + u_vals[mid]
+        u_vals = u_new - u_new[mid] + u_vals[mid]
     if float(d2u.max()) > HESSIAN_CAP:
         raise ConvexityLost("Hessian samples exceeded HESSIAN_CAP")
     h_new = state.nu_spec.f(du)
     h_new -= np.log(d2u)
-    return h_new, proj
+    return u_vals, du, d2u, h_new, proj
 
 
 def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaState:
@@ -448,7 +441,7 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
     h_sp = grid.spacing
     potential = state.potential
     entropic = state.functional.entropic
-    u_vals = state.u.u.copy()
+    u_vals, du, d2u = state.u.u, state.u.du, state.u.d2u
     h_cur = state.h
 
     dt_stable = CFL_FACTOR * h_sp * h_sp * state.u.hessian_min
@@ -459,33 +452,22 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
     n_sub = _substep_count(dt, longest)
     dt_sub = dt / n_sub
 
-    # the substeps update u_vals, du and d2u in place; the buffers are new
-    # each step because the returned ConvexPotential makes them read-only,
-    # and du and d2u start as the state's for the first ROS2 Jacobian
-    du = np.array(state.u.du)
-    d2u = np.array(state.u.d2u)
-    rhs = np.empty_like(u_vals)
     proj_mag = 0.0
     factor, factorizations = state.ros2, 0
     for _ in range(n_sub):
         if explicit or not entropic:
             # a potential-only variation does not depend on u: ROS2 is Euler
-            if entropic:
-                np.subtract(potential, h_cur, out=rhs)
-            else:
-                rhs[:] = potential
-            rhs *= dt_sub
-            u_vals += rhs
+            u_vals = u_vals + (potential - h_cur if entropic else potential) * dt_sub
         else:
             increment, factor, built = _ros2_substep(state, factor, u_vals, du, d2u, h_cur,
                                                      potential, dt_sub)
-            u_vals += increment
+            u_vals = u_vals + increment
             factorizations += built
-        h_cur, proj = _rebuild(state, u_vals, du, d2u)
+        u_vals, du, d2u, h_cur, proj = _rebuild(state, u_vals)
         proj_mag = max(proj_mag, proj)
 
     sup_prev = state.sup_variation
-    sup_new = _sup_variation(potential, h_cur, entropic, rhs)
+    sup_new = _sup_variation(potential, h_cur, entropic)
     growth = sup_new / sup_prev if sup_prev > 0.0 else math.nan
     if sup_new > 10.0 * sup_prev + 1e-8:
         raise StabilityError(
@@ -493,18 +475,14 @@ def step(state: PmaState, dt: float, max_substep: float | None = None) -> PmaSta
         )
 
     u_next = ConvexPotential(grid, u_vals, du, d2u, floor=state.u.floor)
-    np.negative(h_cur, out=rhs)
-    raw = np.exp(rhs)
+    raw = np.exp(-h_cur)
     mass = grid.integrate(raw)
-    raw /= mass
-    rho_next = GridDensity(grid, raw)
+    rho_next = GridDensity(grid, raw / mass)
 
-    rhs -= math.log(mass)                          # log rho, without a log of rho
-    pushed = pushforward_values_linear(grid, rhs, du)
+    # log rho, without a log of rho
+    pushed = pushforward_values_linear(grid, -h_cur - math.log(mass), du)
     pushed /= grid.integrate(pushed)
-    pushed -= state.nu.values
-    np.abs(pushed, out=pushed)
-    drift = float(pushed.max())
+    drift = float(np.abs(pushed - state.nu.values).max())
     if drift > PUSHFORWARD_TOL:
         raise StabilityError(f"transport constraint drifted to {drift!r} sup-norm")
 

@@ -12,15 +12,16 @@ than approximately:
 Potentials are gauge-fixed by subtracting the midpoint value after each
 step; all derived quantities are invariant to that additive constant.
 
-Both operators, and the Markov-chain sampler in :mod:`sinkflow.particles`
-when it inverts a CDF, evaluate their kernels through one log-kernel layer
-(``_kernel_chunks``): on the uniform grid exp(p z_j / eps) is geometric in
-j, so every row is summed at full width as a few stabilized chunk sums,
-whose products go to BLAS.  The chain draws from a concave kernel by
-rejection from a per-row envelope instead (``_kernel_reject``), at O(1)
-expected cost per row.  The dense n x n kernel, the joint density of a
-coupling and the joint-scaling (IPFP) form of the iteration are the test
-references these are checked against (tests/reference.py).
+Both operators evaluate their kernels through one log-kernel layer
+(``_kernel_lse``): on the uniform grid exp(p z_j / eps) is geometric in j,
+so every row is summed at full width as a few stabilized chunk sums, whose
+products go to BLAS.  The Markov-chain sampler in :mod:`sinkflow.particles`
+draws from a concave kernel by rejection from a per-row envelope
+(``_kernel_reject``), at O(1) expected cost per row, and from any other
+kernel by inverting the CDF over whole rows (``_kernel_draw``), at O(n).
+The dense n x n kernel, the joint density of a coupling and the
+joint-scaling (IPFP) form of the iteration are the test references these
+are checked against (tests/reference.py).
 """
 
 from __future__ import annotations
@@ -36,11 +37,14 @@ from .transport import ConvexPotential, legendre_transform
 
 NORMALIZATION_TOL = 1e-8
 # the chunked kernel's factors span at most e^(+-this), so any entry lost to
-# underflow is below e^-625 of its row's largest (see _kernel_chunks)
+# underflow is below e^-625 of its row's largest (see _kernel_lse)
 _LATTICE_LOG_UNITS = 60.0
 # multiply-adds per chunk-sum product: OpenBLAS runs a gemm this small on one
 # thread whatever its thread setting, so a row's sums never depend on it
 _PRODUCT_MADDS = 1 << 18
+# kernel entries per block of rows the CDF inversion evaluates: keeps each
+# of its row-block arrays at 2 MB whatever the number of rows
+_DRAW_ENTRIES = 1 << 18
 # rows per block of rejection proposals: keeps the per-row envelope arrays
 # at a few hundred kB whatever the number of particles
 _PROPOSAL_ROWS = 1 << 13
@@ -80,8 +84,8 @@ def _chunking(n: int) -> tuple[int, int, int]:
     return m, count, max(1, min(n, _PRODUCT_MADDS // (m * count)))
 
 
-def _kernel_chunks(kernel: _LogKernel, p: np.ndarray, reduce) -> np.ndarray:
-    """Apply ``reduce`` to the chunk sums of exp(r_i - M_i) at every output point p_i.
+def _kernel_lse(kernel: _LogKernel, p: np.ndarray) -> np.ndarray:
+    """Row log-sum-exp: log sum_j exp(r_i(j)) at every output point p_i.
 
     The columns split into chunks of m around their mid nodes zmid_c, so
     z_j = zmid_c + h k' with |k'| <= (m - 1) / 2.  Row i takes the
@@ -100,11 +104,9 @@ def _kernel_chunks(kernel: _LogKernel, p: np.ndarray, reduce) -> np.ndarray:
     block of each reference is padded, so every product has one shape and
     a row's sums do not depend on the rows evaluated with it.  Rows run
     along the last axis of every array, so per-row reductions are
-    elementwise across rows.
-
-    ``reduce(sums, peak, rows)`` receives a block of rows (indices ``rows``
-    into p), their (nch x rows) chunk sums and M_i, and returns one value
-    per row.
+    elementwise across rows.  The chunk sums are added by cumsum, which
+    runs in chunk order for any number of rows (sum would go pairwise for
+    a single row).
     """
     m, count, block = _chunking(kernel.a.size)
     h = kernel.spacing
@@ -140,18 +142,7 @@ def _kernel_chunks(kernel: _LogKernel, p: np.ndarray, reduce) -> np.ndarray:
                 peak = expo.max(axis=0)
                 expo -= peak
                 sums *= np.exp(expo, out=expo)
-                out[rows] = reduce(sums, peak, rows)
-    return out
-
-
-def _kernel_lse(kernel: _LogKernel, p: np.ndarray) -> np.ndarray:
-    """Row log-sum-exp: log sum_j exp(r_i(j)) at every output point.
-
-    The chunk sums are added by cumsum, which runs in chunk order for any
-    number of rows (sum would go pairwise for a single row).
-    """
-    out = _kernel_chunks(kernel, p,
-                         lambda sums, peak, rows: peak + np.log(np.cumsum(sums, axis=0)[-1]))
+                out[rows] = peak + np.log(np.cumsum(sums, axis=0)[-1])
     if not np.all(np.isfinite(out)):
         raise NumericOverflow("kernel row sum is not finite")
     return out
@@ -160,53 +151,39 @@ def _kernel_lse(kernel: _LogKernel, p: np.ndarray) -> np.ndarray:
 def _kernel_draw(kernel: _LogKernel, p: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """One draw per row from the density exp(r_i) on the nodes.
 
-    Cell c carries the trapezoid mass e_c + e_{c+1}, and the CDF is
-    inverted linearly inside the cell that uniform i selects, so draws
-    spread continuously between nodes.  The chunk is picked first, from
-    the cumulative mass over chunks: a chunk's cells (those starting on its
-    nodes) carry twice its node sum less its first node, plus the next
-    chunk's first node or, for the last chunk, less the grid's last node.
-    The cell is then picked from the chunk's m + 1 node values.  A uniform
-    of 1/2 or more is placed by the mass above it, summed from the upper
-    end, so the roundoff of the chunk sums moves a draw by at most their
-    relative error times the mass beyond it over the density there.
+    Cell c carries the trapezoid mass e_c + e_{c+1}, e = exp(r_i - max r_i),
+    and the CDF is inverted linearly inside the cell that uniform i
+    selects.  A uniform of 1/2 or more is placed by the mass above it,
+    summed from the upper end, so the roundoff of the cumulative sums
+    moves a draw by at most their relative error times the mass beyond it
+    over the density there.  Whole rows are evaluated, at most
+    _DRAW_ENTRIES entries at a time, each along its own row, so a row's
+    draw does not depend on the rows drawn with it.
     """
-    n, h = kernel.a.size, kernel.spacing
-    m, count, _ = _chunking(n)
-    z = kernel.nodes[0] + h * np.arange(count * m + 1)
-    a = np.concatenate([kernel.a, np.full(count * m + 1 - n, -np.inf)])
-    edges = np.append(np.arange(0, n, m), n - 1)[:, None]
-    after = np.where(np.arange(count) < count - 1, 1.0, -1.0)[:, None]
-    steps = np.arange(m + 1)[:, None]
+    n = kernel.a.size
     pe = np.asarray(p, dtype=float) * kernel.scale
-
-    def reduce(sums, peak, rows):
-        pr, u, at = pe[rows], uniforms[rows], np.arange(rows.size)
-        edge = np.exp(z[edges] * pr + a[edges] - peak)
-        # chunk c's mass in row c + 1, between rows of zeros: below[c] is the
-        # mass of the chunks before c, above[c + 2] that of the chunks after
-        mass = np.zeros((count + 2, rows.size))
-        np.maximum(2.0 * sums - edge[:-1] + after * edge[1:], 0.0, out=mass[1:-1])
-        below, above = np.cumsum(mass, axis=0), np.cumsum(mass[::-1], axis=0)[::-1]
+    out = np.empty(pe.size)
+    block = max(1, _DRAW_ENTRIES // n)
+    for start in range(0, pe.size, block):
+        rows = slice(start, start + block)
+        u = uniforms[rows]
+        r = pe[rows, None] * kernel.nodes + kernel.a
+        e = np.exp(r - r.max(axis=1, keepdims=True))
+        mass = e[:, 1:] + e[:, :-1]
+        # below[c] and above[c]: the mass before and from the cell at node c on
+        below = np.pad(np.cumsum(mass, axis=1), ((0, 0), (1, 0)))
+        above = np.pad(np.cumsum(mass[:, ::-1], axis=1)[:, ::-1], ((0, 0), (0, 1)))
         upper = u >= 0.5
-        low, high = u * below[-1], (1.0 - u) * above[0]
-        chunk = np.where(upper, np.count_nonzero(above[1:-1] >= high, axis=0) - 1,
-                         np.minimum(np.count_nonzero(below[1:-1] < low, axis=0), count - 1))
-        cols = chunk * m + steps
-        node = np.exp(z[cols] * pr + a[cols] - peak)
-        cdf = node[1:] + node[:-1]
-        cdf[cols[:-1] >= n - 1] = 0.0
-        np.cumsum(cdf, axis=0, out=cdf)
-        last = np.minimum(m, n - 1 - chunk * m) - 1
-        target = np.where(upper, cdf[last, at] - high + above[chunk + 2, at],
-                          low - below[chunk, at])
-        idx = np.minimum(np.count_nonzero(cdf < target, axis=0), last)
-        hi = cdf[idx, at]
-        lo = np.where(idx > 0, cdf[idx - 1, at], 0.0)
-        frac = np.where(hi > lo, (target - lo) / np.maximum(hi - lo, 1e-300), 0.5)
-        return z[cols[idx, at]] + np.clip(frac, 0.0, 1.0) * h
-
-    return _kernel_chunks(kernel, p, reduce)
+        low, high = u * below[:, -1], (1.0 - u) * above[:, 0]
+        cell = np.where(upper, np.count_nonzero(above[:, 1:-1] >= high[:, None], axis=1),
+                        np.count_nonzero(below[:, 1:-1] < low[:, None], axis=1))
+        at = np.arange(cell.size)
+        inside = np.where(upper, above[at, cell] - high, low - below[at, cell])
+        span = np.where(upper, above[at, cell] - above[at, cell + 1],
+                        below[at, cell + 1] - below[at, cell])
+        frac = np.where(span > 0.0, inside / np.maximum(span, 1e-300), 0.5)
+        out[rows] = kernel.nodes[cell] + np.clip(frac, 0.0, 1.0) * kernel.spacing
+    return out
 
 
 class _Envelope(NamedTuple):

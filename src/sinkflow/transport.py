@@ -73,12 +73,6 @@ class ConvexPotential:
         object.__setattr__(self, "hessian_max", high)
 
     @classmethod
-    def from_callable(cls, grid: Grid, u, du, d2u, floor: float = DEFAULT_CONVEXITY_FLOOR):
-        xs = grid.nodes
-        return cls(grid, np.asarray(u(xs), float), np.asarray(du(xs), float),
-                   np.asarray(d2u(xs), float), floor)
-
-    @classmethod
     def quadratic(cls, grid: Grid, curvature: float = 1.0):
         xs = grid.nodes
         return cls(grid, 0.5 * curvature * xs**2, curvature * xs,

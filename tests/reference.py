@@ -11,18 +11,53 @@ path in ``sinkflow``, written out the slow and obvious way:
 * the residuals check the parabolic Monge-Ampere identities on flow states
   and potentials;
 * :func:`integrate_euclid_mirror` solves the 1-D mirror ODE examples whose
-  closed forms ``closed_form.evaluate`` gives.
+  closed forms ``closed_form.evaluate`` gives;
+* :func:`interior_slice`, :func:`uniform_spec` and
+  :func:`potential_from_callable` build the diagnostics' window and test
+  inputs.
 """
+
+import math
 
 import numpy as np
 from scipy.special import logsumexp
 
 from sinkflow.closed_form import FlowKind
 from sinkflow.errors import DomainError, GridMismatch
-from sinkflow.grids import INTERIOR_FRACTION, Grid, GridDensity, grad_central, grad_central4
+from sinkflow.grids import DensitySpec, Grid, GridDensity, grad_central, grad_central4
 from sinkflow.pma import PmaState, velocity
 from sinkflow.sinkhorn import SinkhornState
-from sinkflow.transport import ConvexPotential, legendre_transform
+from sinkflow.transport import DEFAULT_CONVEXITY_FLOOR, ConvexPotential, legendre_transform
+
+INTERIOR_FRACTION = 0.8   # central share of a range that diagnostics judge
+
+
+def interior_slice(grid: Grid) -> slice:
+    """Index slice keeping the central INTERIOR_FRACTION of the grid's nodes.
+
+    Diagnostics exclude the truncation boundary layer: the slice drops
+    the outer 10% of nodes on each side.
+    """
+    skip = int(round(0.5 * (1.0 - INTERIOR_FRACTION) * grid.n))
+    return slice(skip, grid.n - skip)
+
+
+def uniform_spec(lower: float, upper: float) -> DensitySpec:
+    """The uniform density on [lower, upper]."""
+    c = math.log(upper - lower)
+    return DensitySpec(
+        log_density_neg=lambda x: np.full_like(np.asarray(x, dtype=float), c),
+        grad=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        hess=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+    )
+
+
+def potential_from_callable(grid: Grid, u, du, d2u,
+                            floor: float = DEFAULT_CONVEXITY_FLOOR) -> ConvexPotential:
+    """The potential u, with its derivatives du and d2u, sampled at the nodes."""
+    xs = grid.nodes
+    return ConvexPotential(grid, np.asarray(u(xs), float), np.asarray(du(xs), float),
+                           np.asarray(d2u(xs), float), floor)
 
 
 def dense_log_kernel(p, nodes, potential, eps, log_weights, dtype=float) -> np.ndarray:
@@ -105,7 +140,7 @@ def continuity_residual(prev: PmaState, next_state: PmaState) -> float:
     dt = _consecutive_dt(prev, next_state)
     flux_div = grad_central4(prev.rho.values * velocity(prev).values, prev.grid.spacing)
     resid = (next_state.rho.values - prev.rho.values) / dt + flux_div
-    return float(np.max(np.abs(resid[prev.grid.interior_slice()])))
+    return float(np.max(np.abs(resid[interior_slice(prev.grid)])))
 
 
 def log_det_hessian_gradient_residual(u: ConvexPotential) -> float:
@@ -128,7 +163,7 @@ def change_of_measure_residual(d: GridDensity, phi: ConvexPotential,
     where exp(-a) = d and exp(-b) = the pushforward of d by phi'."""
     if d.grid != phi.grid:
         raise GridMismatch("density and potential must share a grid")
-    keep = d.grid.interior_slice()
+    keep = interior_slice(d.grid)
     a = -d.log_values[keep]
     b_at = -np.interp(phi.du[keep], pushed.grid.nodes, pushed.log_values)
     return float(np.max(np.abs(b_at - a - np.log(phi.d2u[keep]))))

@@ -56,6 +56,7 @@ from reference import (
     dual_pma_residual,
     integrate_euclid_mirror,
     log_det_hessian_gradient_residual,
+    potential_from_callable,
 )
 
 GRID = Grid(-8.0, 8.0, 512)
@@ -286,7 +287,7 @@ def test_criterion_8_pde_identities(stationary_pair):
         states = list(run_flow(gaussian_flow_state(g, mean=THETA), dt,
                                int(round(0.5 / dt)) + 1, max_substep=sub))
         k = int(round(0.5 / dt))
-        phi = ConvexPotential.from_callable(
+        phi = potential_from_callable(
             g, lambda x: 0.5 * x**2 + 0.05 * np.cosh(x / 2) * 4,
             lambda x: x + 0.1 * np.sinh(x / 2),
             lambda x: 1.0 + 0.05 * np.cosh(x / 2))
@@ -296,7 +297,7 @@ def test_criterion_8_pde_identities(stationary_pair):
             dual_pma_residual(states[k], states[k + 1]),
             continuity_residual(states[k], states[k + 1]),
             log_det_hessian_gradient_residual(
-                ConvexPotential.from_callable(
+                potential_from_callable(
                     g, lambda x: np.cosh(x / 2) * 4, lambda x: 2 * np.sinh(x / 2),
                     lambda x: np.cosh(x / 2))),
             change_of_measure_residual(states[k].rho, phi, pushed),

@@ -388,15 +388,17 @@ class TestPmaCheckpoints:
         # the start row has taken no step; every later one reports its step's
         # substeps, transport drift, variation growth and W factorizations
         # (none on this explicit run), the Hessian window so far, and the
-        # largest clamp since the row before it.  The rows keep every other
-        # step; steps 3 and 4 are made to report a clamp, and the row of
-        # step 4 keeps the larger one of the thinned step 3
+        # largest clamp and density mass error since the row before it.  The
+        # rows keep every other step; steps 3 and 4 are made to report a
+        # clamp and a mass error, and the row of step 4 keeps the larger ones
+        # of the thinned step 3
         real = experiments._FlowTape.states
 
         def clamping(*args):
             marks = {3: 0.25, 4: 0.125}
             for i, s in enumerate(real(*args)):
-                yield replace(s, projection_magnitude=marks[i]) if i in marks else s
+                yield (replace(s, projection_magnitude=marks[i], rho_mass_error=marks[i])
+                       if i in marks else s)
 
         monkeypatch.setattr(experiments._FlowTape, "states", clamping)
         raw = {**self.RAW, "numerics": {"n": 128, "T": 0.5}}
@@ -406,6 +408,8 @@ class TestPmaCheckpoints:
         assert first["hessian_min"] == first["hessian_max"] == 1.0
         assert [row["clamp"] for row in later[:3]] == [0.0, 0.25, 0.0]
         assert all(row["clamp"] == 0.0 for row in later[3:])
+        assert later[1]["mass_error"] == 0.25
+        assert all(0.0 <= row["mass_error"] < 1e-12 for row in [first, later[0], *later[2:]])
         for prev, row in zip([first, *later], later):
             assert row["substeps"] >= 1
             assert 0.0 < row["transport_drift"] <= 5e-3

@@ -1,8 +1,10 @@
 """The library keeps only what runs: every top-level name in a ``sinkflow``
-module is reached from the library itself or shown in the README.
+module, and every method of its classes, is reached from the library
+itself or shown in the README.
 
 A name counts as reached when some module reads it (a name or attribute
 load) or imports it; the package ``__init__`` re-exports do not count.
+Dunder methods are called by Python itself and are not checked.
 Otherwise the README must show it in code: a backticked span or a fenced
 block.  ``closed_form`` is exempt: it is the oracle module, whose exact
 flows the tests read by design.  Code that only tests reach belongs in
@@ -19,11 +21,15 @@ EXEMPT = {"closed_form"}
 
 
 def defined_names(tree: ast.Module) -> list[str]:
-    """Top-level def, class and assignment targets of a module."""
+    """Top-level def, class and assignment targets of a module, and the
+    methods of its classes as ``Class.method``."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                names += [f"{node.name}.{item.name}" for item in node.body
+                          if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")]
         elif isinstance(node, ast.Assign):
             names += [t.id for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
@@ -57,7 +63,7 @@ def unreached(package: Path) -> list[str]:
                             for path, tree in trees.items()))
     known = reached | readme_code_words()
     return [f"{path.stem}.{name}" for path, tree in trees.items() if path.stem not in EXEMPT
-            for name in defined_names(tree) if name not in known]
+            for name in defined_names(tree) if name.split(".")[-1] not in known]
 
 
 def test_every_library_name_is_reached_or_shown():
@@ -69,3 +75,13 @@ def test_a_name_only_the_package_init_imports_is_flagged(tmp_path):
     (tmp_path / "solver.py").write_text("def used():\n    pass\n\n\n"
                                         "def orphan():\n    used()\n")
     assert unreached(tmp_path) == ["solver.orphan"]
+
+
+def test_a_method_nothing_reads_is_flagged(tmp_path):
+    (tmp_path / "solver.py").write_text(
+        "class Solver:\n"
+        "    def __init__(self):\n        self.run()\n\n"
+        "    def run(self):\n        pass\n\n"
+        "    @classmethod\n    def orphan(cls):\n        return cls()\n\n\n"
+        "Solver()\n")
+    assert unreached(tmp_path) == ["solver.Solver.orphan"]

@@ -23,7 +23,7 @@ from sinkflow.sinkhorn import _log_kernel, initial_state, s_step
 from sinkflow.transport import ConvexPotential
 
 from conftest import gaussian_flow_state
-from reference import dense_log_kernel
+from reference import dense_log_kernel, interior_slice, potential_from_callable, uniform_spec
 
 GRID = Grid(-8.0, 8.0, 512)
 STD_SPEC = DensitySpec.gaussian(0.0, 1.0)
@@ -65,7 +65,7 @@ class TestPrimalSde:
         # with equal uniform marginals and the identity mirror each drift
         # term is identically zero, so a step moves the ensemble by its noise
         g = Grid(0.0, 1.0, 64)
-        spec = DensitySpec.uniform(0.0, 1.0)
+        spec = uniform_spec(0.0, 1.0)
         state = make_flow_state(g, spec, spec, ConvexPotential.quadratic(g))
         xs = np.linspace(0.1, 0.9, 50)
         drift, diffusion = state.sde_tables.at(xs)
@@ -99,7 +99,7 @@ class TestPrimalSde:
     def test_marginal_moments_track_flow_under_nonquadratic_mirror(self):
         # u = x^2/2 + log cosh x, so (1/u'')' is far from zero: a drift that
         # drops it leaves the variance ~5 standard errors below the flow's
-        u = ConvexPotential.from_callable(GRID, *LOG_COSH_MIRROR)
+        u = potential_from_callable(GRID, *LOG_COSH_MIRROR)
         state = make_flow_state(GRID, STD_SPEC, STD_SPEC, u)
         count = 20000
         ens = ParticleEnsemble.from_density(state.rho, count, seed=7)
@@ -132,7 +132,7 @@ class TestPrimalSde:
         hp = grad_central(np.asarray(state.h), grid.spacing)
         former = (-state.mu_spec.grad(xs) + hp) / state.u.d2u - state.nu_spec.grad(state.u.du)
         drift, _ = state.sde_tables.at(xs)
-        keep = grid.interior_slice()
+        keep = interior_slice(grid)
         assert np.max(np.abs(drift[keep] - former[keep])) <= bound
 
     def test_tables_are_built_once_per_state(self):
@@ -152,7 +152,7 @@ class TestPrimalSde:
                     + math.sqrt(dt) * lerp(at, np.sqrt(2.0 / d2u)) * z)
 
         cur = make_flow_state(GRID, STD_SPEC, STD_SPEC,
-                              ConvexPotential.from_callable(GRID, *LOG_COSH_MIRROR))
+                              potential_from_callable(GRID, *LOG_COSH_MIRROR))
         ens = ParticleEnsemble.from_density(cur.rho, 2000, seed=3)
         for _ in range(5):
             expected = step_with_inline_tables(ens, cur, 1e-3)
@@ -216,7 +216,7 @@ def evolved():
         starts = {"location": gaussian_flow_state(grid, mean=0.5),
                   "scale": gaussian_flow_state(grid, variance=0.25),
                   "cosh mirror": make_flow_state(grid, STD_SPEC, DensitySpec.gaussian(0.3, 0.8),
-                                                 ConvexPotential.from_callable(grid, *COSH_MIRROR))}
+                                                 potential_from_callable(grid, *COSH_MIRROR))}
         for name, state in starts.items():
             for _ in range(5):
                 state = step(state, 1e-3)
@@ -288,7 +288,7 @@ class TestDualSde:
 
     def test_constant_log_density_means_zero_drift(self):
         g = Grid(0.0, 1.0, 64)
-        spec = DensitySpec.uniform(0.0, 1.0)
+        spec = uniform_spec(0.0, 1.0)
         state = make_flow_state(g, spec, spec, ConvexPotential.quadratic(g))
         drift, _ = state.dual_tables.at(np.linspace(0.2, 0.8, 20))
         assert np.max(np.abs(1e-4 * drift)) < 1e-9
@@ -297,7 +297,7 @@ class TestDualSde:
         # dual positions live on the range of u', which the cosh mirror
         # stretches to +-13.46 over the x-grid [-8, 8]: points inside that
         # range plus the margin step, points beyond it escape
-        u = ConvexPotential.from_callable(GRID, *COSH_MIRROR)
+        u = potential_from_callable(GRID, *COSH_MIRROR)
         state = make_flow_state(GRID, STD_SPEC, STD_SPEC, u)
         lo, hi = float(u.du[0]) - ESCAPE_MARGIN, float(u.du[-1]) + ESCAPE_MARGIN
         inside = ParticleEnsemble(np.array([lo + 0.1, -10.0, 10.0, hi - 0.1]), 0.0, seed=3)
@@ -349,7 +349,7 @@ class TestMirrorLangevin:
         # from 2 at the origin to 1 in the tails, so a step that drops the
         # mirror Hessian from the diffusion narrows the law (KS ~0.09,
         # variance ~0.51)
-        u = ConvexPotential.from_callable(GRID, *LOG_COSH_MIRROR)
+        u = potential_from_callable(GRID, *LOG_COSH_MIRROR)
         frozen = make_flow_state(GRID, STD_SPEC, STD_SPEC, u)
         count = 20000
         ens = ParticleEnsemble.from_density(frozen.nu, count, seed=5)
@@ -370,7 +370,7 @@ class TestMirrorLangevin:
     def test_node_tables_are_built_once_per_state(self):
         # a state builds its tables on first use and keeps them; steps on one
         # state draw what steps on a copy that rebuilds them draw, bit for bit
-        u = ConvexPotential.from_callable(GRID, *LOG_COSH_MIRROR)
+        u = potential_from_callable(GRID, *LOG_COSH_MIRROR)
         frozen = make_flow_state(GRID, STD_SPEC, STD_SPEC, u)
         assert frozen.dual_tables is frozen.dual_tables
         kept = rebuilt = ParticleEnsemble.from_density(frozen.nu, 1000, seed=4)
@@ -652,7 +652,7 @@ class TestGeneratorResidual:
     @staticmethod
     def state(grid, mirror=None):
         u = (ConvexPotential.quadratic(grid) if mirror is None
-             else ConvexPotential.from_callable(grid, *mirror))
+             else potential_from_callable(grid, *mirror))
         return make_flow_state(grid, STD_SPEC, STD_SPEC, u)
 
     def test_quadratic_mirror_small(self):

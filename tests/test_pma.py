@@ -41,7 +41,7 @@ from sinkflow.pma import (
 from sinkflow.transport import ConvexPotential
 
 from conftest import gaussian_flow_state
-from reference import continuity_residual, dual_pma_residual
+from reference import continuity_residual, dual_pma_residual, interior_slice, uniform_spec
 
 GRID = Grid(-8.0, 8.0, 512)
 MU_SPEC = DensitySpec.gaussian(0.0, 1.0)
@@ -95,7 +95,7 @@ def location_run():
 
 class TestRhs:
     def test_stationary(self, stationary_state):
-        keep = GRID.interior_slice()
+        keep = interior_slice(GRID)
         assert np.max(np.abs(flow_rhs(stationary_state))[keep]) < 1e-3
 
     def test_location_initial_rhs(self):
@@ -103,7 +103,7 @@ class TestRhs:
         # theta*x - theta^2/2 for unit-variance marginals
         state = gaussian_flow_state(GRID, mean=0.5)
         expected = 0.5 * GRID.nodes - 0.125
-        keep = GRID.interior_slice()
+        keep = interior_slice(GRID)
         assert np.max(np.abs(flow_rhs(state) - expected)[keep]) < 1e-9
 
     def test_log_curvature_term(self):
@@ -173,17 +173,17 @@ class TestStep:
 
 class TestVelocity:
     def test_stationary_velocity_vanishes(self, stationary_state):
-        keep = GRID.interior_slice()
+        keep = interior_slice(GRID)
         assert np.max(np.abs(velocity(stationary_state).values)[keep]) < 1e-4
 
     def test_location_velocity_constant(self):
         state = gaussian_flow_state(GRID, mean=0.5)
-        keep = GRID.interior_slice()
+        keep = interior_slice(GRID)
         assert np.max(np.abs(velocity(state).values + 0.5)[keep]) < 1e-6
 
     def test_two_chart_agreement(self, location_run):
         s = location_run[250]
-        keep = GRID.interior_slice()
+        keep = interior_slice(GRID)
         mirror_chart = -grad_central(flow_rhs(s), GRID.spacing) / s.u.d2u
         gap = np.abs(velocity(s).values - mirror_chart)
         assert np.max(gap[keep]) < 1e-3
@@ -191,7 +191,7 @@ class TestVelocity:
     def test_reduces_to_fokker_planck_for_identity_mirror(self):
         state = gaussian_flow_state(GRID, mean=0.5)
         fp = fp_velocity(state.rho, state.mu)
-        keep = GRID.interior_slice()
+        keep = interior_slice(GRID)
         assert np.max(np.abs(velocity(state).values - fp)[keep]) < 1e-6
 
     def test_velocity_envelope(self, location_run):
@@ -318,7 +318,7 @@ class TestFokkerPlanckStep:
         prev, nxt = hist[500], hist[501]
         flux_div = grad_central(prev.values * fp_velocity(prev, mu), GRID.spacing)
         resid = (nxt.values - prev.values) / 1e-3 + flux_div
-        assert np.max(np.abs(resid[GRID.interior_slice()])) < 0.05
+        assert np.max(np.abs(resid[interior_slice(GRID)])) < 0.05
 
 
 class TestStepSizes:
@@ -364,7 +364,7 @@ class TestResiduals:
         prev, mid, nxt = location_run[299:302]
         dudt = (nxt.u.u - prev.u.u) / (nxt.t - prev.t)
         gap = mid.mu_spec.f(GRID.nodes) - dudt - mid.h
-        assert np.max(np.abs(gap[GRID.interior_slice()])) < 1e-3
+        assert np.max(np.abs(gap[interior_slice(GRID)])) < 1e-3
 
 
 class TestMetricDerivative:
@@ -447,13 +447,14 @@ class TestMirrorFlows:
                                 functional=Functional.entropy())
         states = list(run_flow(state, 1e-3, 500))
         s = states[-1]
-        keep = GRID.interior_slice()
+        keep = interior_slice(GRID)
         assert np.max(np.abs(s.u.du - GRID.nodes / (1.0 + s.t))[keep]) < 2e-3
 
 
 def reference_step(state, dt, max_substep=None):
-    """The flow step written with a new array for every intermediate, as it
-    was before the substeps ran in place."""
+    """The explicit flow step written out on its own: a new array for every
+    intermediate, the CFL count from the d2u samples, and the first
+    variation from the functional at every substep."""
     grid = state.grid
     h_sp = grid.spacing
     xs = grid.nodes
@@ -594,8 +595,7 @@ EXPLICIT_DT = {256: 1e-3, 2048: 2e-4}
 
 
 class TestInPlaceSubsteps:
-    """The in-place explicit substeps reproduce the allocating loops bit for
-    bit."""
+    """The explicit substeps of step reproduce reference_step bit for bit."""
 
     @staticmethod
     def check_steps(state, dt, steps, max_substep=None):
@@ -721,7 +721,7 @@ class TestRos2Step:
             *_, last = run_flow(state, 1e-3, 50, max_substep=sub)
             assert last.substeps == round(1e-3 / sub)
             finals.append(last.u.u)
-        keep = state.grid.interior_slice()
+        keep = interior_slice(state.grid)
         gaps = [np.max(np.abs(a - b)[keep]) for a, b in zip(finals, finals[1:])]
         assert gaps[0] / gaps[1] >= 3.5
         assert gaps[1] / gaps[2] >= 3.5
@@ -800,7 +800,7 @@ class TestRos2Step:
         # a uniform target has g' = 0, so u = x^2/2 flows as u'' = 1 + t
         # exactly: W keeps the x^2 coefficient, and the ROS2 weights sum it
         # to tau per step
-        state = make_flow_state(GRID_2048, MU_SPEC, DensitySpec.uniform(-8.0, 8.0),
+        state = make_flow_state(GRID_2048, MU_SPEC, uniform_spec(-8.0, 8.0),
                                 ConvexPotential.quadratic(GRID_2048))
         *_, last = run_flow(state, 1e-3, 200)
         assert last.substeps == 1

@@ -21,7 +21,7 @@ from sinkflow.sinkhorn import (
 )
 from sinkflow.transport import ConvexPotential
 
-from reference import coupling, dense_log_kernel, ipfp_marginal_view
+from reference import coupling, dense_log_kernel, interior_slice, ipfp_marginal_view
 
 GRID = Grid(-8.0, 8.0, 512)
 MU_SPEC = DensitySpec.gaussian(0.0, 1.0)
@@ -202,7 +202,7 @@ class TestOperators:
         u_raw = 0.5 * GRID.nodes**2
         got = v_operator(u_raw, MU, eps)
         ref = GRID.nodes**2 / (2 * (1 + eps)) + 0.5 * eps * math.log(eps / (1 + eps))
-        keep = GRID.interior_slice()
+        keep = interior_slice(GRID)
         assert np.max(np.abs(got - ref)[keep]) < 1e-8
 
     @pytest.mark.parametrize("op,marg", [(v_operator, MU), (u_operator, NU)])
@@ -248,7 +248,7 @@ class TestOperators:
         # self-potential, whose curvature solves a^2 + eps*a = 1
         eps = 0.5
         converged = fixed_point(eps)
-        keep = GRID.interior_slice()
+        keep = interior_slice(GRID)
         coeffs = np.polyfit(GRID.nodes[keep], converged.u[keep], 2)
         alpha_star = (-eps + math.sqrt(eps * eps + 4.0)) / 2.0
         assert 2 * coeffs[0] == pytest.approx(alpha_star, abs=1e-6)
